@@ -99,13 +99,6 @@ def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems[:20]))
 
 
-def require_valid_category(C: FinNonUnitalCategory) -> FinNonUnitalCategory:
-    rep = validate_category(C)
-    if not rep.ok:
-        raise ValueError(f"invalid category: {rep.problems[0]}")
-    return C
-
-
 @dataclass(frozen=True)
 class FunctorData:
     source: FinNonUnitalCategory

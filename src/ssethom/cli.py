@@ -456,7 +456,14 @@ def _check_batch_items(path: str) -> list:
             v = item.get(key)
             if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
                 raise UsageError(f"{where}: {key} must be an integer")
+            if key in ("cutoff", "degree") and v is not None and v < 0:
+                raise UsageError(f"{where}: {key} must be non-negative")
     return items
+
+
+def _pool_size(jobs: int, items: int) -> int:
+    """Workers for a batch: never more than asked, than items, or than CPUs."""
+    return max(1, min(jobs, items, os.cpu_count() or 1))
 
 
 def _batch_worker(work: tuple) -> dict:
@@ -474,8 +481,9 @@ def _cmd_check(args) -> int:
         items = _check_batch_items(args.batch)
         base = os.path.dirname(os.path.abspath(args.batch))
         work = [(item, base) for item in items]
-        if args.jobs > 1 and len(work) > 1:
-            with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = _pool_size(args.jobs, len(work))
+        if workers > 1:
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_batch_worker, work))
         else:
             reports = [_batch_worker(w) for w in work]
@@ -500,6 +508,22 @@ def _cmd_check(args) -> int:
 # parser
 
 
+def _bounded_int(least: int):
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if v < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {v}")
+        return v
+    return parse
+
+
+_nonneg_int = _bounded_int(0)
+_positive_int = _bounded_int(1)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ssethom",
@@ -520,7 +544,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = cmd("homology", _cmd_homology,
              "Integral or field homology of a complex.", "sset or simplicial document")
     sp.add_argument("--coeff", default="z", help="z, q, or f<p> (default z)")
-    sp.add_argument("--max-degree", type=int, default=None,
+    sp.add_argument("--max-degree", type=_nonneg_int, default=None,
                     help="report degrees 0..N (default: everything determined)")
 
     cmd("euler", _cmd_euler, "Euler characteristic of a complete complex.",
@@ -528,12 +552,12 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("skeleton", _cmd_skeleton,
              "Write the n-skeleton of a semi-simplicial set.", "sset document")
-    sp.add_argument("--degree", type=int, required=True, help="keep levels 0..n")
+    sp.add_argument("--degree", type=_nonneg_int, required=True, help="keep levels 0..n")
 
     sp = cmd("nerve", _cmd_nerve,
              "Write the nerve of a category or monoid through a level cutoff.",
              "category or monoid document")
-    sp.add_argument("--cutoff", type=int, required=True,
+    sp.add_argument("--cutoff", type=_nonneg_int, required=True,
                     help="highest nerve level to compute")
 
     cmd("unitalize", _cmd_unitalize,
@@ -541,13 +565,13 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = cmd("over", _cmd_over,
              "Write the over (or under) category at an object.", "category document")
-    sp.add_argument("--object", type=int, required=True, help="base object index")
+    sp.add_argument("--object", type=_nonneg_int, required=True, help="base object index")
     sp.add_argument("--under", action="store_true",
                     help="take the under category instead")
 
     sp = cmd("bar", _cmd_bar,
              "Write a two-sided bar construction B(Y, M, X).", "monoid document")
-    sp.add_argument("--cutoff", type=int, required=True,
+    sp.add_argument("--cutoff", type=_nonneg_int, required=True,
                     help="highest bar level to compute")
     sp.add_argument("--left", choices=("trivial", "regular"), default="trivial",
                     help="right action in the left slot (default trivial)")
@@ -557,7 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = cmd("resolve", _cmd_resolve,
              "Write the bi-semi-simplicial comma resolution of a functor.",
              "functor document")
-    sp.add_argument("--cutoff", type=int, required=True,
+    sp.add_argument("--cutoff", type=_nonneg_int, required=True,
                     help="highest resolution level in each direction")
     sp.add_argument("--dual", action="store_true",
                     help="use the dual comma direction")
@@ -573,7 +597,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = cmd("group-complete", _cmd_group_complete,
              "Grothendieck group of a commutative (or group) monoid, with the "
              "classifying-space comparison for table input.", "monoid document")
-    sp.add_argument("--cutoff", type=int, default=None,
+    sp.add_argument("--cutoff", type=_nonneg_int, default=None,
                     help="homology comparison range (required for table input)")
 
     sp = sub.add_parser(
@@ -584,18 +608,18 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("check_id", nargs="?", default=None, metavar="check",
                     help="which check to run")
     sp.add_argument("files", nargs="*", help="input documents for the check")
-    sp.add_argument("--cutoff", type=int, default=None,
+    sp.add_argument("--cutoff", type=_nonneg_int, default=None,
                     help="homological range of the check (required)")
     sp.add_argument("--seed", type=int, default=None,
                     help="generate a random input instead of reading files "
                          "(adj-units, fat-thin, ez-diagonal)")
-    sp.add_argument("--degree", type=int, default=None,
+    sp.add_argument("--degree", type=_nonneg_int, default=None,
                     help="skeleton degree (skeletal-shadow only)")
     sp.add_argument("--size", type=int, default=None,
                     help="number of points (constant only)")
     sp.add_argument("--batch", default=None, metavar="FILE",
                     help="run every check listed in a JSON batch file")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_positive_int, default=1,
                     help="parallel workers for a batch run")
     sp.set_defaults(func=_cmd_check)
 

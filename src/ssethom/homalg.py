@@ -1,9 +1,9 @@
 """Chain complexes and exact homology over Z, Q, and prime fields.
 
-Boundary matrices always carry integer entries (they come from face tables);
-the ring tag only changes how ranks and homology are computed.  Over Z the
-answers are finitely presented abelian groups read off the Smith normal form,
-over a field they are dimensions.
+Boundary matrices always carry integer entries (they come from face tables),
+so every ring reads its ranks off the one integer Smith normal form of each
+boundary; the ring tag only changes how the invariant factors are read.  Over
+Z the answers are finitely presented abelian groups, over a field dimensions.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from .snf import (
     SparseIntMatrix,
     invariant_factors,
     kernel_basis,
-    rank_mod_p,
-    rank_rational,
     smith_normal_form,
     solve,
 )
@@ -226,25 +224,21 @@ class ChainComplex:
         return self.diffs[k]
 
     def _smith(self, k: int):
-        key = ("smith", k)
-        if key not in self._cache:
-            self._cache[key] = smith_normal_form(self.boundary(k))
-        return self._cache[key]
+        if k not in self._cache:
+            self._cache[k] = smith_normal_form(self.boundary(k))
+        return self._cache[k]
 
     def boundary_rank(self, k: int) -> int:
-        """Rank of d_k over the complex's ring."""
+        """Rank of d_k over the complex's ring, read off its integer Smith form.
+
+        Over Z and Q that is the number of invariant factors; over F_p it is
+        the number of them that p does not divide.
+        """
         if k <= 0 or k > self.top_degree:
             return 0
-        key = ("rank", k)
-        if key not in self._cache:
-            p = ring_prime(self.ring)
-            if self.ring == "Z":
-                self._cache[key] = self._smith(k).rank
-            elif self.ring == "Q":
-                self._cache[key] = rank_rational(self.diffs[k])
-            else:
-                self._cache[key] = rank_mod_p(self.diffs[k], p)
-        return self._cache[key]
+        factors = self._smith(k).factors
+        p = ring_prime(self.ring)
+        return len(factors) if p is None else sum(1 for d in factors if d % p)
 
     def euler_characteristic(self) -> int:
         if not self.complete:
@@ -273,13 +267,8 @@ def homology(C: ChainComplex, k: int) -> FPAbelianGroup:
         rank_above = 0
         torsion = ()
     else:
-        if C.ring == "Z":
-            facs = C._smith(k + 1).factors
-            rank_above = len(facs)
-            torsion = tuple(d for d in facs if d > 1)
-        else:
-            rank_above = C.boundary_rank(k + 1)
-            torsion = ()
+        rank_above = C.boundary_rank(k + 1)
+        torsion = tuple(d for d in C._smith(k + 1).factors if d > 1) if C.ring == "Z" else ()
     return FPAbelianGroup(cycles - rank_above, torsion)
 
 
@@ -410,11 +399,6 @@ def chain_map_from_sset_map(f: SSetMap, ring: str, through: int | None = None) -
 
 def identity_chain_map(C: ChainComplex) -> ChainMap:
     return ChainMap(C, C, tuple(SparseIntMatrix.identity(n) for n in C.dims))
-
-
-def zero_chain_map(src: ChainComplex, tgt: ChainComplex) -> ChainMap:
-    return ChainMap(src, tgt, tuple(SparseIntMatrix.zero(tgt.dims[k], src.dims[k])
-                                    for k in range(len(src.dims))))
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:

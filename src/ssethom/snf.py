@@ -5,12 +5,16 @@ Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value).
 The Smith normal form routine prefers unit pivots with low fill, which keeps
 boundary-matrix eliminations close to linear in the number of nonzeros; gcd
 pivoting only kicks in on the (rare) residue where no +-1 entry survives.
+
+The Smith normal form is the only rank kernel.  Over Q and F_p the rank of
+an integer matrix is read off its invariant factors: their number over Q, and
+over F_p the number that p does not divide (the unimodular transforms stay
+invertible mod p).
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 
@@ -478,65 +482,3 @@ def solve(A: SparseIntMatrix, b: dict[int, int]) -> dict[int, int] | None:
                 del x[r]
     return x
 
-
-def rank_mod_p(A: SparseIntMatrix, p: int) -> int:
-    """Rank over the prime field F_p (sparse Gaussian elimination)."""
-    rows = []
-    for r in sorted(A.data):
-        row = {c: v % p for c, v in A.data[r].items() if v % p}
-        if row:
-            rows.append(row)
-    rank = 0
-    while rows:
-        # pick the shortest row; deterministic tie-break by smallest pivot col
-        rows.sort(key=lambda row: (len(row), min(row)))
-        piv_row = rows.pop(0)
-        c = min(piv_row)
-        inv = pow(piv_row[c], -1, p)
-        piv = {j: (v * inv) % p for j, v in piv_row.items()}
-        rank += 1
-        nxt = []
-        for row in rows:
-            f = row.get(c)
-            if f:
-                for j, v in piv.items():
-                    nv = (row.get(j, 0) - f * v) % p
-                    if nv:
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank
-
-
-def rank_rational(A: SparseIntMatrix) -> int:
-    """Rank over Q (fraction-free is overkill here; Fractions keep it exact)."""
-    rows = []
-    for r in sorted(A.data):
-        row = {c: Fraction(v) for c, v in A.data[r].items()}
-        if row:
-            rows.append(row)
-    rank = 0
-    while rows:
-        rows.sort(key=lambda row: (len(row), min(row)))
-        piv_row = rows.pop(0)
-        c = min(piv_row)
-        inv = 1 / piv_row[c]
-        piv = {j: v * inv for j, v in piv_row.items()}
-        rank += 1
-        nxt = []
-        for row in rows:
-            f = row.get(c)
-            if f:
-                for j, v in piv.items():
-                    nv = row.get(j, 0) - f * v
-                    if nv:
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank

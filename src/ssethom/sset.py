@@ -105,13 +105,6 @@ def validate_sset(X: SemiSimplicialSet) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def require_valid(X: SemiSimplicialSet) -> SemiSimplicialSet:
-    rep = validate_sset(X)
-    if not rep.ok:
-        raise ValueError(f"invalid semi-simplicial set: {rep.first()}")
-    return X
-
-
 @dataclass(frozen=True)
 class SSetMap:
     """Levelwise map of semi-simplicial sets; tables[p][s] is the image index."""
@@ -153,14 +146,6 @@ def check_sset_map(f: SSetMap) -> ValidationReport:
 
 def identity_map(X: SemiSimplicialSet) -> SSetMap:
     return SSetMap(X, X, tuple(tuple(range(n)) for n in X.sizes))
-
-
-def compose_maps(g: SSetMap, f: SSetMap) -> SSetMap:
-    """g after f."""
-    if f.target is not g.source and f.target != g.source:
-        raise ValueError("composition mismatch")
-    tables = tuple(tuple(g.tables[p][v] for v in f.tables[p]) for p in range(len(f.tables)))
-    return SSetMap(f.source, g.target, tables)
 
 
 # -- standard complexes ------------------------------------------------------
@@ -550,24 +535,6 @@ def apply_word(word: tuple[int, ...], ref: SimplexRef) -> SimplexRef:
     return ref
 
 
-def apply_injection(Y: SimplicialSet, image: tuple[int, ...], total: int, ref: SimplexRef) -> SimplexRef:
-    """Restrict a simplex of total degree ``total`` to the vertices ``image``.
-
-    Deletes the missing vertices in decreasing order, one face at a time.
-    """
-    missing = [v for v in range(total + 1) if v not in set(image)]
-    for v in sorted(missing, reverse=True):
-        ref = normalize_face(Y, v, ref)
-    return ref
-
-
-def apply_monotone(Y: SimplicialSet, vals: tuple[int, ...], ref: SimplexRef) -> SimplexRef:
-    """Pull a simplex back along any monotone map [m] -> [total degree]."""
-    word, image = factor_monotone(vals)
-    out = apply_injection(Y, image, ref.total, ref)
-    return apply_word(word, out)
-
-
 def validate_simplicial(Y: SimplicialSet, through: int | None = None) -> ValidationReport:
     problems = []
     L = len(Y.gen_sizes)
@@ -609,13 +576,6 @@ def validate_simplicial(Y: SimplicialSet, through: int | None = None) -> Validat
                         if len(problems) > 20:
                             return ValidationReport(False, tuple(problems))
     return ValidationReport(not problems, tuple(problems))
-
-
-def require_valid_simplicial(Y: SimplicialSet, through: int | None = None) -> SimplicialSet:
-    rep = validate_simplicial(Y, through)
-    if not rep.ok:
-        raise ValueError(f"invalid simplicial set: {rep.first()}")
-    return Y
 
 
 def iter_simplices(Y: SimplicialSet, p: int):

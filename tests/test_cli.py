@@ -424,3 +424,55 @@ def test_jobs_without_batch_rejected(capsys):
     code, out, err = run(capsys, "check", "constant", "--size", "2",
                          "--cutoff", "2", "--jobs", "4")
     assert code == 2
+
+
+# -- argument bounds -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("nerve", fixture("c2.mon.json"), "--cutoff", "-1"),
+    ("homology", fixture("rp2.ss.json"), "--max-degree", "-3"),
+    ("skeleton", fixture("sphere2.ss.json"), "--degree", "-1"),
+    ("check", "skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "2", "--degree", "-1"),
+    ("over", fixture("poset2.cat.json"), "--object", "-1"),
+], ids=lambda argv: argv[0] + (" " + argv[1] if argv[0] == "check" else ""))
+def test_negative_levels_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be at least 0" in captured.err
+
+
+def test_nerve_at_cutoff_zero_reads_back(capsys, tmp_path):
+    code, out, _ = run(capsys, "nerve", fixture("c2.mon.json"), "--cutoff", "0")
+    assert code == 0
+    p = tmp_path / "n0.ss.json"
+    p.write_text(out)
+    code, doc, _ = run_json(capsys, "validate", str(p))
+    assert code == 0 and doc["ok"] is True
+
+
+def test_batch_rejects_negative_cutoff(capsys, tmp_path):
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps([{"check": "constant", "size": 2, "cutoff": -1}]))
+    code, out, err = run(capsys, "check", "--batch", str(p))
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_jobs_below_one_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--batch", fixture("checks.batch.json"), "--jobs", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_pool_size_is_bounded():
+    cpus = os.cpu_count() or 1
+    assert cli._pool_size(10 ** 9, 10 ** 9) == cpus
+    assert cli._pool_size(10 ** 9, 3) == min(3, cpus)
+    assert cli._pool_size(1, 50) == 1
+    assert cli._pool_size(8, 0) == 1

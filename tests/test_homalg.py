@@ -1,8 +1,13 @@
+import glob
+import os
 import random
 from math import gcd
 
 import pytest
 
+from ssethom import formats
+from ssethom.cat import monoid_as_category, nerve
+from ssethom.fixtures import cyclic_group_monoid, klein_four_monoid
 from ssethom.homalg import (
     ChainComplex,
     ChainMap,
@@ -233,6 +238,45 @@ def test_scaled_kernel_homology_and_uct():
             for k in range(3):
                 prev = hs[k - 1] if k else ZERO
                 assert homology(Cf, k).rank == uct_dim(hs[k], prev, p), (ring, k)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _fixture_spaces():
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "*.ss.json"))
+                   + glob.glob(os.path.join(FIXTURES, "*.simp.json")))
+    return {os.path.basename(path): (lambda path=path: formats.read_document(path))
+            for path in paths}
+
+
+UCT_SPACES = {
+    **_fixture_spaces(),
+    "bz4.nerve": lambda: nerve(monoid_as_category(cyclic_group_monoid(4)), 4).sset,
+    "bklein4.nerve": lambda: nerve(monoid_as_category(klein_four_monoid()), 4).sset,
+}
+
+
+def _chains(X, ring):
+    if isinstance(X, SemiSimplicialSet):
+        return unnormalized_chains(X, ring)
+    return normalized_chains(X, ring)
+
+
+@pytest.mark.parametrize("name", sorted(UCT_SPACES))
+def test_universal_coefficients_on_corpus_and_nerves(name):
+    """dim H_k(X; F_p) and dim H_k(X; Q) follow from H_k(X; Z) and H_{k-1}(X; Z)."""
+    X = UCT_SPACES[name]()
+    CZ = _chains(X, "Z")
+    hz = graded_homology(CZ, CZ.trusted_through)
+    if name.endswith(".nerve"):
+        assert hz[1].torsion and not hz[1].rank  # the oracle sees torsion
+    for ring, p in (("Q", None), ("F2", 2), ("F3", 3)):
+        C = _chains(X, ring)
+        assert C.trusted_through == CZ.trusted_through
+        for k in range(C.trusted_through + 1):
+            prev = hz[k - 1] if k else ZERO
+            assert homology(C, k).rank == uct_dim(hz[k], prev, p), (ring, k)
 
 
 def test_complex_validation():

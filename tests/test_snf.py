@@ -1,14 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from ssethom.homalg import make_chain_complex
 from ssethom.snf import (
     SparseIntMatrix,
     invariant_factors,
     is_unimodular,
     kernel_basis,
-    rank_mod_p,
-    rank_rational,
     rank_z,
     smith_normal_form,
     solve,
@@ -74,6 +74,40 @@ def reference_snf(dense):
         out.append(abs(p))
         t += 1
     return tuple(out)
+
+
+def reference_rank(dense, p=None):
+    """Rank over F_p, or over Q when p is None, by dense Gaussian elimination.
+
+    Runs on residues mod p or on Fractions, independent of the production
+    code, which reads field ranks off the integer Smith form.
+    """
+    mat = [[Fraction(v) if p is None else v % p for v in row] for row in dense]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][c] if p is None else pow(mat[rank][c], -1, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv
+            if f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                if p is not None:
+                    mat[i] = [a % p for a in mat[i]]
+        rank += 1
+    return rank
+
+
+FIELDS = (("Q", None), ("F2", 2), ("F3", 3), ("F5", 5))
+
+
+def field_rank(dense, cols, ring):
+    """Rank of the matrix as the one boundary d_1 of a complex over ``ring``."""
+    a = SparseIntMatrix.from_dense(dense, cols)
+    return make_chain_complex(ring, (len(dense), cols), [a]).boundary_rank(1)
 
 
 def dense_mul(a, b):
@@ -214,32 +248,49 @@ def test_solve_detects_no_solution():
 
 
 def test_field_ranks():
-    m = SparseIntMatrix.from_dense([[2, 4], [6, 8]])
-    assert rank_rational(m) == 2
-    assert rank_mod_p(m, 2) == 0  # every entry even
-    assert rank_mod_p(m, 3) == 2
-    n = SparseIntMatrix.from_dense([[1, 1], [1, 1]])
-    assert rank_mod_p(n, 2) == 1
-    assert rank_rational(SparseIntMatrix.zero(3, 3)) == 0
+    m = [[2, 4], [6, 8]]
+    want = {"Q": 2, "F2": 0, "F3": 2, "F5": 2}  # invariant factors (2, 4)
+    n = [[1, 1], [1, 1]]
+    zero = [[0] * 3 for _ in range(3)]
+    for ring, p in FIELDS:
+        assert field_rank(m, 2, ring) == reference_rank(m, p) == want[ring]
+        assert field_rank(n, 2, ring) == reference_rank(n, p) == 1
+        assert field_rank(zero, 3, ring) == reference_rank(zero, p) == 0
+
+
+def random_rank_cases(seed, **kw):
+    """The matrices of one seeded sweep, with their column counts."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        dense = random_dense(rng, rng.randint(1, 5), rng.randint(1, 5), **kw)
+        yield dense, len(dense[0])
 
 
 def test_field_rank_matches_smith_rank_over_q():
-    rng = random.Random(31)
-    for _ in range(40):
-        dense = random_dense(rng, rng.randint(1, 5), rng.randint(1, 5))
-        a = SparseIntMatrix.from_dense(dense, len(dense[0]) if dense else 0)
-        assert rank_rational(a) == rank_z(a)
+    for dense, cols in random_rank_cases(31):
+        a = SparseIntMatrix.from_dense(dense, cols)
+        assert field_rank(dense, cols, "Q") == reference_rank(dense) == rank_z(a), dense
 
 
 def test_rank_mod_p_from_invariant_factors():
     # rank over F_p = number of invariant factors not divisible by p
-    rng = random.Random(13)
-    for _ in range(40):
-        dense = random_dense(rng, rng.randint(1, 5), rng.randint(1, 5), lo=-9, hi=9)
-        a = SparseIntMatrix.from_dense(dense, len(dense[0]) if dense else 0)
-        fac = invariant_factors(a)
-        for p in (2, 3, 5):
-            assert rank_mod_p(a, p) == sum(1 for d in fac if d % p)
+    for dense, cols in random_rank_cases(13, lo=-9, hi=9):
+        fac = invariant_factors(SparseIntMatrix.from_dense(dense, cols))
+        for ring, p in FIELDS[1:]:
+            got = field_rank(dense, cols, ring)
+            assert got == reference_rank(dense, p) == sum(1 for d in fac if d % p), (ring, dense)
+
+
+def test_field_ranks_agree_with_sympy():
+    pytest.importorskip("sympy")
+    from sympy import GF, QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    cases = list(random_rank_cases(31)) + list(random_rank_cases(13, lo=-9, hi=9))
+    for dense, cols in cases:
+        for ring, p in FIELDS:
+            want = DomainMatrix.from_list(dense, QQ if p is None else GF(p)).rank()
+            assert field_rank(dense, cols, ring) == want, (ring, dense)
 
 
 def test_matrix_ops_shape_errors():
