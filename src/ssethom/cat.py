@@ -518,35 +518,6 @@ def under_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
     return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
 
 
-def comma_over_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
-    """The category F/d: objects (a, u : F(a) -> d), morphisms h with
-    u' . F(h) = u."""
-    C, D = F.source, F.target
-    if not (0 <= d < D.n_objects):
-        raise ValueError(f"object {d} out of range")
-    objects = [(a, u) for a in range(C.n_objects) for u in range(D.n_morphisms)
-               if D.src[u] == F.obj_map[a] and D.tgt[u] == d]
-    obj_index = {x: i for i, x in enumerate(objects)}
-    mors = []
-    for h in range(C.n_morphisms):
-        for u2 in range(D.n_morphisms):
-            if D.src[u2] == F.obj_map[C.tgt[h]] and D.tgt[u2] == d:
-                mors.append((h, u2))
-    mor_index = {x: i for i, x in enumerate(mors)}
-    src = tuple(obj_index[(C.src[h], D.comp[(F.mor_map[h], u2)])] for h, u2 in mors)
-    tgt = tuple(obj_index[(C.tgt[h], u2)] for h, u2 in mors)
-    comp = {}
-    for i, (h1, u1) in enumerate(mors):
-        for j, (h2, u2) in enumerate(mors):
-            if (C.tgt[h1], u1) == (C.src[h2], D.comp[(F.mor_map[h2], u2)]):
-                comp[(i, j)] = mor_index[(C.comp[(h1, h2)], u2)]
-    units = None
-    if C.units is not None and D.units is not None and \
-            all(F.mor_map[C.units[a]] == D.units[F.obj_map[a]] for a in range(C.n_objects)):
-        units = tuple(mor_index[(C.units[a], u)] for a, u in objects)
-    return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
-
-
 def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
     """The category d\\F: objects (a, u : d -> F(a)), morphisms h with
     F(h) . u = u'."""

@@ -446,6 +446,9 @@ def _check_batch_items(path: str) -> list:
         where = f"{path}[{i}]"
         if not isinstance(item, dict) or "check" not in item:
             raise UsageError(f"{where}: each entry is an object with a 'check' field")
+        if not isinstance(item["check"], str) or item["check"] not in _CHECK_INPUTS:
+            known = ", ".join(sorted(_CHECK_INPUTS))
+            raise UsageError(f"{where}: unknown check {item['check']!r} (known: {known})")
         extra = set(item) - _BATCH_KEYS
         if extra:
             raise UsageError(f"{where}: unknown field {sorted(extra)[0]!r}")
@@ -456,7 +459,7 @@ def _check_batch_items(path: str) -> list:
             v = item.get(key)
             if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
                 raise UsageError(f"{where}: {key} must be an integer")
-            if key in ("cutoff", "degree") and v is not None and v < 0:
+            if key in ("cutoff", "degree", "size") and v is not None and v < 0:
                 raise UsageError(f"{where}: {key} must be non-negative")
     return items
 
@@ -591,7 +594,7 @@ def _parser() -> argparse.ArgumentParser:
              "convergence tally.", "bisset document")
     sp.add_argument("--coeff", required=True, help="q or f<p> (a field)")
     sp.add_argument("--orientation", choices=("cols", "rows"), default="cols")
-    sp.add_argument("--max-page", type=int, default=12,
+    sp.add_argument("--max-page", type=_nonneg_int, default=12,
                     help="stop after page r=N (default 12)")
 
     sp = cmd("group-complete", _cmd_group_complete,
@@ -615,7 +618,7 @@ def _parser() -> argparse.ArgumentParser:
                          "(adj-units, fat-thin, ez-diagonal)")
     sp.add_argument("--degree", type=_nonneg_int, default=None,
                     help="skeleton degree (skeletal-shadow only)")
-    sp.add_argument("--size", type=int, default=None,
+    sp.add_argument("--size", type=_nonneg_int, default=None,
                     help="number of points (constant only)")
     sp.add_argument("--batch", default=None, metavar="FILE",
                     help="run every check listed in a JSON batch file")

@@ -74,9 +74,6 @@ class SparseIntMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def entry(self, r: int, c: int) -> int:
-        return self.data.get(r, {}).get(c, 0)
-
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for r, row in self.data.items():
@@ -421,21 +418,6 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
                          {i: {j: V_cols[c][i] for j, c in enumerate(col_perm) if V_cols[c][i]}
                           for i in range(A.cols)})
     return SmithForm(tuple(diag), len(diag), Um, Vm)
-
-
-def rank_z(A: SparseIntMatrix) -> int:
-    return smith_normal_form(A).rank
-
-
-def invariant_factors(A: SparseIntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(A).factors
-
-
-def is_unimodular(A: SparseIntMatrix) -> bool:
-    if A.rows != A.cols:
-        return False
-    s = smith_normal_form(A)
-    return s.rank == A.rows and all(d == 1 for d in s.factors)
 
 
 def kernel_basis(A: SparseIntMatrix) -> list[dict[int, int]]:

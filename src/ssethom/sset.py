@@ -693,85 +693,6 @@ def monotone_to_simplex_ref(n: int, vals: tuple[int, ...]) -> SimplexRef:
 # -- simplicial products -----------------------------------------------------
 
 
-def strip_letter(word: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Remove one occurrence of s_j pulled out to the front.
-
-    Letters above j shift down by one as s_j commutes leftward.
-    """
-    return tuple(x - 1 if x > j else x for x in word if x != j)
-
-
-def normalize_pair(r1: SimplexRef, r2: SimplexRef) -> tuple[tuple[int, ...], SimplexRef, SimplexRef]:
-    """Canonical form of a product simplex (r1, r2).
-
-    A pair is degenerate along s_j exactly when j is a letter of both words;
-    the shared letters (in decreasing order) form the word of the pair and
-    stripping them leaves the nondegenerate part.
-    """
-    common = sorted(set(r1.word) & set(r2.word), reverse=True)
-    w1, w2 = r1.word, r2.word
-    for j in common:
-        w1 = strip_letter(w1, j)
-        w2 = strip_letter(w2, j)
-    return tuple(common), SimplexRef(w1, r1.deg, r1.gen), SimplexRef(w2, r2.deg, r2.gen)
-
-
-@dataclass(frozen=True)
-class SimplicialProduct:
-    """X x Y in generator form, with the pair dictionary kept for lookups.
-
-    ``pairs[p]`` lists the nondegenerate pairs of level-p simplices (those
-    with disjoint degeneracy words), in (ref1, ref2) lex order.
-    """
-
-    space: SimplicialSet
-    left: SimplicialSet
-    right: SimplicialSet
-    pairs: tuple[tuple[tuple[SimplexRef, SimplexRef], ...], ...]
-    index: tuple[dict, ...] = field(repr=False)
-
-
-def simplicial_product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialProduct:
-    """Levelwise product of simplicial sets, presented by generators.
-
-    A nondegenerate p-simplex of X x Y is a pair of level-p simplices whose
-    degeneracy words share no letter; its faces are the componentwise faces,
-    renormalized by pulling out shared letters.
-    """
-    truncs = [t for t in (X.truncated_at, Y.truncated_at) if t is not None]
-    if truncs:
-        top = min(truncs)
-    else:
-        top = X.top_generator_degree + Y.top_generator_degree
-        top = max(top, 0)
-    pairs = []
-    index = []
-    for p in range(top + 1):
-        level = []
-        for r1 in iter_simplices(X, p):
-            s1 = set(r1.word)
-            for r2 in iter_simplices(Y, p):
-                if not (s1 & set(r2.word)):
-                    level.append((r1, r2))
-        pairs.append(tuple(level))
-        index.append({pr: g for g, pr in enumerate(level)})
-    gen_faces = [()]
-    for p in range(1, top + 1):
-        per_face = []
-        for i in range(p + 1):
-            col = []
-            for (r1, r2) in pairs[p]:
-                f1 = normalize_face(X, i, r1)
-                f2 = normalize_face(Y, i, r2)
-                word, n1, n2 = normalize_pair(f1, f2)
-                col.append(SimplexRef(word, p - 1 - len(word), index[p - 1 - len(word)][(n1, n2)]))
-            per_face.append(tuple(col))
-        gen_faces.append(tuple(per_face))
-    trunc = top if truncs else None
-    space = SimplicialSet(tuple(len(lv) for lv in pairs), tuple(gen_faces), truncated_at=trunc)
-    return SimplicialProduct(space, X, Y, tuple(pairs), tuple(index))
-
-
 def interior_product(X: SimplicialSet, Y: SimplicialSet, n: int) -> SemiSimplicialSet:
     """Levelwise product through level n, as a semi-simplicial set."""
     ex = enumerate_simplicial(X, n).sset

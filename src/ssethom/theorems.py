@@ -69,9 +69,8 @@ from .sset import (
     check_certificate,
     check_segal,
     constant_sset,
-    diagonal,
     enumerate_simplicial,
-    exterior_product,
+    interior_product,
     skeleton_inclusion,
     unit_map,
 )
@@ -256,9 +255,7 @@ def check_products(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport:
     t0 = time.perf_counter()
     notes = []
     n_eff = _clamped_level(N, X, Y, notes=notes)
-    ex = enumerate_simplicial(X, n_eff).sset
-    ey = enumerate_simplicial(Y, n_eff).sset
-    prod = unnormalized_chains(diagonal(exterior_product(ex, ey)), "Z")
+    prod = unnormalized_chains(interior_product(X, Y, n_eff), "Z")
     hx = graded_homology(normalized_chains(X, "Z", through=n_eff))
     hy = graded_homology(normalized_chains(Y, "Z", through=n_eff))
     comparisons = [GroupComparison(n, homology(prod, n), kunneth_oracle(hx, hy, n))

@@ -8,7 +8,6 @@ from ssethom.cat import (
     NatTransData,
     bar_construction,
     bar_extra_degeneracy,
-    comma_over_object,
     comma_resolution,
     eta_fiber,
     grothendieck_group,
@@ -225,14 +224,6 @@ def test_over_category_non_unital():
     assert over.n_objects == 2
     assert validate_category(over).ok
     assert not over.is_unital
-
-
-def test_comma_over_object_of_identity():
-    F = identity_functor(poset_category(1))
-    comma = comma_over_object(F, 1)
-    assert validate_category(comma).ok
-    assert comma.is_unital
-    assert (comma.n_objects, comma.n_morphisms) == (2, 3)
 
 
 def test_comma_resolution_sizes():

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from ssethom import cli, formats
-from ssethom.cat import validate_category
-from ssethom.sset import validate_bisset, validate_sset
+from ssethom.cat import FinMonoid, FinNonUnitalCategory, FunctorData, validate_category
+from ssethom.sset import BiSemiSimplicialSet, SemiSimplicialSet, validate_bisset, validate_sset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -49,6 +49,49 @@ def test_validate_all_fixtures(path, capsys):
     assert code == 0
     assert doc["ok"] is True
     assert doc["problems"] == []
+
+
+def writer_cases():
+    """Every writer command on every fixture it accepts, with its output kind."""
+    cases = []
+    for path in all_fixture_files():
+        obj = formats.read_document(path)
+        if isinstance(obj, FunctorData):
+            for extra in ((), ("--dual",)):
+                cases.append((("resolve", path, "--cutoff", "2") + extra, BiSemiSimplicialSet))
+        elif isinstance(obj, FinNonUnitalCategory):
+            cases.append((("nerve", path, "--cutoff", "3"), SemiSimplicialSet))
+            cases.append((("unitalize", path), FinNonUnitalCategory))
+            for o in range(obj.n_objects):
+                for extra in ((), ("--under",)):
+                    cases.append((("over", path, "--object", str(o)) + extra, FinNonUnitalCategory))
+        elif isinstance(obj, FinMonoid) and obj.is_table:
+            cases.append((("nerve", path, "--cutoff", "3"), SemiSimplicialSet))
+            for sides in (("--left", "trivial", "--right", "regular"),
+                          ("--left", "regular", "--right", "trivial")):
+                cases.append((("bar", path, "--cutoff", "3") + sides, SemiSimplicialSet))
+        elif isinstance(obj, SemiSimplicialSet):
+            for d in range(len(obj.sizes)):
+                cases.append((("skeleton", path, "--degree", str(d)), SemiSimplicialSet))
+    return cases
+
+
+_VALIDATORS = {SemiSimplicialSet: validate_sset, FinNonUnitalCategory: validate_category,
+               BiSemiSimplicialSet: validate_bisset}
+
+
+@pytest.mark.parametrize("argv,kind", [
+    pytest.param(argv, kind, id=" ".join(map(os.path.basename, argv)))
+    for argv, kind in writer_cases()])
+def test_writer_output_loads_and_validates(argv, kind, capsys):
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "resolve":
+        doc = doc["bisset"]
+    obj = formats.load_document(doc)
+    assert type(obj) is kind
+    rep = _VALIDATORS[kind](obj)
+    assert rep.ok, rep.problems
 
 
 def test_format_error_names_the_field(capsys, tmp_path):
@@ -435,6 +478,8 @@ def test_jobs_without_batch_rejected(capsys):
     ("skeleton", fixture("sphere2.ss.json"), "--degree", "-1"),
     ("check", "skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "2", "--degree", "-1"),
     ("over", fixture("poset2.cat.json"), "--object", "-1"),
+    ("check", "constant", "--size", "-1", "--cutoff", "2"),
+    ("specseq", fixture("torus.bis.json"), "--coeff", "q", "--max-page", "-1"),
 ], ids=lambda argv: argv[0] + (" " + argv[1] if argv[0] == "check" else ""))
 def test_negative_levels_rejected_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -461,6 +506,29 @@ def test_batch_rejects_negative_cutoff(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+def test_batch_rejects_negative_size(capsys, tmp_path):
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps([{"check": "constant", "size": -1, "cutoff": 2}]))
+    code, out, err = run(capsys, "check", "--batch", str(p))
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("check_id", ["nope", ["constant"], 3])
+def test_batch_rejects_unknown_check_before_running_any(check_id, capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_check", lambda *a: ran.append(a))
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps([{"check": "constant", "size": 2, "cutoff": 2},
+                             {"check": check_id}]))
+    code, out, err = run(capsys, "check", "--batch", str(p))
+    assert code == 2
+    assert out == ""
+    assert f"unknown check {check_id!r}" in err
+    assert ran == []
 
 
 def test_jobs_below_one_rejected(capsys):

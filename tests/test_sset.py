@@ -31,7 +31,6 @@ from ssethom.sset import (
     path_space_augmentation,
     segal_map,
     simplex_ref_to_monotone,
-    simplicial_product,
     skeleton,
     skeleton_inclusion,
     standard_semi_simplex,
@@ -335,31 +334,6 @@ def test_enumeration_order_is_by_degree_then_word():
     assert level[0] == SimplexRef((1, 0), 0, 0)
     assert level[1] == SimplexRef((1, 0), 0, 1)
     assert {r.word for r in level[2:]} == {(0,), (1,)}
-
-
-# -- simplicial products ------------------------------------------------------
-
-
-def test_square_generator_counts():
-    d1 = standard_simplicial_simplex(1)
-    prod = simplicial_product(d1, d1)
-    assert prod.space.gen_sizes == (4, 5, 2)
-    assert validate_simplicial(prod.space, through=4).ok
-
-
-def test_product_matches_interior_product_levelwise():
-    d1 = standard_simplicial_simplex(1)
-    prod = simplicial_product(d1, d1)
-    enum = enumerate_simplicial(prod.space, 3)
-    direct = interior_product(d1, d1, 3)
-    assert enum.sset.sizes == direct.sizes
-
-
-def test_triangle_times_point():
-    d2 = standard_simplicial_simplex(2)
-    pt = standard_simplicial_simplex(0)
-    prod = simplicial_product(d2, pt)
-    assert prod.space.gen_sizes == d2.gen_sizes
 
 
 # -- certificates --------------------------------------------------------------
