@@ -2,10 +2,10 @@
 
 Run from the repository root:
 
-    python3 scripts/gen_fixtures.py
+    python3 scripts/gen_fixtures.py [OUT_DIR]
 
-Output is deterministic, so a clean checkout regenerates byte-identical
-files.
+OUT_DIR defaults to fixtures/.  Output is deterministic, so a clean checkout
+regenerates byte-identical files; tests/test_cli.py checks that.
 """
 
 import json
@@ -26,9 +26,11 @@ from ssethom.sset import (
 )
 
 
-def main() -> None:
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
-    root = os.path.normpath(root)
+FIXTURES = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                         "..", "fixtures"))
+
+
+def main(root: str = FIXTURES) -> None:
     os.makedirs(root, exist_ok=True)
     corpus = fx.sset_corpus()
 
@@ -91,4 +93,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

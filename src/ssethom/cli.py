@@ -3,8 +3,9 @@
 Every run writes exactly one JSON report (or document) to stdout; the bytes
 are stable across reruns with the same inputs, so timing and other
 human-facing summaries go to stderr instead.  Exit status: 0 on success or a
-passing check, 1 when a check or validation fails, 2 on usage errors or
-malformed input.
+passing check, 1 when a check or validation fails (any verdict but "pass"),
+2 on usage errors or malformed input, 3 on an internal error (a bug: the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent import futures
 
 from . import formats, theorems
@@ -337,7 +339,7 @@ def _cmd_group_complete(args) -> int:
         raise UsageError(f"{args.file}: {e}") from None
     _emit(rep.to_dict())
     _render_report(rep.to_dict(), rep.seconds)
-    return 0 if rep.verdict != "fail" else 1
+    return 0 if rep.verdict == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +639,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     _say(f"[{time.perf_counter() - t0:.3f}s]")
     return code
 

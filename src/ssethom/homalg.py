@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .snf import (
+    SmithForm,
     SparseIntMatrix,
     kernel_basis,
     smith_normal_form,
@@ -467,17 +469,26 @@ class HomologyCoordinates:
     Positions carry the invariant factor orders (0 means a free coordinate);
     trivial positions (order 1) are dropped.  ``project`` sends any cycle to
     its class in these coordinates, torsion entries reduced mod their order.
+    ``project`` solves against ``cycle_form``, the transform Smith form of
+    ``cycle_matrix`` that ``homology_coordinates`` already computed;
+    ``representative`` solves against ``reduce_matrix``, factored on first
+    use and kept on the object.
     """
 
     group: FPAbelianGroup
     degree: int
     cycle_matrix: SparseIntMatrix
+    cycle_form: SmithForm
     reduce_matrix: SparseIntMatrix
     orders: tuple[int, ...]
     positions: tuple[int, ...]
 
+    @cached_property
+    def _reduce_form(self) -> SmithForm:
+        return smith_normal_form(self.reduce_matrix, transforms=True)
+
     def project(self, v: dict) -> tuple[int, ...]:
-        x = solve(self.cycle_matrix, v)
+        x = solve(self.cycle_form, v)
         if x is None:
             raise ValueError("vector is not a cycle")
         y = self.reduce_matrix.apply(x)
@@ -490,7 +501,7 @@ class HomologyCoordinates:
     def representative(self, pos: int) -> dict:
         """A cycle whose class has coordinate 1 at ``positions[pos]``."""
         i = self.positions[pos]
-        x = solve(self.reduce_matrix, {i: 1})
+        x = solve(self._reduce_form, {i: 1})
         if x is None:
             raise AssertionError("reduce matrix is unimodular, solve cannot fail")
         return self.cycle_matrix.apply(x)
@@ -507,10 +518,11 @@ def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
                            {r: {j: v[r] for j, v in enumerate(kb) if r in v}
                             for r in range(C.dim(k))})
     above = C.boundary(k + 1)
+    zform = smith_normal_form(zmat, transforms=True)
     w_cols = []
     for c in range(above.cols):
         col = above.column(c)
-        x = solve(zmat, col)
+        x = solve(zform, col)
         if x is None:
             raise AssertionError("boundary is not a cycle; complex invalid")
         w_cols.append(x)
@@ -523,7 +535,7 @@ def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
     group = FPAbelianGroup(sum(1 for i in positions if orders[i] == 0),
                            tuple(orders[i] for i in positions if orders[i] > 1))
     u = s.U if s.U is not None else SparseIntMatrix.identity(z)
-    return HomologyCoordinates(group, k, zmat, u, orders, positions)
+    return HomologyCoordinates(group, k, zmat, zform, u, orders, positions)
 
 
 def induced_map_on_homology(f: ChainMap, k: int,

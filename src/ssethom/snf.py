@@ -10,6 +10,12 @@ The Smith normal form is the only rank kernel.  Over Q and F_p the rank of
 an integer matrix is read off its invariant factors: their number over Q, and
 over F_p the number that p does not divide (the unimodular transforms stay
 invertible mod p).
+
+Solving is factor once, solve many: ``solve(s, b)`` takes the form
+``s = smith_normal_form(A, transforms=True)`` rather than A itself, so a
+caller with many right-hand sides pays for one elimination.  ``U`` and ``V``
+are dense (rows^2 and cols^2 Python ints) during the elimination, so
+transforms are asked for only where a solve or a kernel basis needs them.
 """
 
 from __future__ import annotations
@@ -438,29 +444,21 @@ def kernel_basis(A: SparseIntMatrix) -> list[dict[int, int]]:
     return out
 
 
-def solve(A: SparseIntMatrix, b: dict[int, int]) -> dict[int, int] | None:
-    """One integer solution x of A x = b, or None if none exists."""
-    s = smith_normal_form(A, transforms=True)
-    ub = s.U.apply(b) if s.U is not None else dict(b)
-    y: dict[int, int] = {}
-    for i in range(A.rows):
-        v = ub.get(i, 0)
-        if i < s.rank:
-            d = s.factors[i]
-            if v % d:
-                return None
-            if v:
-                y[i] = v // d
-        elif v:
-            return None
-    x: dict[int, int] = {}
-    for i, w in y.items():
-        col = s.V.column(i)
-        for r, v in col.items():
-            nv = x.get(r, 0) + w * v
-            if nv:
-                x[r] = nv
-            elif r in x:
-                del x[r]
-    return x
+def solve(s: SmithForm, b: dict[int, int]) -> dict[int, int] | None:
+    """One integer solution x of A x = b, or None if none exists.
 
+    ``s`` is ``smith_normal_form(A, transforms=True)``: factor A once and
+    solve every right-hand side against that one form.
+    """
+    if s.U is None or s.V is None:
+        raise ValueError("solve needs a Smith form computed with transforms=True")
+    ub = s.U.apply(b)
+    y: dict[int, int] = {}
+    for i, v in ub.items():
+        if i >= s.rank:
+            return None
+        d = s.factors[i]
+        if v % d:
+            return None
+        y[i] = v // d
+    return s.V.apply(y)

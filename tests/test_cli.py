@@ -1,4 +1,5 @@
 import glob
+import importlib.util
 import json
 import os
 
@@ -24,6 +25,19 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def test_fixtures_regenerate_byte_identical(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", os.path.join(FIXTURES, "..", "scripts", "gen_fixtures.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.main(str(tmp_path))
+    committed = sorted(os.path.basename(f) for f in glob.glob(os.path.join(FIXTURES, "*.json")))
+    assert sorted(os.listdir(tmp_path)) == committed
+    for name in committed:
+        with open(fixture(name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name
 
 
 # -- document round trips ----------------------------------------------------
@@ -313,11 +327,34 @@ def test_group_complete_table_needs_cutoff(capsys):
 
 def test_group_complete_presentation(capsys):
     code, doc, err = run_json(capsys, "group-complete", fixture("free1.pres.json"))
-    assert code == 0
+    assert code == 1
     assert doc["verdict"] == "untrusted-at-cutoff"
     labels = [h["label"] for h in doc["hypotheses"]]
     assert "Grothendieck group is Z" in labels
     assert "localized degree-0 ring is Z[t,t^-1]" in labels
+
+
+@pytest.mark.parametrize("cutoff, verdict, status", [("0", "untrusted-at-cutoff", 1),
+                                                      ("4", "pass", 0)])
+def test_group_complete_exits_like_check(cutoff, verdict, status, capsys):
+    path = fixture("c2.mon.json")
+    code, doc, err = run_json(capsys, "group-complete", path, "--cutoff", cutoff)
+    check_code, check_doc, err = run_json(capsys, "check", "group-completion", path,
+                                          "--cutoff", cutoff)
+    assert doc["verdict"] == check_doc["verdict"] == verdict
+    assert code == check_code == status
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(cli, "_cmd_homology", broken)
+    code, out, err = run(capsys, "homology", fixture("rp2.ss.json"))
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: simulated bug" in err
+    assert "Traceback" in err
 
 
 # -- the check suite ---------------------------------------------------------

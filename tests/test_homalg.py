@@ -446,6 +446,36 @@ def test_coordinates_random_representatives_roundtrip():
             assert hc.project(hc.representative(pos)) == want
 
 
+def test_homology_coordinates_factor_each_matrix_once(monkeypatch):
+    # one transform SNF each for the kernel basis, the cycle matrix and the
+    # boundary relations, however many boundary columns there are to solve
+    from ssethom import homalg, snf
+
+    real = snf.smith_normal_form
+    shapes = []
+
+    def counting(A, transforms=False):
+        if transforms:
+            shapes.append((A.rows, A.cols))
+        return real(A, transforms)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting)
+    monkeypatch.setattr(homalg, "smith_normal_form", counting)
+    C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(4)), 6).sset, "Z")
+    counts = {}
+    for k in (2, 3):
+        shapes.clear()
+        hc = homology_coordinates(C, k)
+        counts[C.boundary(k + 1).cols] = len(shapes)
+    assert counts == {64: 3, 256: 3}
+    assert hc.group == Zmod(4)
+    # project reuses the cycle form; representative factors on first use only
+    shapes.clear()
+    for _ in range(5):
+        assert hc.project(hc.representative(0)) == (1,)
+    assert len(shapes) == 1
+
+
 # -- normalization ------------------------------------------------------------------
 
 

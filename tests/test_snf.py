@@ -184,6 +184,23 @@ def test_oracle_agreement_larger_entries():
         assert smith_normal_form(a).factors == reference_snf(dense), (trial, dense)
 
 
+def test_oracle_agreement_with_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(424242)
+    for trial in range(120):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        lo, hi = (-50, 50) if trial % 3 == 0 else (-6, 6)
+        dense = random_dense(rng, rows, cols, lo=lo, hi=hi)
+        a = SparseIntMatrix.from_dense(dense, cols)
+        # sympy pads with zeros up to min(rows, cols)
+        want = tuple(abs(int(d)) for d in invariant_factors(Matrix(dense), domain=ZZ) if d)
+        assert smith_normal_form(a).factors == want, (trial, dense)
+
+
 def test_transforms_diagonalize():
     rng = random.Random(99)
     for trial in range(80):
@@ -231,7 +248,7 @@ def test_solve_round_trip():
         a = SparseIntMatrix.from_dense(dense, cols)
         x0 = {j: rng.randint(-4, 4) for j in range(cols)}
         b = a.apply(x0)
-        x = solve(a, b)
+        x = solve(smith_normal_form(a, transforms=True), b)
         assert x is not None
         assert a.apply(x) == b
         solved += 1
@@ -240,8 +257,45 @@ def test_solve_round_trip():
 
 def test_solve_detects_no_solution():
     a = SparseIntMatrix.from_dense([[2, 0], [0, 2]])
-    assert solve(a, {0: 1}) is None
-    assert solve(a, {0: 2, 1: -4}) == {0: 1, 1: -2}
+    s = smith_normal_form(a, transforms=True)
+    assert solve(s, {0: 1}) is None
+    assert solve(s, {0: 2, 1: -4}) == {0: 1, 1: -2}
+
+
+def test_many_right_hand_sides_against_one_form():
+    # b lies in the column lattice of A iff appending it as a column leaves
+    # the invariant factors unchanged (the cokernel of [A | b] is a quotient
+    # of that of A, and finitely generated abelian groups are Hopfian); the
+    # reference SNF decides that independently of the production code
+    rng = random.Random(23)
+    hits = misses = 0
+    for trial in range(40):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        dense = random_dense(rng, rows, cols)
+        a = SparseIntMatrix.from_dense(dense, cols)
+        s = smith_normal_form(a, transforms=True)
+        want = reference_snf(dense)
+        for _ in range(12):
+            if rng.random() < 0.5:
+                b = a.apply({j: rng.randint(-5, 5) for j in range(cols)})
+            else:
+                b = {i: v for i in range(rows) if (v := rng.randint(-5, 5))}
+            x = solve(s, b)
+            augmented = [row + [b.get(i, 0)] for i, row in enumerate(dense)]
+            if reference_snf(augmented) == want:
+                assert x is not None and a.apply(x) == b, (trial, dense, b)
+                hits += 1
+            else:
+                assert x is None, (trial, dense, b)
+                misses += 1
+    assert hits > 100 and misses > 50
+
+
+def test_solve_needs_transforms():
+    a = SparseIntMatrix.from_dense([[2, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        solve(smith_normal_form(a), {0: 2})
 
 
 def test_field_ranks():
