@@ -33,6 +33,38 @@ from .sset import (
 # -- rings -------------------------------------------------------------------
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017); the bound is
+# itself a strong pseudoprime to all 13.  The first 12 alone are fooled by
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_MODULUS."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def parse_ring(s: str) -> str:
     s = s.strip().upper()
     if s in ("Z", "Q"):
@@ -42,7 +74,9 @@ def parse_ring(s: str) -> str:
             p = int(s[1:])
         except ValueError:
             raise ValueError(f"bad ring {s!r}") from None
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= MAX_MODULUS:
+            raise ValueError(f"F{p}: modulus too large (must be below {MAX_MODULUS})")
+        if not _is_prime(p):
             raise ValueError(f"F{p}: modulus must be prime")
         return f"F{p}"
     raise ValueError(f"bad ring {s!r}: expected Z, Q, or Fp")

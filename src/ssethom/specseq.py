@@ -11,128 +11,145 @@ pure vertical homology classes of each column, so the d^1 matrices agree
 entry-for-entry with the induced horizontal maps computed column-wise.
 
 Filtering by rows runs the same machinery on the transposed double complex.
+
+Internally a vector is a sparse dict {index: nonzero value}.  Over F_p the
+values are ints in range(p).  Over Q they stay ints until a pivot other than
++-1 forces a Fraction, which keeps the arithmetic exact and cheap; pages
+publish dense tuples of Fractions over Q.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .homalg import DoubleComplex, TotalComplex, ring_prime, total_complex
 
 
-# -- linear algebra over Q or F_p ----------------------------------------------
+# -- sparse linear algebra over Q or F_p ----------------------------------------
 
 
-def _red(a, p):
-    return a % p if p is not None else a
+def _axpy(v: dict, a, w: dict, p: int | None) -> list[int]:
+    """v += a * w in place, dropping zeros; returns the indices w made nonzero."""
+    fresh = []
+    for i, x in w.items():
+        y = v.get(i)
+        if y is None:
+            v[i] = a * x if p is None else a * x % p
+            fresh.append(i)
+        else:
+            y = y + a * x if p is None else (y + a * x) % p
+            if y:
+                v[i] = y
+            else:
+                del v[i]
+    return fresh
+
+
+def _scale(v: dict, a, p: int | None) -> dict:
+    if p is None:
+        return {i: x * a for i, x in v.items()}
+    return {i: x * a % p for i, x in v.items()}
+
+
+def _inverse(a, p: int | None):
+    if p is not None:
+        return pow(a, -1, p)
+    return a if a in (1, -1) else 1 / Fraction(a)
 
 
 class _Echelon:
-    """A growing span kept in forward-reduced echelon form.
+    """A growing span of sparse vectors kept in forward-reduced echelon form.
 
-    Each pivot remembers how it was assembled from the vectors fed to add(),
-    so membership tests can return coordinates over those generators.  Every
-    add() call consumes one generator tag, hit or miss.
+    Each pivot is normalised to 1 at its leading index and remembers how it
+    was assembled from the vectors fed to add(), so membership tests can
+    return coordinates over those generators.  Every add() call consumes one
+    generator tag, hit or miss.
     """
 
-    def __init__(self, dim: int, p: int | None):
-        self.dim = dim
+    def __init__(self, p: int | None):
         self.p = p
-        self.pivots: dict[int, tuple[list, dict[int, object]]] = {}
+        self.pivots: dict[int, tuple[dict, dict]] = {}
         self.count = 0
 
-    def _zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    def reduce(self, vec: list) -> tuple[list, dict[int, object]]:
+    def reduce(self, vec: dict) -> tuple[dict, dict]:
         """Returns (v, expr) with v = vec + sum expr[t] * generator_t."""
-        v = list(vec)
-        expr: dict[int, object] = {}
-        for r in sorted(self.pivots):
-            a = v[r]
-            if a:
-                pivot, pexpr = self.pivots[r]
-                if self.p is not None:
-                    for i in range(r, self.dim):
-                        v[i] = (v[i] - a * pivot[i]) % self.p
-                else:
-                    for i in range(r, self.dim):
-                        v[i] = v[i] - a * pivot[i]
-                for t, c in pexpr.items():
-                    expr[t] = _red(expr.get(t, self._zero()) - a * c, self.p)
+        v = dict(vec)
+        expr: dict = {}
+        pivots = self.pivots
+        todo = [i for i in v if i in pivots]
+        heapq.heapify(todo)
+        # a pivot touches no index below its own, so popping indices in
+        # increasing order meets them exactly as a dense sweep would
+        while todo:
+            r = heapq.heappop(todo)
+            a = v.get(r)
+            if a is None:
+                continue
+            pivot, pexpr = pivots[r]
+            for i in _axpy(v, -a, pivot, self.p):
+                if i in pivots:
+                    heapq.heappush(todo, i)
+            _axpy(expr, -a, pexpr, self.p)
         return v, expr
 
-    @staticmethod
-    def leading(v: list) -> int | None:
-        for r, a in enumerate(v):
-            if a:
-                return r
-        return None
-
-    def add(self, vec: list) -> bool:
-        """Feed one generator; True if it enlarged the span."""
+    def _insert(self, v: dict, expr: dict) -> bool:
+        """Consume one tag for the generator that reduced to (v, expr)."""
         tag = self.count
         self.count += 1
-        v, expr = self.reduce(vec)
-        lead = self.leading(v)
-        if lead is None:
+        if not v:
             return False
-        inv = pow(v[lead], -1, self.p) if self.p is not None else Fraction(1) / v[lead]
-        v = [_red(x * inv, self.p) for x in v]
-        pexpr = {t: _red(c * inv, self.p) for t, c in expr.items()}
-        pexpr[tag] = _red(inv, self.p) if self.p is not None else inv
-        self.pivots[lead] = (v, pexpr)
+        lead = min(v)
+        inv = _inverse(v[lead], self.p)
+        pexpr = _scale(expr, inv, self.p)
+        pexpr[tag] = inv
+        self.pivots[lead] = (_scale(v, inv, self.p), pexpr)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def add(self, vec: dict) -> bool:
+        """Feed one generator; True if it enlarged the span."""
+        return self._insert(*self.reduce(vec))
 
-    def contains(self, vec: list) -> bool:
-        v, _ = self.reduce(vec)
-        return self.leading(v) is None
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)[0]
 
-    def coordinates(self, vec: list) -> dict[int, object] | None:
+    def coordinates(self, vec: dict) -> dict | None:
         """vec as a combination of the fed generators (by tag), or None."""
         v, expr = self.reduce(vec)
-        if self.leading(v) is not None:
+        if v:
             return None
-        return {t: _red(-c, self.p) for t, c in expr.items() if c}
+        return _scale(expr, -1, self.p)
 
 
-def _nullspace(images: list[list], dim_in: int, p: int | None) -> list[list]:
+def _nullspace(images: list[dict], p: int | None) -> list[dict]:
     """Kernel basis of the map sending e_j to images[j], deterministic.
 
-    Standard incremental trick: feed the images left to right; each image
-    already in the span of the earlier ones yields one kernel vector.
+    Feed the images left to right, so tag j is image j; each image already in
+    the span of the earlier ones yields the kernel vector e_j + sum expr[t] e_t.
     """
-    if not images:
-        return []
-    dim_out = len(images[0])
-    ech = _Echelon(dim_out, p)
-    added: list[int] = []
+    ech = _Echelon(p)
     kernel = []
-    one = 1 if p is not None else Fraction(1)
-    zero = 0 if p is not None else Fraction(0)
-    for j in range(dim_in):
-        img = images[j]
-        if dim_out == 0 or not any(img):
-            unit = [zero] * dim_in
-            unit[j] = one
-            kernel.append(unit)
-            continue
-        coords = ech.coordinates(img)
-        if coords is None:
-            ech.add(img)
-            added.append(j)
-        else:
-            vec = [zero] * dim_in
-            vec[j] = one
-            for t, c in coords.items():
-                vec[added[t]] = _red(vec[added[t]] - c, p)
-            kernel.append(vec)
+    for j, img in enumerate(images):
+        v, expr = ech.reduce(img)
+        if not ech._insert(v, expr):
+            expr[j] = 1
+            kernel.append(expr)
     return kernel
+
+
+def _dense(vec: dict, dim: int, p: int | None) -> tuple:
+    """The dense tuple a page publishes: Fractions over Q, residues over F_p."""
+    out = [0 if p is not None else Fraction(0)] * dim
+    for i, x in vec.items():
+        out[i] = x if p is not None else Fraction(x)
+    return tuple(out)
+
+
+def _matrix(cols: list[dict], rows: int, p: int | None) -> tuple:
+    """Row-major dense matrix with the given sparse columns."""
+    dense = [_dense(col, rows, p) for col in cols]
+    return tuple(tuple(col[i] for col in dense) for i in range(rows))
 
 
 # -- pages -----------------------------------------------------------------------
@@ -177,12 +194,10 @@ class _Filtration:
     """Scratch for one orientation: total complex, block offsets, Z^r chains."""
 
     def __init__(self, D: DoubleComplex):
-        self.D = D
         self.T = total_complex(D)
         self.p = ring_prime(D.ring)
         self.P = D.p_levels
         self.Q = D.q_levels
-        self.tops = self.T.complex.top_degree
         self.offsets = {}
         for n, blocks in enumerate(self.T.layout):
             for (bp, bq, off, size) in blocks:
@@ -193,106 +208,69 @@ class _Filtration:
     def dim_total(self, n: int) -> int:
         return self.T.complex.dim(n)
 
-    def zero_vec(self, n: int):
-        return [0 if self.p is not None else Fraction(0)] * self.dim_total(n)
+    def filt_end(self, n: int, pmax: int) -> int:
+        """T_n's blocks are laid out by increasing p, so filtration level pmax
+        is the coordinate range(filt_end(n, pmax))."""
+        end = 0
+        if 0 <= n < len(self.T.layout):
+            for (bp, bq, off, size) in self.T.layout[n]:
+                if bp <= pmax:
+                    end = off + size
+        return end
 
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
-
-    def filt_coords(self, n: int, pmax: int) -> list[int]:
-        """Total-complex coordinates lying in filtration level pmax."""
-        out: list[int] = []
-        if not (0 <= n <= self.tops):
-            return out
-        for (bp, bq, off, size) in self.T.layout[n]:
-            if bp <= pmax:
-                out.extend(range(off, off + size))
-        return out
-
-    def boundary_images(self, n: int) -> list[list]:
-        """Image of the total boundary on each coordinate of T_n."""
+    def boundary_images(self, n: int) -> list[dict]:
+        """Sparse image of the total boundary on each coordinate of T_n."""
         if n not in self._images:
-            dim = self.dim_total(n)
-            cols = [self.zero_vec(n - 1) for _ in range(dim)]
-            if dim and 1 <= n <= self.tops:
-                for (r, c, val) in self.T.complex.boundary(n).entries():
-                    cols[c][r] = _red(cols[c][r] + val, self.p)
+            cols: list[dict] = [{} for _ in range(self.dim_total(n))]
+            for (r, c, val) in self.T.complex.boundary(n).entries():
+                if self.p is not None:
+                    val %= self.p
+                if val:
+                    cols[c][r] = val
             self._images[n] = cols
         return self._images[n]
 
-    def apply_d(self, n: int, vec: list) -> list:
-        out = self.zero_vec(n - 1)
+    def apply_d(self, n: int, vec: dict) -> dict:
+        out: dict = {}
         imgs = self.boundary_images(n)
-        for c, a in enumerate(vec):
-            if a:
-                col = imgs[c]
-                for r, x in enumerate(col):
-                    if x:
-                        out[r] = _red(out[r] + a * x, self.p)
+        for c, a in vec.items():
+            _axpy(out, a, imgs[c], self.p)
         return out
 
-    def z_space(self, r: int, p: int, q: int) -> list[list]:
+    def z_space(self, r: int, p: int, q: int) -> list[dict]:
         """Echelon basis of Z^r(p,q), as vectors in T_{p+q} coordinates."""
         key = (r, p, q)
-        if key in self._z_cache:
-            return self._z_cache[key]
-        n = p + q
-        coords = self.filt_coords(n, p)
-        basis: list[list] = []
-        if coords:
-            lower = set(self.filt_coords(n - 1, p - r))
-            keep = [i for i in range(self.dim_total(n - 1)) if i not in lower]
+        if key not in self._z_cache:
+            n = p + q
+            low = self.filt_end(n - 1, p - r)
             imgs = self.boundary_images(n)
-            images = [[imgs[c][i] for i in keep] for c in coords]
-            for k in _nullspace(images, len(coords), self.p):
-                v = self.zero_vec(n)
-                for j, c in enumerate(coords):
-                    if k[j]:
-                        v[c] = k[j]
-                basis.append(v)
-        self._z_cache[key] = basis
-        return basis
+            images = [{i: x for i, x in imgs[c].items() if i >= low}
+                      for c in range(self.filt_end(n, p))]
+            self._z_cache[key] = _nullspace(images, self.p)
+        return self._z_cache[key]
 
-    def vertical_homology_reps(self, p: int, q: int) -> list[list]:
+    def vertical_homology_reps(self, p: int, q: int) -> list[dict]:
         """Representatives of H_q(column p), as pure block (p,q) cycles."""
         got = self.offsets.get((p, q))
         if got is None:
             return []
         n, off, size = got
         lower = self.offsets.get((p, q - 1))
-        if lower is None:
-            images = [[] for _ in range(size)]
-        else:
-            imgs = self.boundary_images(n)
-            _, loff, lsize = lower
-            images = [[imgs[off + c][loff + i] for i in range(lsize)]
-                      for c in range(size)]
-        cycles = []
-        for k in _nullspace(images, size, self.p):
-            w = self.zero_vec(n)
-            for j in range(size):
-                if k[j]:
-                    w[off + j] = k[j]
-            cycles.append(w)
+        lo, hi = (lower[1], lower[1] + lower[2]) if lower is not None else (0, 0)
+        imgs = self.boundary_images(n)
+        images = [{i: x for i, x in imgs[off + c].items() if lo <= i < hi}
+                  for c in range(size)]
+        cycles = [{off + j: x for j, x in k.items()} for k in _nullspace(images, self.p)]
         # mod out the image of the block straight above; the total boundary of
         # a pure (p, q+1) vector meets this block exactly in its vertical part
-        ech = _Echelon(self.dim_total(n), self.p)
+        ech = _Echelon(self.p)
         upper = self.offsets.get((p, q + 1))
         if upper is not None:
             _, uoff, usize = upper
+            above = self.boundary_images(n + 1)
             for c in range(usize):
-                v = self.zero_vec(n + 1)
-                v[uoff + c] = self.one()
-                img = self.apply_d(n + 1, v)
-                w = self.zero_vec(n)
-                for i in range(size):
-                    w[off + i] = img[off + i]
-                ech.add(w)
-        reps = []
-        for z in cycles:
-            if ech.add(z):
-                reps.append(z)
-        return reps
+                ech.add({i: x for i, x in above[uoff + c].items() if off <= i < off + size})
+        return [z for z in cycles if ech.add(z)]
 
 
 def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) -> list[SSPage]:
@@ -306,8 +284,10 @@ def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) 
     stable = max(1, min(filt.P, filt.Q + 1))
 
     pages = [_page_zero(filt, orientation)]
+    reps: dict = {}
     for r in range(1, R + 1):
-        pages.append(_page(filt, r, orientation, pages[-1] if r > 1 else None))
+        page, reps = _page(filt, r, orientation, reps)
+        pages.append(page)
         if r >= stable:
             break
     return pages
@@ -324,35 +304,32 @@ def _page_zero(filt: _Filtration, orientation: str) -> SSPage:
                 continue
             n, off, size = got
             dims[(p, q)] = size
-            vecs = []
-            for c in range(size):
-                v = filt.zero_vec(n)
-                v[off + c] = filt.one()
-                vecs.append(tuple(v))
-            basis[(p, q)] = tuple(vecs)
-    for (p, q), vecs in basis.items():
+            basis[(p, q)] = tuple(_dense({off + c: 1}, filt.dim_total(n), filt.p)
+                                  for c in range(size))
+    for (p, q) in basis:
         if dims.get((p, q - 1), 0) == 0:
             continue
+        n, off, size = filt.offsets[(p, q)]
         _, toff, tsize = filt.offsets[(p, q - 1)]
-        cols = []
-        for v in vecs:
-            img = filt.apply_d(p + q, list(v))
-            cols.append([img[toff + i] for i in range(tsize)])
-        diff[(p, q)] = tuple(tuple(col[i] for col in cols) for i in range(tsize))
+        imgs = filt.boundary_images(n)
+        cols = [{i - toff: x for i, x in imgs[off + c].items() if toff <= i < toff + tsize}
+                for c in range(size)]
+        diff[(p, q)] = _matrix(cols, tsize, filt.p)
     return SSPage(0, orientation, dims, basis, diff)
 
 
-def _page(filt: _Filtration, r: int, orientation: str, prev: SSPage | None) -> SSPage:
+def _page(filt: _Filtration, r: int, orientation: str,
+          prev_reps: dict) -> tuple[SSPage, dict]:
+    """Page r, and its sparse class representatives for page r + 1."""
     reps: dict = {}
     denoms: dict = {}
     dims = {}
     for p in range(filt.P):
         for q in range(filt.Q):
             n = p + q
-            dim_n = filt.dim_total(n)
-            if dim_n == 0:
+            if filt.dim_total(n) == 0:
                 continue
-            ech = _Echelon(dim_n, filt.p)
+            ech = _Echelon(filt.p)
             denom_gens = list(filt.z_space(r - 1, p - 1, q + 1))
             for z in filt.z_space(r - 1, p + r - 1, q - r + 2):
                 denom_gens.append(filt.apply_d(n + 1, z))
@@ -360,21 +337,14 @@ def _page(filt: _Filtration, r: int, orientation: str, prev: SSPage | None) -> S
                 ech.add(g)
             if r == 1:
                 preferred = filt.vertical_homology_reps(p, q)
-            elif prev is not None and (p, q) in prev.basis:
-                preferred = [list(v) for v in prev.basis[(p, q)]]
             else:
-                preferred = []
+                preferred = prev_reps.get((p, q), [])
             zbasis = filt.z_space(r, p, q)
-            zech = _Echelon(dim_n, filt.p)
+            zech = _Echelon(filt.p)
             for z in zbasis:
                 zech.add(z)
-            spot_reps = []
-            for cand in preferred:
-                if zech.contains(cand) and ech.add(cand):
-                    spot_reps.append(cand)
-            for z in zbasis:
-                if ech.add(z):
-                    spot_reps.append(z)
+            spot_reps = [c for c in preferred if zech.contains(c) and ech.add(c)]
+            spot_reps += [z for z in zbasis if ech.add(z)]
             if spot_reps:
                 dims[(p, q)] = len(spot_reps)
                 reps[(p, q)] = spot_reps
@@ -383,35 +353,31 @@ def _page(filt: _Filtration, r: int, orientation: str, prev: SSPage | None) -> S
     diff = {}
     for (p, q), vecs in reps.items():
         tp, tq = p - r, q + r - 1
+        images = [filt.apply_d(p + q, v) for v in vecs]
         if (tp, tq) not in reps:
             tgt = denoms.get((tp, tq))
-            for v in vecs:
-                img = filt.apply_d(p + q, v)
-                if any(img) and (tgt is None or not tgt[0].contains(img)):
+            for img in images:
+                if img and (tgt is None or not tgt[0].contains(img)):
                     raise AssertionError(
                         f"page {r}: image at {(tp, tq)} is not a denominator element")
             continue
-        target_ech = _Echelon(filt.dim_total(tp + tq), filt.p)
+        target_ech = _Echelon(filt.p)
         for w in reps[(tp, tq)]:
             target_ech.add(w)
         for g in denoms[(tp, tq)][1]:
             target_ech.add(g)
         tdim = len(reps[(tp, tq)])
         cols = []
-        for v in vecs:
-            img = filt.apply_d(p + q, v)
+        for img in images:
             coords = target_ech.coordinates(img)
             if coords is None:
                 raise AssertionError(f"page {r}: image not in Z^r at {(tp, tq)}")
-            col = [0 if filt.p is not None else Fraction(0)] * tdim
-            for t, c in coords.items():
-                if t < tdim:
-                    col[t] = c
-            cols.append(col)
-        diff[(p, q)] = tuple(tuple(col[i] for col in cols) for i in range(tdim))
+            cols.append({t: c for t, c in coords.items() if t < tdim})
+        diff[(p, q)] = _matrix(cols, tdim, filt.p)
 
-    basis = {spot: tuple(tuple(v) for v in vecs) for spot, vecs in reps.items()}
-    return SSPage(r, orientation, dims, basis, diff)
+    basis = {(p, q): tuple(_dense(v, filt.dim_total(p + q), filt.p) for v in vecs)
+             for (p, q), vecs in reps.items()}
+    return SSPage(r, orientation, dims, basis, diff), reps
 
 
 def check_convergence(pages: list[SSPage], T: TotalComplex) -> ConvergenceReport:

@@ -199,6 +199,17 @@ def test_bad_coefficients(capsys):
     assert "prime" in err
 
 
+def test_large_moduli(capsys):
+    code, doc, err = run_json(capsys, "homology", fixture("rp2.ss.json"),
+                              "--coeff", f"f{2 ** 61 - 1}")
+    assert code == 0
+    assert [g["rank"] for g in doc["groups"]] == [1, 0, 0]
+    code, out, err = run(capsys, "homology", fixture("rp2.ss.json"),
+                         "--coeff", f"f{10 ** 25 + 13}")
+    assert (code, out) == (2, "")
+    assert "too large" in err
+
+
 def test_euler(capsys):
     code, doc, err = run_json(capsys, "euler", fixture("rp2.ss.json"))
     assert (code, doc["value"]) == (0, 1)

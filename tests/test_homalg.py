@@ -138,6 +138,20 @@ def test_ring_parsing():
         parse_ring("R")
 
 
+def test_ring_parsing_large_moduli():
+    # primality is decided by deterministic Miller-Rabin, not trial division
+    assert parse_ring(f"F{2 ** 61 - 1}") == f"F{2 ** 61 - 1}"
+    assert parse_ring("F1000000000039") == "F1000000000039"
+    assert parse_ring("F100000000000000000039") == "F100000000000000000039"
+    # a Carmichael number, a square of a Mersenne prime, and the least strong
+    # pseudoprime to the first 12 prime bases
+    for n in (561, (2 ** 31 - 1) ** 2, 318665857834031151167461):
+        with pytest.raises(ValueError, match="must be prime"):
+            parse_ring(f"F{n}")
+    with pytest.raises(ValueError, match="too large"):
+        parse_ring(f"F{10 ** 25 + 13}")
+
+
 def test_sphere_homology():
     for n in (2, 3, 4):
         C = unnormalized_chains(boundary_semi_simplex(n), "Z")

@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from ssethom.cat import comma_resolution, identity_functor, nerve
-from ssethom.fixtures import poset_category
+from ssethom.fixtures import poset_category, quillen_functor_corpus
 from ssethom.homalg import (
     bicomplex,
     graded_homology,
+    make_chain_complex,
     ring_prime,
     tensor_double_complex,
     total_complex,
     unnormalized_chains,
 )
+from ssethom.snf import SparseIntMatrix
 from ssethom.specseq import (
     SSPage,
     _Echelon,
@@ -40,20 +42,20 @@ def torus(ring):
 
 
 def test_echelon_coordinates_recover_combinations():
-    ech = _Echelon(3, None)
-    assert ech.add([Fraction(1), Fraction(2), Fraction(0)])
-    assert ech.add([Fraction(0), Fraction(1), Fraction(1)])
-    coords = ech.coordinates([Fraction(2), Fraction(7), Fraction(3)])
+    ech = _Echelon(None)
+    assert ech.add({0: Fraction(1), 1: Fraction(2)})
+    assert ech.add({1: Fraction(1), 2: Fraction(1)})
+    coords = ech.coordinates({0: Fraction(2), 1: Fraction(7), 2: Fraction(3)})
     assert coords == {0: Fraction(2), 1: Fraction(3)}
-    assert ech.coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+    assert ech.coordinates({2: Fraction(1)}) is None
 
 
 def test_echelon_mod_p_tags_skip_failed_adds():
-    ech = _Echelon(2, 5)
-    assert ech.add([1, 2])
-    assert not ech.add([2, 4])  # dependent, still consumes tag 1
-    assert ech.add([0, 1])
-    assert ech.coordinates([1, 0]) == {0: 1, 2: 3}  # (1,2) + 3*(0,1) = (1,5) = (1,0)
+    ech = _Echelon(5)
+    assert ech.add({0: 1, 1: 2})
+    assert not ech.add({0: 2, 1: 4})  # dependent, still consumes tag 1
+    assert ech.add({1: 1})
+    assert ech.coordinates({0: 1}) == {0: 1, 2: 3}  # (1,2) + 3*(0,1) = (1,5) = (1,0)
 
 
 # -- the square of an interval over F2 ------------------------------------------
@@ -103,6 +105,39 @@ def block_part(T, n, p, vec):
     return list(vec[off:off + size])
 
 
+def solve_dense(columns, b, prime):
+    """Some x with sum_j x[j] * columns[j] = b, or None if b is not in the span.
+
+    Gauss-Jordan elimination on residues mod prime, or on Fractions when prime
+    is None; independent of the sparse echelon in ssethom.specseq.
+    """
+    def conv(v):
+        return Fraction(v) if prime is None else v % prime
+
+    ncols = len(columns)
+    mat = [[conv(col[i]) for col in columns] + [conv(b[i])] for i in range(len(b))]
+    pivots = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = 1 / mat[top][c] if prime is None else pow(mat[top][c], -1, prime)
+        mat[top] = [conv(a * inv) for a in mat[top]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != top and f:
+                mat[i] = [conv(a - f * t) for a, t in zip(mat[i], mat[top])]
+        pivots.append(c)
+    if any(row[ncols] for row in mat[len(pivots):]):
+        return None
+    x = [conv(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = mat[i][ncols]
+    return x
+
+
 def induced_d1(D, pages, p, q):
     """The matrix of the horizontal map on vertical homology, built directly
     from the double complex data and the page-1 representatives."""
@@ -111,31 +146,22 @@ def induced_d1(D, pages, p, q):
     source = [block_part(T, p + q, p, v) for v in pages[1].basis[(p, q)]]
     target_reps = [block_part(T, p + q - 1, p - 1, v)
                    for v in pages[1].basis.get((p - 1, q), ())]
-    tdim_block = D.size(p - 1, q)
-    ech = _Echelon(tdim_block, prime)
-    for w in target_reps:
-        ech.add(w)
+    # the image of the vertical boundary into block (p-1, q)
+    vertical = []
     if q + 1 < D.q_levels:
-        dv = D.dv[p - 1][q + 1]
-        for c in range(D.size(p - 1, q + 1)):
-            col = [0 if prime else Fraction(0)] * tdim_block
-            for (r, cc, val) in dv.entries():
-                if cc == c:
-                    col[r] = val % prime if prime else Fraction(val)
-            ech.add(col)
+        dv = D.dv[p - 1][q + 1].to_dense()
+        vertical = [[row[c] for row in dv] for c in range(D.size(p - 1, q + 1))]
+    # the target classes are independent modulo the vertical image, so their
+    # coefficients are the same in every solution below
+    for t, w in enumerate(target_reps):
+        assert solve_dense(vertical + target_reps[:t], w, prime) is None
+    dh = D.dh[p][q].to_dense()
     cols = []
     for s in source:
-        img = [0 if prime else Fraction(0)] * tdim_block
-        for (r, c, val) in D.dh[p][q].entries():
-            if s[c]:
-                img[r] = (img[r] + val * s[c]) % prime if prime else img[r] + val * s[c]
-        coords = ech.coordinates(img)
-        assert coords is not None
-        col = [0 if prime else Fraction(0)] * len(target_reps)
-        for t, c in coords.items():
-            if t < len(target_reps):
-                col[t] = c
-        cols.append(col)
+        img = [sum(a * x for a, x in zip(row, s)) for row in dh]
+        x = solve_dense(target_reps + vertical, img, prime)
+        assert x is not None
+        cols.append(x[:len(target_reps)])
     return tuple(tuple(col[i] for col in cols) for i in range(len(target_reps)))
 
 
@@ -192,19 +218,24 @@ def compose(mat_a, mat_b, prime):
     return tuple(out)
 
 
+def assert_differentials_square_to_zero(pages, prime):
+    for page in pages:
+        step = (-(page.r), page.r - 1) if page.r else (0, -1)
+        for (p, q), matrix in page.diff.items():
+            tgt = (p + step[0], q + step[1])
+            again = page.diff.get(tgt)
+            if again is not None:
+                product = compose(again, matrix, prime)
+                assert all(not any(row) for row in product)
+
+
 @pytest.mark.parametrize("build, ring", [(interval_square, "F2"), (torus, "Q")])
 def test_differentials_square_to_zero_on_every_page(build, ring):
     D = build(ring)
     prime = ring_prime(D.ring)
     for orientation in ("cols", "rows"):
-        for page in spectral_sequence(D, orientation=orientation):
-            step = (-(page.r), page.r - 1) if page.r else (0, -1)
-            for (p, q), matrix in page.diff.items():
-                tgt = (p + step[0], q + step[1])
-                again = page.diff.get(tgt)
-                if again is not None:
-                    product = compose(again, matrix, prime)
-                    assert all(not any(row) for row in product)
+        assert_differentials_square_to_zero(
+            spectral_sequence(D, orientation=orientation), prime)
 
 
 def test_row_orientation_agrees_with_columns():
@@ -274,3 +305,75 @@ def test_pages_are_deterministic():
         a = spectral_sequence(torus("Q"), orientation=orientation)
         b = spectral_sequence(torus("Q"), orientation=orientation)
         assert a == b
+
+
+# -- value types, non-unit pivots, the benchmark input ----------------------------
+
+
+def page_entries(page):
+    for vecs in page.basis.values():
+        yield from (x for v in vecs for x in v)
+    for matrix in page.diff.values():
+        yield from (x for row in matrix for x in row)
+
+
+def assert_value_types(pages, prime):
+    """Fractions over Q, residues as ints in range(p) over F_p."""
+    for page in pages:
+        for x in page_entries(page):
+            if prime is None:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < prime
+
+
+@pytest.mark.parametrize("ring", ["F2", "F3", "F5", "Q"])
+def test_page_values_have_the_ring_type(ring):
+    for build in (interval_square, torus):
+        for orientation in ("cols", "rows"):
+            pages = spectral_sequence(build(ring), orientation=orientation)
+            assert_value_types(pages, ring_prime(ring))
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+@pytest.mark.parametrize("space", [standard_semi_simplex(0), boundary_semi_simplex(2),
+                                   standard_semi_simplex(1)],
+                         ids=["point", "circle", "interval"])
+def test_non_unit_pivots(space, a_first):
+    # A = (Q <- Q^2 by [2 1]) puts pivots 2 and 1/2 into the elimination
+    A = make_chain_complex("Q", (1, 2), [SparseIntMatrix.from_dense([[2, 1]])],
+                           complete=True)
+    C = unnormalized_chains(space, "Q")
+    D = tensor_double_complex(A, C) if a_first else tensor_double_complex(C, A)
+    for orientation, work in (("cols", D), ("rows", transpose_double_complex(D))):
+        pages = spectral_sequence(D, orientation=orientation)
+        assert check_convergence(pages, total_complex(D)).ok
+        assert_differentials_square_to_zero(pages, None)
+        assert_value_types(pages, None)
+        assert any(abs(x) == Fraction(1, 2) for page in pages for x in page_entries(page))
+        for (p, q), matrix in pages[1].diff.items():
+            assert matrix == induced_d1(work, pages, p, q)
+
+
+# the comma resolution of id2 through level 3, the input of perfbench's
+# specseq-pages workload; these pages are what the dense-vector echelon printed
+ID2_PAGES = [
+    [(0, 0, 6), (0, 1, 10), (0, 2, 15), (0, 3, 21), (1, 0, 10), (1, 1, 15),
+     (1, 2, 21), (1, 3, 28), (2, 0, 15), (2, 1, 21), (2, 2, 28), (2, 3, 36),
+     (3, 0, 21), (3, 1, 28), (3, 2, 36), (3, 3, 45)],
+    [(0, 0, 3), (0, 3, 13), (1, 0, 6), (1, 3, 18), (2, 0, 10), (2, 3, 24),
+     (3, 0, 15), (3, 3, 31)],
+    [(0, 0, 1), (0, 3, 9), (3, 0, 9), (3, 3, 21)],
+    [(0, 0, 1), (0, 3, 9), (3, 0, 9), (3, 3, 21)],
+    [(0, 0, 1), (0, 3, 9), (3, 0, 9), (3, 3, 21)],
+]
+
+
+@pytest.mark.parametrize("ring", ["F2", "Q"])
+def test_benchmark_input_pages_are_pinned(ring):
+    D = bicomplex(comma_resolution(quillen_functor_corpus()["id2"], 3).bisset, ring)
+    for orientation in ("cols", "rows"):
+        pages = spectral_sequence(D, orientation=orientation)
+        assert [sorted((p, q, d) for (p, q), d in page.dims.items() if d)
+                for page in pages] == ID2_PAGES
+        assert check_convergence(pages, total_complex(D)).ok
