@@ -1,14 +1,22 @@
 """Chain complexes and exact homology over Z, Q, and prime fields.
 
 Boundary matrices always carry integer entries (they come from face tables),
-so every ring reads its ranks off the one integer Smith normal form of each
-boundary; the ring tag only changes how the invariant factors are read.  Over
-Z the answers are finitely presented abelian groups, over a field dimensions.
+so every ring reads its ranks off the integer invariant factors of each
+boundary; the ring tag only changes how they are read.  Over Z the answers are
+finitely presented abelian groups, over a field dimensions.
+
+The invariant factors come from reduce-then-factor.  Once per complex, free
+unit pairs (a generator and a face hit by +-1, one of them with no other live
+incidence) are removed, which splits off ``Z --1--> Z`` summands without any
+arithmetic; then only the residual boundary of the degree asked is put in
+Smith normal form.  Coordinates (``homology_coordinates``) still factor the
+unreduced matrices, since they need transforms in the original basis.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -205,6 +213,71 @@ def kunneth_oracle(hx, hy, n: int) -> FPAbelianGroup:
 # -- chain complexes -----------------------------------------------------------
 
 
+def _free_pair_reduction(diffs) -> tuple[tuple[bytearray, ...], tuple[int, ...]]:
+    """Remove free unit pairs from a chain complex until none is left.
+
+    A pair is a in C_{k-1} and b in C_k with <d b, a> = +-1 where row a or
+    column b of the current d_k has no other live entry.  Removing it deletes
+    row a and column b of d_k, row b of d_{k+1} and column a of d_{k-1}; no
+    other entry changes, and the complex splits off a ``Z --1--> Z`` summand
+    (Kaczynski, Mrozek and Slusarek, Comput. Math. Appl. 35, 1998).  Returns
+    the alive flags of each degree and the number of pairs in each d_k.
+    """
+    top = len(diffs) - 1
+    alive = tuple(bytearray(b"\x01") * d.cols for d in diffs)
+    faces = []  # faces[k][g]: the rows of column g of d_k
+    for d in diffs:
+        cols = [[] for _ in range(d.cols)]
+        for r, row in d.data.items():
+            for c in row:
+                cols[c].append(r)
+        faces.append(cols)
+    nface = [[len(f) for f in fk] for fk in faces]
+    ncoface = [[len(up.data.get(g, ())) for g in range(d.cols)]
+               for d, up in zip(diffs, diffs[1:])] + [[0] * diffs[top].cols]
+    todo = deque((k, g) for k in range(top + 1) for g in range(diffs[k].cols)
+                 if nface[k][g] == 1 or ncoface[k][g] == 1)
+    pairs = [0] * (top + 1)
+
+    def remove(k: int, g: int):
+        alive[k][g] = 0
+        if k:
+            live, count = alive[k - 1], ncoface[k - 1]
+            for r in faces[k][g]:
+                if live[r]:
+                    count[r] -= 1
+                    if count[r] == 1:
+                        todo.append((k - 1, r))
+        if k < top:
+            live, count = alive[k + 1], nface[k + 1]
+            for c in diffs[k + 1].data.get(g, ()):
+                if live[c]:
+                    count[c] -= 1
+                    if count[c] == 1:
+                        todo.append((k + 1, c))
+
+    while todo:
+        k, g = todo.popleft()
+        if not alive[k][g]:
+            continue
+        if nface[k][g] == 1:
+            live = alive[k - 1]
+            a = next(r for r in faces[k][g] if live[r])
+            if diffs[k].data[a][g] in (1, -1):
+                remove(k - 1, a)
+                remove(k, g)
+                pairs[k] += 1
+                continue
+        if ncoface[k][g] == 1:
+            row, live = diffs[k + 1].data[g], alive[k + 1]
+            b = next(c for c in row if live[c])
+            if row[b] in (1, -1):
+                remove(k, g)
+                remove(k + 1, b)
+                pairs[k + 1] += 1
+    return alive, tuple(pairs)
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """dims[k] generators in degree k; diffs[k]: C_k -> C_{k-1} for k >= 1.
@@ -253,9 +326,28 @@ class ChainComplex:
             return SparseIntMatrix.zero(self.dim(k - 1), self.dim(k))
         return self.diffs[k]
 
-    def _smith(self, k: int):
+    @cached_property
+    def _free_pairs(self) -> tuple[tuple[bytearray, ...], tuple[int, ...]]:
+        return _free_pair_reduction(self.diffs)
+
+    def _smith(self, k: int) -> SmithForm:
+        """Invariant factors of d_k: (1,) per free pair, then the residual's.
+
+        Each free pair splits off a ``Z --1--> Z`` summand of the complex, so
+        only the residual d_k on the unpaired generators is factored, and
+        only for the degree asked.
+        """
         if k not in self._cache:
-            self._cache[k] = smith_normal_form(self.boundary(k))
+            alive, pairs = self._free_pairs
+            rows = {r: i for i, r in enumerate(g for g, a in enumerate(alive[k - 1]) if a)}
+            cols = {c: j for j, c in enumerate(g for g, a in enumerate(alive[k]) if a)}
+            data = {}
+            for r, row in self.diffs[k].data.items():
+                i = rows.get(r)
+                if i is not None:
+                    data[i] = {cols[c]: v for c, v in row.items() if c in cols}
+            s = smith_normal_form(SparseIntMatrix(len(rows), len(cols), data))
+            self._cache[k] = SmithForm((1,) * pairs[k] + s.factors, pairs[k] + s.rank, None, None)
         return self._cache[k]
 
     def boundary_rank(self, k: int) -> int:

@@ -2,9 +2,12 @@
 
 Everything here runs on Python ints, so coefficients never overflow silently.
 Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value).
-The Smith normal form routine prefers unit pivots with low fill, which keeps
-boundary-matrix eliminations close to linear in the number of nonzeros; gcd
-pivoting only kicks in on the (rare) residue where no +-1 entry survives.
+The Smith normal form routine prefers unit pivots with a low fill score and
+falls back to gcd pivoting only on the residue where no +-1 entry survives.
+Fill still grows: on the 1024x4096 top boundary of the B Z/4 nerve at level 6
+(18,511 nonzeros) the working matrix reaches about 50,000 nonzeros and row
+operations dominate the time.  ``homalg`` therefore removes free unit pairs
+from a chain complex before it calls this routine.
 
 The Smith normal form is the only rank kernel.  Over Q and F_p the rank of
 an integer matrix is read off its invariant factors: their number over Q, and

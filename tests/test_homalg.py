@@ -6,8 +6,19 @@ from math import gcd
 import pytest
 
 from ssethom import formats
-from ssethom.cat import monoid_as_category, nerve
-from ssethom.fixtures import cyclic_group_monoid, klein_four_monoid
+from ssethom.cat import (
+    FinMonoid,
+    FinNonUnitalCategory,
+    FunctorData,
+    MonoidAction,
+    bar_construction,
+    comma_resolution,
+    monoid_as_category,
+    nerve,
+    nerve_unitalize_inclusion,
+    trivial_action,
+)
+from ssethom.fixtures import cyclic_group_monoid, idempotent_category, klein_four_monoid
 from ssethom.homalg import (
     ChainComplex,
     ChainMap,
@@ -31,14 +42,16 @@ from ssethom.homalg import (
     mapping_cone,
     normalized_chains,
     parse_ring,
+    ring_prime,
     tensor_double_complex,
     tensor_groups,
     tor_groups,
     total_complex,
     unnormalized_chains,
 )
-from ssethom.snf import SparseIntMatrix, kernel_basis
+from ssethom.snf import SparseIntMatrix, kernel_basis, smith_normal_form
 from ssethom.sset import (
+    BiSemiSimplicialSet,
     HomotopyCertificate,
     SemiSimplicialSet,
     SSetMap,
@@ -290,6 +303,171 @@ def test_universal_coefficients_on_corpus_and_nerves(name):
         for k in range(C.trusted_through + 1):
             prev = hz[k - 1] if k else ZERO
             assert homology(C, k).rank == uct_dim(hz[k], prev, p), (ring, k)
+
+
+# -- free-pair reduction against the full Smith form -------------------------------
+
+
+def assert_matches_full_smith(C):
+    """boundary_rank over Z, F2, F3 and Q, and the torsion of H_{k-1} over Z,
+    read off smith_normal_form of the unreduced d_k."""
+    rings = {ring: ChainComplex(ring, C.dims, C.diffs, C.complete)
+             for ring in ("Z", "F2", "F3", "Q")}
+    for k in range(1, C.top_degree + 1):
+        full = smith_normal_form(C.boundary(k)).factors
+        for ring, Cr in rings.items():
+            p = ring_prime(ring)
+            want = len(full) if p is None else sum(1 for d in full if d % p)
+            assert Cr.boundary_rank(k) == want, (ring, k)
+        assert homology(rings["Z"], k - 1).torsion == tuple(d for d in full if d > 1), k
+
+
+def _corpus_complex(path):
+    """The integer chain complex a fixture document stands for, or None."""
+    name = os.path.basename(path)
+    if name.endswith(".batch.json"):
+        return None
+    obj = formats.read_document(path)
+    if isinstance(obj, SparseIntMatrix):
+        return make_chain_complex("Z", (obj.rows, obj.cols), [obj], complete=True)
+    if isinstance(obj, FinMonoid):
+        return unnormalized_chains(nerve(monoid_as_category(obj), 5).sset, "Z") if obj.is_table else None
+    if isinstance(obj, FinNonUnitalCategory):
+        return unnormalized_chains(nerve(obj, 4).sset, "Z")
+    if isinstance(obj, MonoidAction):
+        Y = trivial_action(obj.monoid, "right")
+        return unnormalized_chains(bar_construction(Y, obj.monoid, obj, 4), "Z")
+    if isinstance(obj, FunctorData):
+        return total_complex(bicomplex(comma_resolution(obj, 3).bisset, "Z")).complex
+    if isinstance(obj, BiSemiSimplicialSet):
+        return total_complex(bicomplex(obj, "Z")).complex
+    return _chains(obj, "Z")
+
+
+CORPUS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(FIXTURES, "*.json")))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_free_pair_reduction_on_the_corpus(name):
+    C = _corpus_complex(os.path.join(FIXTURES, name))
+    if C is None:
+        pytest.skip(f"{name} is not a finite complex")
+    assert_matches_full_smith(C)
+
+
+def _scaled_identity(X, k):
+    C = unnormalized_chains(X, "Z")
+    return ChainMap(C, C, tuple(SparseIntMatrix.identity(n).scale(k) for n in C.dims))
+
+
+CONE_MAPS = {
+    "identity": lambda: _scaled_identity(boundary_semi_simplex(3), 1),
+    "times-two": lambda: _scaled_identity(boundary_semi_simplex(3), 2),
+    "skeleton": lambda: chain_map_from_sset_map(skeleton_inclusion(standard_semi_simplex(2), 1), "Z"),
+    "alexander-whitney": lambda: alexander_whitney(
+        boundary_semi_simplex(2), boundary_semi_simplex(2), "Z")[0],
+    "unitalize": lambda: chain_map_from_sset_map(
+        nerve_unitalize_inclusion(idempotent_category(), 3), "Z"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_MAPS))
+def test_free_pair_reduction_on_mapping_cones(name):
+    assert_matches_full_smith(mapping_cone(CONE_MAPS[name]()))
+
+
+def test_free_pair_reduction_at_the_top_of_a_truncated_nerve():
+    C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(4)), 5).sset, "Z")
+    assert not C.complete
+    assert_matches_full_smith(C)
+    top = C.top_degree
+    full = smith_normal_form(C.boundary(top)).factors
+    for ring in ("Z", "F2", "F3", "Q"):
+        p = ring_prime(ring)
+        rank = len(full) if p is None else sum(1 for d in full if d % p)
+        Cr = ChainComplex(ring, C.dims, C.diffs, C.complete)
+        assert homology(Cr, top).rank == C.dims[top] - rank, ring
+
+
+def _random_unimodular(rng, n):
+    """A random unimodular n x n matrix and its inverse."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        # P <- (I + c e_ij) P and Pinv <- Pinv (I - c e_ij)
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] -= c * row[i]
+    return SparseIntMatrix.from_dense(P, n), SparseIntMatrix.from_dense(Pinv, n)
+
+
+def random_cyclic_pieces_complex(rng):
+    """A sum of Z --n--> Z pieces and free Z's under random base changes.
+
+    Returns the complex and, for each k, the orders n of the pieces in d_k.
+    Degree k lists the targets of d_{k+1}'s pieces, then the sources of
+    d_k's pieces, then the free generators.
+    """
+    top = rng.randint(1, 4)
+    pieces = [[]] + [[rng.choice((1, 1, -1, 2, -2, 3, 4, 6)) for _ in range(rng.randint(0, 3))]
+                     for _ in range(top)]
+    ups = [len(pieces[k + 1]) if k < top else 0 for k in range(top + 1)]
+    dims = [ups[k] + len(pieces[k]) + rng.randint(0, 2) for k in range(top + 1)]
+    bases = [_random_unimodular(rng, n) for n in dims]
+    boundaries = []
+    for k in range(1, top + 1):
+        d = SparseIntMatrix.from_entries(dims[k - 1], dims[k],
+                                         ((i, ups[k] + i, n) for i, n in enumerate(pieces[k])))
+        boundaries.append(bases[k - 1][0].mul(d).mul(bases[k][1]))
+    return make_chain_complex("Z", dims, boundaries, complete=True), pieces
+
+
+def test_free_pair_reduction_on_random_cyclic_pieces():
+    rng = random.Random(606)
+    for trial in range(60):
+        C, pieces = random_cyclic_pieces_complex(rng)
+        assert_matches_full_smith(C)
+        for k in range(1, C.top_degree + 1):
+            orders = [abs(n) for n in pieces[k]]
+            assert homology(C, k - 1).torsion == group_from_cyclic_orders(0, orders).torsion, trial
+            assert C.boundary_rank(k) == len(orders), trial
+
+
+def test_lone_non_unit_entry_is_not_paired():
+    two = SparseIntMatrix.from_dense([[2]])
+    for ring, rank in (("Z", 1), ("F2", 0), ("F3", 1), ("Q", 1)):
+        C = make_chain_complex(ring, (1, 1), [two], complete=True)
+        assert C.boundary_rank(1) == rank, ring
+        assert C._free_pairs[1] == (0, 0)
+    assert graded_homology(make_chain_complex("Z", (1, 1), [two], complete=True)) == (Zmod(2), ZERO)
+
+
+def test_bz4_homology_through_degree_six_from_level_seven():
+    C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(4)), 7).sset, "Z")
+    assert C.trusted_through == 6
+    assert graded_homology(C, through=6) == (Z,) + tuple(Zmod(4) if k % 2 else ZERO for k in range(1, 7))
+
+
+def test_residual_smith_forms_are_lazy(monkeypatch):
+    from ssethom import homalg
+
+    shapes = []
+
+    def recording(A, transforms=False):
+        shapes.append((A.rows, A.cols))
+        return smith_normal_form(A, transforms)
+
+    monkeypatch.setattr(homalg, "smith_normal_form", recording)
+    C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(4)), 6).sset, "Z")
+    assert homology(C, 0) == Z
+    # only d_1 is factored, and d_1 has at most C.dims[1] columns
+    assert len(shapes) == 1 and shapes[0][1] <= C.dims[1]
+    for _ in range(2):
+        graded_homology(C)
+    assert len(shapes) == C.top_degree  # each residual d_k once
+    assert max(rows for rows, _ in shapes) < C.dims[C.top_degree - 1]
 
 
 def test_complex_validation():
