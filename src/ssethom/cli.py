@@ -381,10 +381,22 @@ _PLAIN_CHECKS = {
 }
 
 
+def _unread_parameter(check_id: str, degree, size) -> str | None:
+    """The name of a given parameter that the check would ignore, if any."""
+    if degree is not None and check_id != "skeletal-shadow":
+        return "degree"
+    if size is not None and check_id != "constant":
+        return "size"
+    return None
+
+
 def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
     if check_id not in _CHECK_INPUTS:
         known = ", ".join(sorted(_CHECK_INPUTS))
         raise UsageError(f"unknown check {check_id!r} (known: {known})")
+    unread = _unread_parameter(check_id, degree, size)
+    if unread is not None:
+        raise UsageError(f"check {check_id} does not read --{unread}")
     if cutoff is None:
         raise UsageError(f"check {check_id} needs --cutoff")
     if seed is not None:
@@ -463,6 +475,9 @@ def _check_batch_items(path: str) -> list:
                 raise UsageError(f"{where}: {key} must be an integer")
             if key in ("cutoff", "degree", "size") and v is not None and v < 0:
                 raise UsageError(f"{where}: {key} must be non-negative")
+        unread = _unread_parameter(item["check"], item.get("degree"), item.get("size"))
+        if unread is not None:
+            raise UsageError(f"{where}: check {item['check']} does not read {unread!r}")
     return items
 
 
@@ -483,6 +498,10 @@ def _cmd_check(args) -> int:
     if args.batch is not None:
         if args.check_id is not None or args.files:
             raise UsageError("--batch replaces the check id and files")
+        given = [f"--{k}" for k in ("cutoff", "seed", "degree", "size")
+                 if getattr(args, k) is not None]
+        if given:
+            raise UsageError(f"--batch takes its parameters from the file, not {given[0]}")
         items = _check_batch_items(args.batch)
         base = os.path.dirname(os.path.abspath(args.batch))
         work = [(item, base) for item in items]

@@ -6,9 +6,18 @@ index <= p.  Pages come from explicit subspace chains
     Z^r(p,q) = F_p(T_n) meet D^{-1} F_{p-r}(T_{n-1}),      n = p + q,
     E^r(p,q) = Z^r(p,q) / (Z^{r-1}(p-1,q+1) + D Z^{r-1}(p+r-1,q-r+2)),
 
-with deterministic echelon bases throughout.  Page-1 representatives are the
-pure vertical homology classes of each column, so the d^1 matrices agree
-entry-for-entry with the induced horizontal maps computed column-wise.
+with deterministic echelon bases throughout.  Each spot is computed on block
+(p,q) alone, modulo F_{p-1}: Z^{r-1}(p-1,q+1) is exactly Z^r(p,q) meet
+F_{p-1}, the kernel of the projection pi onto block (p,q), and
+D Z^{r-1}(p+r-1,q-r+2) lies in Z^r(p,q), so
+
+    E^r(p,q) = pi Z^r(p,q) / pi D Z^{r-1}(p+r-1,q-r+2)
+
+and one echelon the size of the block holds the whole quotient.  Page 0 is
+the case r = 0: Z^0(p,q) is F_p and pi kills every denominator.  Page-1
+representatives are the pure vertical homology classes of each column, so
+the d^1 matrices agree entry-for-entry with the induced horizontal maps
+computed column-wise.
 
 Filtering by rows runs the same machinery on the transposed double complex.
 
@@ -111,9 +120,6 @@ class _Echelon:
         """Feed one generator; True if it enlarged the span."""
         return self._insert(*self.reduce(vec))
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)[0]
-
     def coordinates(self, vec: dict) -> dict | None:
         """vec as a combination of the fed generators (by tag), or None."""
         v, expr = self.reduce(vec)
@@ -136,6 +142,11 @@ def _nullspace(images: list[dict], p: int | None) -> list[dict]:
             expr[j] = 1
             kernel.append(expr)
     return kernel
+
+
+def _tail(vec: dict, start: int) -> dict:
+    """The part of vec at indices start and above."""
+    return {i: x for i, x in vec.items() if i >= start}
 
 
 def _dense(vec: dict, dim: int, p: int | None) -> tuple:
@@ -249,8 +260,9 @@ class _Filtration:
             self._z_cache[key] = _nullspace(images, self.p)
         return self._z_cache[key]
 
-    def vertical_homology_reps(self, p: int, q: int) -> list[dict]:
-        """Representatives of H_q(column p), as pure block (p,q) cycles."""
+    def vertical_cycles(self, p: int, q: int) -> list[dict]:
+        """Vertical cycles of column p as pure block (p,q) vectors; they span
+        H_q(column p), and _page drops the boundaries."""
         got = self.offsets.get((p, q))
         if got is None:
             return []
@@ -260,17 +272,7 @@ class _Filtration:
         imgs = self.boundary_images(n)
         images = [{i: x for i, x in imgs[off + c].items() if lo <= i < hi}
                   for c in range(size)]
-        cycles = [{off + j: x for j, x in k.items()} for k in _nullspace(images, self.p)]
-        # mod out the image of the block straight above; the total boundary of
-        # a pure (p, q+1) vector meets this block exactly in its vertical part
-        ech = _Echelon(self.p)
-        upper = self.offsets.get((p, q + 1))
-        if upper is not None:
-            _, uoff, usize = upper
-            above = self.boundary_images(n + 1)
-            for c in range(usize):
-                ech.add({i: x for i, x in above[uoff + c].items() if off <= i < off + size})
-        return [z for z in cycles if ech.add(z)]
+        return [{off + j: x for j, x in k.items()} for k in _nullspace(images, self.p)]
 
 
 def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) -> list[SSPage]:
@@ -283,9 +285,9 @@ def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) 
     filt = _Filtration(work)
     stable = max(1, min(filt.P, filt.Q + 1))
 
-    pages = [_page_zero(filt, orientation)]
+    pages = []
     reps: dict = {}
-    for r in range(1, R + 1):
+    for r in range(R + 1):
         page, reps = _page(filt, r, orientation, reps)
         pages.append(page)
         if r >= stable:
@@ -293,88 +295,53 @@ def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) 
     return pages
 
 
-def _page_zero(filt: _Filtration, orientation: str) -> SSPage:
-    dims = {}
-    basis = {}
-    diff = {}
-    for p in range(filt.P):
-        for q in range(filt.Q):
-            got = filt.offsets.get((p, q))
-            if got is None or got[2] == 0:
-                continue
-            n, off, size = got
-            dims[(p, q)] = size
-            basis[(p, q)] = tuple(_dense({off + c: 1}, filt.dim_total(n), filt.p)
-                                  for c in range(size))
-    for (p, q) in basis:
-        if dims.get((p, q - 1), 0) == 0:
-            continue
-        n, off, size = filt.offsets[(p, q)]
-        _, toff, tsize = filt.offsets[(p, q - 1)]
-        imgs = filt.boundary_images(n)
-        cols = [{i - toff: x for i, x in imgs[off + c].items() if toff <= i < toff + tsize}
-                for c in range(size)]
-        diff[(p, q)] = _matrix(cols, tsize, filt.p)
-    return SSPage(0, orientation, dims, basis, diff)
-
-
 def _page(filt: _Filtration, r: int, orientation: str,
           prev_reps: dict) -> tuple[SSPage, dict]:
-    """Page r, and its sparse class representatives for page r + 1."""
+    """Page r, and its sparse class representatives for page r + 1.
+
+    One echelon per spot, on block (p,q) coordinates; d_r reads each class's
+    coefficient at its representative's tag, unique modulo the denominators.
+    """
     reps: dict = {}
-    denoms: dict = {}
-    dims = {}
+    spots: dict = {}
     for p in range(filt.P):
         for q in range(filt.Q):
             n = p + q
             if filt.dim_total(n) == 0:
                 continue
+            block = filt.filt_end(n, p - 1)
             ech = _Echelon(filt.p)
-            denom_gens = list(filt.z_space(r - 1, p - 1, q + 1))
             for z in filt.z_space(r - 1, p + r - 1, q - r + 2):
-                denom_gens.append(filt.apply_d(n + 1, z))
-            for g in denom_gens:
-                ech.add(g)
-            if r == 1:
-                preferred = filt.vertical_homology_reps(p, q)
-            else:
-                preferred = prev_reps.get((p, q), [])
-            zbasis = filt.z_space(r, p, q)
-            zech = _Echelon(filt.p)
-            for z in zbasis:
-                zech.add(z)
-            spot_reps = [c for c in preferred if zech.contains(c) and ech.add(c)]
-            spot_reps += [z for z in zbasis if ech.add(z)]
+                ech.add(_tail(filt.apply_d(n + 1, z), block))
+            low = filt.filt_end(n - 1, p - r)
+            preferred = filt.vertical_cycles(p, q) if r == 1 else prev_reps.get((p, q), [])
+            # a preferred vector is kept when it lies in Z^r(p,q): D lands in F_{p-r}
+            candidates = [c for c in preferred if all(i < low for i in filt.apply_d(n, c))]
+            spot_reps, tags = [], []
+            for c in candidates + filt.z_space(r, p, q):
+                if ech.add(_tail(c, block)):
+                    spot_reps.append(c)
+                    tags.append(ech.count - 1)
             if spot_reps:
-                dims[(p, q)] = len(spot_reps)
                 reps[(p, q)] = spot_reps
-            denoms[(p, q)] = (ech, denom_gens)
+            spots[(p, q)] = (ech, tags, block)
 
     diff = {}
     for (p, q), vecs in reps.items():
         tp, tq = p - r, q + r - 1
-        images = [filt.apply_d(p + q, v) for v in vecs]
-        if (tp, tq) not in reps:
-            tgt = denoms.get((tp, tq))
-            for img in images:
-                if img and (tgt is None or not tgt[0].contains(img)):
-                    raise AssertionError(
-                        f"page {r}: image at {(tp, tq)} is not a denominator element")
-            continue
-        target_ech = _Echelon(filt.p)
-        for w in reps[(tp, tq)]:
-            target_ech.add(w)
-        for g in denoms[(tp, tq)][1]:
-            target_ech.add(g)
-        tdim = len(reps[(tp, tq)])
+        end = filt.filt_end(p + q - 1, tp)
+        ech, tags, block = spots.get((tp, tq), (_Echelon(filt.p), [], end))
         cols = []
-        for img in images:
-            coords = target_ech.coordinates(img)
-            if coords is None:
+        for v in vecs:
+            img = filt.apply_d(p + q, v)
+            coords = ech.coordinates(_tail(img, block))
+            if coords is None or any(i >= end for i in img):
                 raise AssertionError(f"page {r}: image not in Z^r at {(tp, tq)}")
-            cols.append({t: c for t, c in coords.items() if t < tdim})
-        diff[(p, q)] = _matrix(cols, tdim, filt.p)
+            cols.append({k: coords[t] for k, t in enumerate(tags) if t in coords})
+        if tags:
+            diff[(p, q)] = _matrix(cols, len(tags), filt.p)
 
+    dims = {spot: len(vecs) for spot, vecs in reps.items()}
     basis = {(p, q): tuple(_dense(v, filt.dim_total(p + q), filt.p) for v in vecs)
              for (p, q), vecs in reps.items()}
     return SSPage(r, orientation, dims, basis, diff), reps

@@ -84,25 +84,40 @@ def validate_sset(X: SemiSimplicialSet) -> ValidationReport:
             if len(tab) != X.sizes[p]:
                 problems.append(f"level {p} face {i}: table length {len(tab)} != {X.sizes[p]}")
                 continue
-            for s, v in enumerate(tab):
-                if not (0 <= v < X.sizes[p - 1]):
-                    problems.append(f"level {p} face {i} simplex {s}: target {v} out of range")
-                    break
+            if tab and not (0 <= min(tab) and max(tab) < X.sizes[p - 1]):
+                s = next(s for s, v in enumerate(tab) if not (0 <= v < X.sizes[p - 1]))
+                problems.append(f"level {p} face {i} simplex {s}: target {tab[s]} out of range")
     if problems:
         return ValidationReport(False, tuple(problems))
-    for p in range(2, L):
+    problems = _identity_problems(_level_identities(
+        X.faces, lambda p, i, j: f"face identity fails at level {p}, simplex {{s}}: "
+                                 f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"), 21)
+    return ValidationReport(not problems, tuple(problems))
+
+
+def _level_identities(levels, template):
+    """(d_i d_j, d_{j-1} d_i, message template) per level p >= 2 and i < j,
+    each side a composed face table of levels[p] into levels[p - 2]."""
+    for p in range(2, len(levels)):
+        up, down = levels[p], levels[p - 1]
         for j in range(1, p + 1):
             for i in range(j):
-                for s in range(X.sizes[p]):
-                    left = X.face(p - 1, i, X.face(p, j, s))
-                    right = X.face(p - 1, j - 1, X.face(p, i, s))
-                    if left != right:
-                        problems.append(
-                            f"face identity fails at level {p}, simplex {s}: "
-                            f"d_{i} d_{j} = {left} but d_{j - 1} d_{i} = {right}")
-                        if len(problems) > 20:
-                            return ValidationReport(False, tuple(problems))
-    return ValidationReport(not problems, tuple(problems))
+                yield ([down[i][t] for t in up[j]], [down[j - 1][t] for t in up[i]],
+                       template(p, i, j))
+
+
+def _identity_problems(identities, limit: int) -> list[str]:
+    """A message per simplex where the two tables of an identity differ, at
+    most ``limit``; whole tables are compared before any simplex is walked."""
+    problems = []
+    for lefts, rights, template in identities:
+        if lefts != rights:
+            for s, (left, right) in enumerate(zip(lefts, rights)):
+                if left != right:
+                    problems.append(template.format(s=s, left=left, right=right))
+                    if len(problems) == limit:
+                        return problems
+    return problems
 
 
 @dataclass(frozen=True)
@@ -230,12 +245,6 @@ class BiSemiSimplicialSet:
     def size(self, p: int, q: int) -> int:
         return self.sizes[p][q]
 
-    def hface(self, p: int, q: int, i: int, s: int) -> int:
-        return self.dh[p][q][i][s]
-
-    def vface(self, p: int, q: int, j: int, s: int) -> int:
-        return self.dv[p][q][j][s]
-
     @property
     def p_levels(self) -> int:
         return len(self.sizes)
@@ -246,37 +255,29 @@ class BiSemiSimplicialSet:
 
 
 def validate_bisset(B: BiSemiSimplicialSet) -> ValidationReport:
-    problems = []
     P, Q = B.p_levels, B.q_levels
     for p in range(P):
         if len(B.sizes[p]) != Q:
             return ValidationReport(False, (f"ragged size grid at row {p}",))
-    # horizontal identity in each fixed q, vertical in each fixed p
-    for q in range(Q):
-        for p in range(2, P):
-            for j in range(1, p + 1):
-                for i in range(j):
-                    for s in range(B.size(p, q)):
-                        if B.hface(p - 1, q, i, B.hface(p, q, j, s)) != \
-                           B.hface(p - 1, q, j - 1, B.hface(p, q, i, s)):
-                            problems.append(f"horizontal identity fails at ({p},{q}) simplex {s}")
-    for p in range(P):
-        for q in range(2, Q):
-            for j in range(1, q + 1):
-                for i in range(j):
-                    for s in range(B.size(p, q)):
-                        if B.vface(p, q - 1, i, B.vface(p, q, j, s)) != \
-                           B.vface(p, q - 1, j - 1, B.vface(p, q, i, s)):
-                            problems.append(f"vertical identity fails at ({p},{q}) simplex {s}")
-    for p in range(1, P):
-        for q in range(1, Q):
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    for s in range(B.size(p, q)):
-                        if B.vface(p - 1, q, j, B.hface(p, q, i, s)) != \
-                           B.hface(p, q - 1, i, B.vface(p, q, j, s)):
-                            problems.append(f"dh/dv do not commute at ({p},{q}) simplex {s}")
-    problems = problems[:20]
+
+    def identities():
+        # horizontal identity in each fixed q, vertical in each fixed p
+        for q in range(Q):
+            yield from _level_identities(
+                [B.dh[p][q] for p in range(P)],
+                lambda p, i, j, q=q: f"horizontal identity fails at ({p},{q}) simplex {{s}}")
+        for p in range(P):
+            yield from _level_identities(
+                B.dv[p], lambda q, i, j, p=p: f"vertical identity fails at ({p},{q}) simplex {{s}}")
+        for p in range(1, P):
+            for q in range(1, Q):
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        yield ([B.dv[p - 1][q][j][t] for t in B.dh[p][q][i]],
+                               [B.dh[p][q - 1][i][t] for t in B.dv[p][q][j]],
+                               f"dh/dv do not commute at ({p},{q}) simplex {{s}}")
+
+    problems = _identity_problems(identities(), 20)
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -324,7 +325,7 @@ def diagonal(B: BiSemiSimplicialSet) -> SemiSimplicialSet:
     faces = [()]
     for p in range(1, L):
         faces.append(tuple(
-            tuple(B.vface(p - 1, p, i, B.hface(p, p, i, s)) for s in range(B.size(p, p)))
+            tuple(B.dv[p - 1][p][i][t] for t in B.dh[p][p][i])
             for i in range(p + 1)))
     trunc = None
     if B.trunc_p is not None or B.trunc_q is not None:

@@ -511,6 +511,48 @@ def test_batch_rejects_malformed_entries(capsys, tmp_path):
     assert "unknown field" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--cutoff", "1"), ("--seed", "5"),
+                                         ("--size", "3"), ("--degree", "9")])
+def test_batch_rejects_parameters_on_the_command_line(capsys, flag, value):
+    code, out, err = run(capsys, "check", "--batch", fixture("checks.batch.json"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("adj-units", fixture("rp2.ss.json"), "--cutoff", "3", "--degree", "2"),
+    ("ez-diagonal", "--seed", "3", "--cutoff", "3", "--degree", "1"),
+    ("constant", "--size", "2", "--cutoff", "2", "--degree", "1"),
+    ("skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "3", "--degree", "1",
+     "--size", "2"),
+    ("quillen-a", fixture("endpoint.fun.json"), "--cutoff", "3", "--size", "1"),
+], ids=lambda argv: argv[0])
+def test_check_rejects_parameters_it_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "does not read" in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"check": "adj-units", "files": ["rp2.ss.json"], "cutoff": 3, "degree": 2},
+    {"check": "skeletal-shadow", "files": ["sphere2.ss.json"], "cutoff": 3, "degree": 1,
+     "size": 2},
+], ids=lambda entry: entry["check"])
+def test_batch_rejects_fields_the_check_does_not_read(entry, capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_check", lambda *a: ran.append(a))
+    p = tmp_path / "batch.json"
+    entry = dict(entry, files=[os.path.abspath(fixture(f)) for f in entry["files"]])
+    p.write_text(json.dumps([{"check": "constant", "size": 2, "cutoff": 2}, entry]))
+    code, out, err = run(capsys, "check", "--batch", str(p))
+    assert code == 2
+    assert out == ""
+    assert "does not read" in err
+    assert ran == []
+
+
 def test_jobs_without_batch_rejected(capsys):
     code, out, err = run(capsys, "check", "constant", "--size", "2",
                          "--cutoff", "2", "--jobs", "4")

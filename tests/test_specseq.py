@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ssethom.cat import comma_resolution, identity_functor, nerve
 from ssethom.fixtures import poset_category, quillen_functor_corpus
 from ssethom.homalg import (
+    DoubleComplex,
     bicomplex,
     graded_homology,
     make_chain_complex,
@@ -36,6 +38,26 @@ def interval_square(ring):
 def torus(ring):
     S = boundary_semi_simplex(2)
     return bicomplex(exterior_product(S, S), ring)
+
+
+def staircase(ring):
+    """a at (2,0), b at (1,0), c at (1,1), d at (0,1), with dh a = b, dv c = b
+    and dh c = d.  By columns, E^1 keeps a and d, and d_2 a = +-d kills both."""
+    sizes = ((0, 1), (1, 1), (1, 0))
+
+    def arrow(rows, cols, hit):
+        return SparseIntMatrix.from_entries(rows, cols, [(0, 0, 1)] if hit else [])
+
+    dh = tuple(tuple(arrow(sizes[p - 1][q] if p else 0, sizes[p][q], (p, q) in ((2, 0), (1, 1)))
+                     for q in range(2)) for p in range(3))
+    dv = tuple(tuple(arrow(sizes[p][q - 1] if q else 0, sizes[p][q], (p, q) == (1, 1))
+                     for q in range(2)) for p in range(3))
+    return DoubleComplex(ring, sizes, dh, dv, True, True)
+
+
+def id2_resolution(ring):
+    """The comma resolution of id2 through level 3, perfbench's specseq-pages input."""
+    return bicomplex(comma_resolution(quillen_functor_corpus()["id2"], 3).bisset, ring)
 
 
 # -- echelon scaffolding -------------------------------------------------------
@@ -138,6 +160,28 @@ def solve_dense(columns, b, prime):
     return x
 
 
+def rank_dense(matrix, prime):
+    """Rank of a row-major matrix by Gaussian elimination on residues mod prime,
+    or on Fractions when prime is None; independent of ssethom.specseq."""
+    def conv(v):
+        return Fraction(v) if prime is None else v % prime
+
+    rows = [[conv(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][c] if prime is None else pow(rows[rank][c], -1, prime)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            if f:
+                rows[i] = [conv(a - f * t) for a, t in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def induced_d1(D, pages, p, q):
     """The matrix of the horizontal map on vertical homology, built directly
     from the double complex data and the page-1 representatives."""
@@ -178,6 +222,31 @@ def test_d1_matches_induced_horizontal_map(build, ring):
         assert matrix == induced_d1(D, pages, p, q)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("build, ring", [
+    (build, ring) for build in (interval_square, torus, staircase) for ring in ("F2", "F3", "Q")
+] + [(id2_resolution, "F2"), (id2_resolution, "Q")])
+def test_next_page_is_the_homology_of_d_r(build, ring):
+    # dim E^{r+1}(p,q) = dim E^r(p,q) - rank d_r out of (p,q) - rank d_r into (p,q)
+    D = build(ring)
+    prime = ring_prime(D.ring)
+    for orientation in ("cols", "rows"):
+        pages = spectral_sequence(D, orientation=orientation)
+        for page, after in zip(pages, pages[1:]):
+            dp, dq = (-page.r, page.r - 1) if page.r else (0, -1)
+            rank = {spot: rank_dense(matrix, prime) for spot, matrix in page.diff.items()}
+            for (p, q) in set(page.dims) | set(after.dims):
+                assert after.dim(p, q) == (page.dim(p, q) - rank.get((p, q), 0)
+                                           - rank.get((p - dp, q - dq), 0)), \
+                    (orientation, page.r, (p, q))
+
+
+def test_staircase_has_a_nonzero_d2():
+    pages = spectral_sequence(staircase("Q"))
+    assert pages[2].dims == {(0, 1): 1, (2, 0): 1}
+    assert pages[2].diff == {(2, 0): ((Fraction(1),),)}
+    assert pages[3].dims == {}
 
 
 def test_page_one_basis_is_pure_and_vertical():
@@ -369,11 +438,51 @@ ID2_PAGES = [
 ]
 
 
+# sha256 of repr((sorted(basis.items()), sorted(diff.items()))) for each page,
+# as the two-echelon page construction printed them
+ID2_PAGE_DIGESTS = {
+    ("F2", "cols"): [
+        "95f5c7557a2dc5b5eeff249939c33517b5b532fce2f03edf74886573e718ae6b",
+        "d7c3d2b7cbcb1b08fcb57d81414d9e6127365e1113a457a6d296fca19c8f017f",
+        "5913989e2fa2ecee49ac35071b922d4fd2c0d0e4492aebfcdcc525f1bcd2e686",
+        "c21b59c317f9ac04e5ce6375a542fc1b175b1cbdc22bb884c51ba33b140ee5c2",
+        "c21b59c317f9ac04e5ce6375a542fc1b175b1cbdc22bb884c51ba33b140ee5c2",
+    ],
+    ("F2", "rows"): [
+        "1cf76de5298153b5279ff3aad185e3d320fbfbd9e6580e9914ceaec8ef47db9d",
+        "6fd05dc901e7a7204c59d35b12eb1103cb2ef4d9b7ea83b86350749ea3ae6baf",
+        "b766f2af0d87598a2baed9b8b5801528f1932dbe643b4339886c852c1347c59f",
+        "b766f2af0d87598a2baed9b8b5801528f1932dbe643b4339886c852c1347c59f",
+        "b766f2af0d87598a2baed9b8b5801528f1932dbe643b4339886c852c1347c59f",
+    ],
+    ("Q", "cols"): [
+        "5df886443894ac280d8d20596981cd29078123f0b8a148360d11efb3915d6a11",
+        "f658e9e77e28ea39f53e472b20bc1bed6688ee5109b4a24c6c16713dff6a913e",
+        "e935c9ef2237a5af56ad925c5265673db38d2d917b7e213207659181378654b8",
+        "d675b33d7af0d1014cc1ca3a59293f12c2025536dde6f7b5b4a45d1df0838ea8",
+        "d675b33d7af0d1014cc1ca3a59293f12c2025536dde6f7b5b4a45d1df0838ea8",
+    ],
+    ("Q", "rows"): [
+        "9f9b3a0847a40bc3844c0690f5ebe8178c89b266b64e324d3a9b57032a143d44",
+        "152ff0ca0c03262dc93edf2f5009cb251e762bcb050ca0c7c2b24861533a2702",
+        "685ae52e6ef9234d2c3d0c058bb01e651e17a1c536178b7a03e5fb1f138dd3df",
+        "685ae52e6ef9234d2c3d0c058bb01e651e17a1c536178b7a03e5fb1f138dd3df",
+        "685ae52e6ef9234d2c3d0c058bb01e651e17a1c536178b7a03e5fb1f138dd3df",
+    ],
+}
+
+
+def page_digest(page):
+    text = repr((sorted(page.basis.items()), sorted(page.diff.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("ring", ["F2", "Q"])
 def test_benchmark_input_pages_are_pinned(ring):
-    D = bicomplex(comma_resolution(quillen_functor_corpus()["id2"], 3).bisset, ring)
+    D = id2_resolution(ring)
     for orientation in ("cols", "rows"):
         pages = spectral_sequence(D, orientation=orientation)
         assert [sorted((p, q, d) for (p, q), d in page.dims.items() if d)
                 for page in pages] == ID2_PAGES
+        assert [page_digest(page) for page in pages] == ID2_PAGE_DIGESTS[(ring, orientation)]
         assert check_convergence(pages, total_complex(D)).ok

@@ -98,6 +98,81 @@ def test_validate_catches_range_error():
     rep = validate_sset(X)
     assert not rep.ok
     assert "out of range" in rep.first()
+    # one problem per table, at its first bad simplex, for either end of the range
+    X = SemiSimplicialSet((2, 3), ((), ((0, 1, 2), (1, -1, 0))))
+    assert validate_sset(X).problems == (
+        "level 1 face 0 simplex 2: target 2 out of range",
+        "level 1 face 1 simplex 1: target -1 out of range",
+    )
+
+
+def test_validate_lists_the_first_21_identity_failures():
+    # d_1 on the 2-simplices of the standard 4-simplex, rotated by one
+    X = standard_semi_simplex(4)
+    faces = list(X.faces)
+    faces[2] = (faces[2][0], faces[2][1][1:] + faces[2][1][:1], faces[2][2])
+    rep = validate_sset(SemiSimplicialSet(X.sizes, tuple(faces)))
+    # the list the per-simplex walk produced, in its order, cut at 21
+    assert rep.problems == (
+        "face identity fails at level 2, simplex 0: d_0 d_1 = 3 but d_0 d_0 = 2",
+        "face identity fails at level 2, simplex 1: d_0 d_1 = 4 but d_0 d_0 = 3",
+        "face identity fails at level 2, simplex 2: d_0 d_1 = 3 but d_0 d_0 = 4",
+        "face identity fails at level 2, simplex 3: d_0 d_1 = 4 but d_0 d_0 = 3",
+        "face identity fails at level 2, simplex 5: d_0 d_1 = 3 but d_0 d_0 = 4",
+        "face identity fails at level 2, simplex 6: d_0 d_1 = 4 but d_0 d_0 = 3",
+        "face identity fails at level 2, simplex 9: d_0 d_1 = 2 but d_0 d_0 = 4",
+        "face identity fails at level 2, simplex 5: d_1 d_2 = 0 but d_1 d_1 = 1",
+        "face identity fails at level 2, simplex 8: d_1 d_2 = 1 but d_1 d_1 = 2",
+        "face identity fails at level 2, simplex 9: d_1 d_2 = 2 but d_1 d_1 = 0",
+        "face identity fails at level 3, simplex 0: d_0 d_2 = 5 but d_1 d_0 = 6",
+        "face identity fails at level 3, simplex 2: d_0 d_2 = 6 but d_1 d_0 = 8",
+        "face identity fails at level 3, simplex 3: d_0 d_2 = 8 but d_1 d_0 = 1",
+        "face identity fails at level 3, simplex 4: d_0 d_2 = 8 but d_1 d_0 = 1",
+        "face identity fails at level 3, simplex 1: d_1 d_2 = 2 but d_1 d_1 = 3",
+        "face identity fails at level 3, simplex 2: d_1 d_2 = 2 but d_1 d_1 = 5",
+        "face identity fails at level 3, simplex 3: d_1 d_2 = 3 but d_1 d_1 = 5",
+        "face identity fails at level 3, simplex 4: d_1 d_2 = 6 but d_1 d_1 = 8",
+        "face identity fails at level 3, simplex 0: d_1 d_3 = 2 but d_2 d_1 = 1",
+        "face identity fails at level 3, simplex 1: d_1 d_3 = 2 but d_2 d_1 = 1",
+        "face identity fails at level 3, simplex 2: d_1 d_3 = 3 but d_2 d_1 = 2",
+    )
+
+
+def test_validate_bisset_lists_the_first_20_failures():
+    # three swapped pairs in the square of a 2-simplex and a 3-simplex break
+    # all three identity families, 30 simplex checks in all
+    B = exterior_product(standard_semi_simplex(2), standard_semi_simplex(3))
+    dh = [list(row) for row in B.dh]
+    dv = [list(row) for row in B.dv]
+    for grid, p, q, k in ((dh, 2, 1, 2), (dv, 1, 2, 0), (dh, 2, 2, 1)):
+        cell = list(grid[p][q])
+        cell[k] = (cell[k][1], cell[k][0]) + cell[k][2:]
+        grid[p][q] = tuple(cell)
+    rep = validate_bisset(BiSemiSimplicialSet(B.sizes, tuple(map(tuple, dh)),
+                                              tuple(map(tuple, dv))))
+    # the list the per-simplex walk produced, in its order, cut at 20
+    assert rep.problems == (
+        "horizontal identity fails at (2,1) simplex 0",
+        "horizontal identity fails at (2,1) simplex 1",
+        "horizontal identity fails at (2,1) simplex 0",
+        "horizontal identity fails at (2,1) simplex 1",
+        "horizontal identity fails at (2,2) simplex 0",
+        "horizontal identity fails at (2,2) simplex 1",
+        "horizontal identity fails at (2,2) simplex 0",
+        "horizontal identity fails at (2,2) simplex 1",
+        "vertical identity fails at (1,2) simplex 0",
+        "vertical identity fails at (1,2) simplex 1",
+        "vertical identity fails at (1,3) simplex 0",
+        "vertical identity fails at (1,3) simplex 0",
+        "dh/dv do not commute at (1,2) simplex 0",
+        "dh/dv do not commute at (1,2) simplex 1",
+        "dh/dv do not commute at (1,2) simplex 0",
+        "dh/dv do not commute at (1,2) simplex 1",
+        "dh/dv do not commute at (2,1) simplex 0",
+        "dh/dv do not commute at (2,1) simplex 1",
+        "dh/dv do not commute at (2,2) simplex 0",
+        "dh/dv do not commute at (2,2) simplex 1",
+    )
 
 
 def test_truncation_flag_must_match_levels():
