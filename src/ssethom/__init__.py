@@ -1,9 +1,9 @@
 """Finite semi-simplicial and simplicial sets with exact homological checks.
 
 The package keeps everything finite and exact: levels are indexed 0..N,
-simplices are integers, boundary matrices live over Z (or a prime field when
-asked), and every verification either passes matrix-exactly or reports the
-first place it fails.
+simplices are integers, boundary matrices are integral, a ring (Z, Q or a
+prime field) is named only where homology is read, and every verification
+either passes matrix-exactly or reports the first place it fails.
 
 The submodules are usable on their own; the names re-exported here are the
 ones that show up in nearly every session.

@@ -177,17 +177,17 @@ def _cmd_homology(args) -> int:
     notes = []
     if isinstance(obj, SemiSimplicialSet):
         complete = obj.is_complete
-        make = lambda th: unnormalized_chains(obj, ring, through=th)
+        make = lambda th: unnormalized_chains(obj, through=th)
     else:
         complete = obj.truncated_at is None
-        make = lambda th: normalized_chains(obj, ring, through=th)
+        make = lambda th: normalized_chains(obj, through=th)
     C = make(req + 1) if (req is not None and complete) else make(None)
     top = C.trusted_through if req is None else min(req, C.trusted_through)
     if req is not None and top < req:
         notes.append(f"degrees above {top} are not determined by the truncated input")
     groups = []
     for k in range(top + 1):
-        d = {"degree": k, **homology(C, k).to_dict()}
+        d = {"degree": k, **homology(C, k, ring).to_dict()}
         if ring != "Z":
             r = d["rank"]
             d["pretty"] = "0" if r == 0 else ring if r == 1 else f"{ring}^{r}"
@@ -303,9 +303,9 @@ def _cmd_specseq(args) -> int:
     if ring == "Z":
         raise UsageError("spectral sequences need field coefficients; "
                          "pass --coeff q or --coeff f<p>")
-    D = bicomplex(B, ring)
-    pages = spectral_sequence(D, orientation=args.orientation, R=args.max_page)
-    conv = check_convergence(pages, total_complex(D))
+    D = bicomplex(B)
+    pages = spectral_sequence(D, ring, orientation=args.orientation, R=args.max_page)
+    conv = check_convergence(pages, total_complex(D), ring)
     doc = {
         "command": "specseq",
         "file": args.file,
@@ -381,44 +381,47 @@ _PLAIN_CHECKS = {
 }
 
 
-def _unread_parameter(check_id: str, degree, size) -> str | None:
-    """The name of a given parameter that the check would ignore, if any."""
-    if degree is not None and check_id != "skeletal-shadow":
-        return "degree"
-    if size is not None and check_id != "constant":
-        return "size"
-    return None
+def _check_request(check_id, files: list, cutoff, seed, degree, size) -> None:
+    """Reject a check request on everything that needs no file contents.
 
-
-def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
-    if check_id not in _CHECK_INPUTS:
+    A single check and every entry of a batch pass through here before any
+    check runs, so a bad batch entry stops the batch before its first entry.
+    """
+    if not isinstance(check_id, str) or check_id not in _CHECK_INPUTS:
         known = ", ".join(sorted(_CHECK_INPUTS))
         raise UsageError(f"unknown check {check_id!r} (known: {known})")
-    unread = _unread_parameter(check_id, degree, size)
-    if unread is not None:
-        raise UsageError(f"check {check_id} does not read --{unread}")
+    if degree is not None and check_id != "skeletal-shadow":
+        raise UsageError(f"check {check_id} does not read --degree")
+    if size is not None and check_id != "constant":
+        raise UsageError(f"check {check_id} does not read --size")
     if cutoff is None:
         raise UsageError(f"check {check_id} needs --cutoff")
     if seed is not None:
-        fn = _RANDOM_CHECKS.get(check_id)
-        if fn is None:
+        if check_id not in _RANDOM_CHECKS:
             allowed = ", ".join(sorted(_RANDOM_CHECKS))
             raise UsageError(f"--seed only applies to the randomized checks ({allowed})")
         if files:
             raise UsageError("--seed generates the input; do not pass files with it")
-        return fn(seed, cutoff)
+        return
     kinds, what = _CHECK_INPUTS[check_id]
     if len(files) != len(kinds):
         raise UsageError(f"check {check_id} takes {what}, got {len(files)} file(s)")
+    if check_id == "constant" and size is None:
+        raise UsageError("check constant needs --size")
+    if check_id == "skeletal-shadow" and degree is None:
+        raise UsageError("check skeletal-shadow needs --degree")
+
+
+def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
+    """Run a request that ``_check_request`` accepted."""
+    if seed is not None:
+        return _RANDOM_CHECKS[check_id](seed, cutoff)
+    kinds, what = _CHECK_INPUTS[check_id]
     objs = [_load_checked(f, (k,), what) for f, k in zip(files, kinds)]
     try:
         if check_id == "constant":
-            if size is None:
-                raise UsageError("check constant needs --size")
             return theorems.check_constant(size, cutoff)
         if check_id == "skeletal-shadow":
-            if degree is None:
-                raise UsageError("check skeletal-shadow needs --degree")
             return theorems.check_skeletal_shadow(objs[0], degree, cutoff)
         if check_id in ("ez-diagonal", "products"):
             fn = theorems.check_ez_diagonal if check_id == "ez-diagonal" else theorems.check_products
@@ -443,7 +446,8 @@ def _render_report(d: dict, seconds: float | None = None) -> None:
         _say(f"  note: {n}")
 
 
-_BATCH_KEYS = {"check", "files", "cutoff", "seed", "degree", "size"}
+_BATCH_PARAMS = ("cutoff", "seed", "degree", "size")
+_BATCH_KEYS = {"check", "files", *_BATCH_PARAMS}
 
 
 def _check_batch_items(path: str) -> list:
@@ -460,24 +464,22 @@ def _check_batch_items(path: str) -> list:
         where = f"{path}[{i}]"
         if not isinstance(item, dict) or "check" not in item:
             raise UsageError(f"{where}: each entry is an object with a 'check' field")
-        if not isinstance(item["check"], str) or item["check"] not in _CHECK_INPUTS:
-            known = ", ".join(sorted(_CHECK_INPUTS))
-            raise UsageError(f"{where}: unknown check {item['check']!r} (known: {known})")
         extra = set(item) - _BATCH_KEYS
         if extra:
             raise UsageError(f"{where}: unknown field {sorted(extra)[0]!r}")
         files = item.get("files", [])
         if not isinstance(files, list) or any(not isinstance(f, str) for f in files):
             raise UsageError(f"{where}: 'files' must be an array of paths")
-        for key in ("cutoff", "seed", "degree", "size"):
+        for key in _BATCH_PARAMS:
             v = item.get(key)
             if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
                 raise UsageError(f"{where}: {key} must be an integer")
-            if key in ("cutoff", "degree", "size") and v is not None and v < 0:
+            if key != "seed" and v is not None and v < 0:
                 raise UsageError(f"{where}: {key} must be non-negative")
-        unread = _unread_parameter(item["check"], item.get("degree"), item.get("size"))
-        if unread is not None:
-            raise UsageError(f"{where}: check {item['check']} does not read {unread!r}")
+        try:
+            _check_request(item["check"], files, *(item.get(k) for k in _BATCH_PARAMS))
+        except UsageError as e:
+            raise UsageError(f"{where}: {e}") from None
     return items
 
 
@@ -487,10 +489,12 @@ def _pool_size(jobs: int, items: int) -> int:
 
 
 def _batch_worker(work: tuple) -> dict:
-    item, base = work
+    item, base, where = work
     files = [f if os.path.isabs(f) else os.path.join(base, f) for f in item.get("files", [])]
-    rep = _run_check(item["check"], files, item.get("cutoff"),
-                     item.get("seed"), item.get("degree"), item.get("size"))
+    try:
+        rep = _run_check(item["check"], files, *(item.get(k) for k in _BATCH_PARAMS))
+    except UsageError as e:
+        raise UsageError(f"{where}: {e}") from None
     return rep.to_dict()
 
 
@@ -504,7 +508,7 @@ def _cmd_check(args) -> int:
             raise UsageError(f"--batch takes its parameters from the file, not {given[0]}")
         items = _check_batch_items(args.batch)
         base = os.path.dirname(os.path.abspath(args.batch))
-        work = [(item, base) for item in items]
+        work = [(item, base, f"{args.batch}[{i}]") for i, item in enumerate(items)]
         workers = _pool_size(args.jobs, len(work))
         if workers > 1:
             with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -521,8 +525,9 @@ def _cmd_check(args) -> int:
         raise UsageError("pass a check id or --batch FILE")
     if args.jobs != 1:
         raise UsageError("--jobs only applies to --batch runs")
-    rep = _run_check(args.check_id, args.files, args.cutoff,
-                     args.seed, args.degree, args.size)
+    request = (args.check_id, args.files, args.cutoff, args.seed, args.degree, args.size)
+    _check_request(*request)
+    rep = _run_check(*request)
     _emit(rep.to_dict())
     _render_report(rep.to_dict(), rep.seconds)
     return 0 if rep.verdict == "pass" else 1

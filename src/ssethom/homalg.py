@@ -1,9 +1,13 @@
 """Chain complexes and exact homology over Z, Q, and prime fields.
 
-Boundary matrices always carry integer entries (they come from face tables),
-so every ring reads its ranks off the integer invariant factors of each
-boundary; the ring tag only changes how they are read.  Over Z the answers are
-finitely presented abelian groups, over a field dimensions.
+Assembly is integral.  Chain complexes, chain maps, homotopies and double
+complexes carry integer matrices built from face tables (``_table_matrix``)
+and no ring.  A ring is read only where an answer is read:
+``ChainComplex.boundary_rank``, ``homology`` and ``graded_homology`` take one
+(default Z), and every ring reads its ranks off the same integer invariant
+factors of each boundary.  Over Z the answers are finitely presented abelian
+groups, over a field dimensions.  The spectral sequence (``specseq``) reads
+its field the same way.
 
 The invariant factors come from reduce-then-factor.  Once per complex, free
 unit pairs (a generator and a face hit by +-1, one of them with no other live
@@ -287,7 +291,6 @@ class ChainComplex:
     degree can be trusted).
     """
 
-    ring: str
     dims: tuple[int, ...]
     diffs: tuple[SparseIntMatrix, ...]
     complete: bool = False
@@ -350,16 +353,16 @@ class ChainComplex:
             self._cache[k] = SmithForm((1,) * pairs[k] + s.factors, pairs[k] + s.rank, None, None)
         return self._cache[k]
 
-    def boundary_rank(self, k: int) -> int:
-        """Rank of d_k over the complex's ring, read off its integer Smith form.
+    def boundary_rank(self, k: int, ring: str = "Z") -> int:
+        """Rank of d_k over ``ring``, read off its integer Smith form.
 
         Over Z and Q that is the number of invariant factors; over F_p it is
         the number of them that p does not divide.
         """
+        p = ring_prime(parse_ring(ring))
         if k <= 0 or k > self.top_degree:
             return 0
         factors = self._smith(k).factors
-        p = ring_prime(self.ring)
         return len(factors) if p is None else sum(1 for d in factors if d % p)
 
     def euler_characteristic(self) -> int:
@@ -368,35 +371,31 @@ class ChainComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.dims))
 
 
-def make_chain_complex(ring: str, dims, boundaries, complete: bool = False) -> ChainComplex:
+def make_chain_complex(dims, boundaries, complete: bool = False) -> ChainComplex:
     """boundaries[k-1] is d_k for k = 1..top (the degree-0 slot is implied)."""
     dims = tuple(dims)
     diffs = (SparseIntMatrix.zero(0, dims[0]),) + tuple(boundaries)
-    return ChainComplex(parse_ring(ring), dims, diffs, complete)
+    return ChainComplex(dims, diffs, complete)
 
 
-def homology(C: ChainComplex, k: int) -> FPAbelianGroup:
-    """H_k as a group (over a field: just a rank)."""
+def homology(C: ChainComplex, k: int, ring: str = "Z") -> FPAbelianGroup:
+    """H_k over ``ring`` as a group (over a field: just a rank)."""
+    ring = parse_ring(ring)
     if not (0 <= k <= C.top_degree):
         raise ValueError(f"degree {k} outside the listed range")
-    cycles = C.dim(k) - C.boundary_rank(k)
-    if k == C.top_degree and not C.complete:
-        # boundaries from above are unknown; report the cycle count, callers
-        # gate on trusted_through
-        rank_above = 0
-        torsion: tuple[int, ...] = ()
-    elif k == C.top_degree:
-        rank_above = 0
-        torsion = ()
-    else:
-        rank_above = C.boundary_rank(k + 1)
-        torsion = tuple(d for d in C._smith(k + 1).factors if d > 1) if C.ring == "Z" else ()
-    return FPAbelianGroup(cycles - rank_above, torsion)
+    cycles = C.dim(k) - C.boundary_rank(k, ring)
+    if k == C.top_degree:
+        # nothing above is listed: a complete complex is zero there, a
+        # truncated one is unknown; report the cycle count, callers gate on
+        # trusted_through
+        return FPAbelianGroup(cycles)
+    torsion = tuple(d for d in C._smith(k + 1).factors if d > 1) if ring == "Z" else ()
+    return FPAbelianGroup(cycles - C.boundary_rank(k + 1, ring), torsion)
 
 
-def graded_homology(C: ChainComplex, through: int | None = None):
+def graded_homology(C: ChainComplex, through: int | None = None, ring: str = "Z"):
     top = C.top_degree if through is None else min(through, C.top_degree)
-    return tuple(homology(C, k) for k in range(top + 1))
+    return tuple(homology(C, k, ring) for k in range(top + 1))
 
 
 def acyclic_through(C: ChainComplex, d: int):
@@ -414,7 +413,21 @@ def acyclic_through(C: ChainComplex, d: int):
 # -- chains of semi-simplicial and simplicial sets -----------------------------
 
 
-def unnormalized_chains(X: SemiSimplicialSet, ring: str, through: int | None = None) -> ChainComplex:
+def _table_matrix(rows: int, cols: int, tables, signs=None) -> SparseIntMatrix:
+    """Sum over i of signs[i] times the 0/1 matrix sending column s to row
+    tables[i][s]; ``signs`` defaults to (-1)^i, the alternating face sum.
+
+    Entries are taken table by table, then column by column, as
+    ``from_entries`` takes them: that fixes the row and column order, which
+    ``_free_pair_reduction``'s worklist follows.
+    """
+    if signs is None:
+        signs = [-1 if i % 2 else 1 for i in range(len(tables))]
+    return SparseIntMatrix.from_entries(
+        rows, cols, ((tab[s], s, sign) for tab, sign in zip(tables, signs) for s in range(cols)))
+
+
+def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> ChainComplex:
     """One generator per simplex, d = sum of signed faces."""
     listed = len(X.sizes) - 1
     if through is None:
@@ -427,20 +440,13 @@ def unnormalized_chains(X: SemiSimplicialSet, ring: str, through: int | None = N
         dims = X.sizes[:through + 1]
     if not dims:
         dims = (0,)
-    boundaries = []
-    for k in range(1, len(dims)):
-        entries = []
-        for i in range(k + 1):
-            sign = -1 if i % 2 else 1
-            if k <= listed:
-                tab = X.faces[k][i]
-                entries.extend((tab[s], s, sign) for s in range(dims[k]))
-        boundaries.append(SparseIntMatrix.from_entries(dims[k - 1], dims[k], entries))
+    boundaries = [_table_matrix(dims[k - 1], dims[k], X.faces[k] if k <= listed else ())
+                  for k in range(1, len(dims))]
     complete = X.is_complete and through >= (X.top_dim if X.top_dim is not None else -1)
-    return make_chain_complex(ring, dims, boundaries, complete)
+    return make_chain_complex(dims, boundaries, complete)
 
 
-def normalized_chains(Y: SimplicialSet, ring: str, through: int | None = None) -> ChainComplex:
+def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComplex:
     """One generator per nondegenerate simplex; degenerate faces are dropped."""
     listed = len(Y.gen_sizes) - 1
     if through is None:
@@ -466,22 +472,19 @@ def normalized_chains(Y: SimplicialSet, ring: str, through: int | None = None) -
                         entries.append((ref.gen, g, sign))
         boundaries.append(SparseIntMatrix.from_entries(dims[k - 1], dims[k], entries))
     complete = Y.truncated_at is None and through >= Y.top_generator_degree
-    return make_chain_complex(ring, dims, boundaries, complete)
+    return make_chain_complex(dims, boundaries, complete)
 
 
-def augmented_complex(X: SemiSimplicialSet, aug_size: int, aug, ring: str,
+def augmented_complex(X: SemiSimplicialSet, aug_size: int, aug,
                       through: int | None = None) -> ChainComplex:
     """Shift degrees up by one and glue the augmentation at the bottom.
 
     Degree 0 is the augmentation set, degree k+1 is X_k, and d_1 is the
     augmentation table.
     """
-    base = unnormalized_chains(X, ring, through)
-    dims = (aug_size,) + base.dims
-    d1 = SparseIntMatrix.from_entries(aug_size, base.dims[0],
-                                      ((aug[s], s, 1) for s in range(base.dims[0])))
-    boundaries = [d1] + [base.diffs[k] for k in range(1, len(base.dims))]
-    return make_chain_complex(ring, dims, boundaries, base.complete)
+    base = unnormalized_chains(X, through)
+    d1 = _table_matrix(aug_size, base.dims[0], [aug], [1])
+    return make_chain_complex((aug_size,) + base.dims, (d1,) + base.diffs[1:], base.complete)
 
 
 # -- chain maps ----------------------------------------------------------------
@@ -506,21 +509,15 @@ class ChainMap:
                 raise ValueError(f"does not commute with the boundary in degree {k}")
 
 
-def chain_map_from_sset_map(f: SSetMap, ring: str, through: int | None = None) -> ChainMap:
-    src = unnormalized_chains(f.source, ring, through)
-    tgt = unnormalized_chains(f.target, ring, through)
-    mats = []
-    for k in range(len(src.dims)):
-        if k < len(f.tables):
-            entries = ((f.tables[k][s], s, 1) for s in range(src.dims[k]))
-        else:
-            entries = ()
-        mats.append(SparseIntMatrix.from_entries(tgt.dims[k], src.dims[k], entries))
-    return ChainMap(src, tgt, tuple(mats))
+def chain_map_from_sset_map(f: SSetMap, through: int | None = None) -> ChainMap:
+    src = unnormalized_chains(f.source, through)
+    tgt = unnormalized_chains(f.target, through)
+    return ChainMap(src, tgt, tuple(_table_matrix(tgt.dims[k], src.dims[k], f.tables[k:k + 1], [1])
+                                    for k in range(len(src.dims))))
 
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if g.source.dims != f.target.dims or g.source.ring != f.target.ring:
+    if g.source.dims != f.target.dims:
         raise ValueError("composition endpoints do not match")
     return ChainMap(f.source, g.target,
                     tuple(g.mats[k].mul(f.mats[k]) for k in range(len(f.mats))))
@@ -533,15 +530,15 @@ def truncate_complex(C: ChainComplex, top: int) -> ChainComplex:
     dims = tuple(C.dim(k) for k in range(top + 1))
     boundaries = [C.boundary(k) for k in range(1, top + 1)]
     complete = C.complete and top >= C.top_degree
-    return make_chain_complex(C.ring, dims, boundaries, complete)
+    return make_chain_complex(dims, boundaries, complete)
 
 
-def normalization_projection(enum: Enumeration, ring: str) -> ChainMap:
+def normalization_projection(enum: Enumeration) -> ChainMap:
     """The chain projection from all listed simplices onto the nondegenerate
     generators (degenerate simplices map to zero)."""
     top = len(enum.sset.sizes) - 1
-    src = unnormalized_chains(enum.sset, ring)
-    tgt = normalized_chains(enum.space, ring, through=top)
+    src = unnormalized_chains(enum.sset)
+    tgt = normalized_chains(enum.space, through=top)
     mats = []
     for k in range(top + 1):
         entries = [(ref.gen, s, 1) for s, ref in enumerate(enum.refs[k]) if not ref.word]
@@ -552,8 +549,6 @@ def normalization_projection(enum: Enumeration, ring: str) -> ChainMap:
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone_n = src_{n-1} + tgt_n with d(a, b) = (-da, f a + db)."""
     src, tgt = f.source, f.target
-    if src.ring != tgt.ring:
-        raise ValueError("mixed rings in mapping cone")
     S, T = src.top_degree, tgt.top_degree
     if src.complete and tgt.complete:
         top = max(S + 1, T)
@@ -582,7 +577,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
             blocks,
             [src.dim(n - 2), tgt.dim(n - 1)],
             [src.dim(n - 1), tgt.dim(n)]))
-    return make_chain_complex(src.ring, dims, boundaries, complete)
+    return make_chain_complex(dims, boundaries, complete)
 
 
 # -- homology with coordinates (over Z) -----------------------------------------
@@ -634,8 +629,6 @@ class HomologyCoordinates:
 
 
 def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
-    if C.ring != "Z":
-        raise ValueError("canonical coordinates are computed over Z")
     if k == C.top_degree and not C.complete:
         raise ValueError("homology at the top of a truncated complex is not trusted")
     kb = kernel_basis(C.boundary(k))
@@ -709,61 +702,43 @@ def check_chain_homotopy(h: ChainHomotopy) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def _table_matrix(rows: int, cols: int, table) -> SparseIntMatrix:
-    return SparseIntMatrix.from_entries(rows, cols, ((table[s], s, 1) for s in range(cols)))
-
-
-def chain_homotopy_from_certificate(cert: HomotopyCertificate, ring: str) -> ChainHomotopy:
+def chain_homotopy_from_certificate(cert: HomotopyCertificate) -> ChainHomotopy:
     """Turn a simplex-level certificate into signed chain-level matrices.
 
     The identities verified by check_certificate make the result satisfy
     dP + Pd = to - from on the nose; check_chain_homotopy confirms it
     matrix-exactly.
     """
-    ring = parse_ring(ring)
     if cert.kind in ("extra-degeneracy-h", "extra-degeneracy-g"):
         X = cert.space
         L = len(cert.up)
-        A = augmented_complex(X, cert.aug_size, cert.aug, ring, through=L)
+        A = augmented_complex(X, cert.aug_size, cert.aug, through=L)
         # degree k of A is level k-1 of X; P_0 is the section of the augmentation
-        P = [_table_matrix(A.dims[1], A.dims[0], cert.h0)]
-        for k in range(1, L + 1):
-            m = _table_matrix(A.dims[k + 1], A.dims[k], cert.up[k - 1])
-            if cert.kind == "extra-degeneracy-h" and k % 2:
-                m = m.scale(-1)
-            P.append(m)
+        odd = -1 if cert.kind == "extra-degeneracy-h" else 1
+        P = [_table_matrix(A.dims[1], A.dims[0], [cert.h0], [1])]
+        P += [_table_matrix(A.dims[k + 1], A.dims[k], [cert.up[k - 1]], [odd if k % 2 else 1])
+              for k in range(1, L + 1)]
         ident = tuple(SparseIntMatrix.identity(n) for n in A.dims)
         zero = tuple(SparseIntMatrix.zero(n, n) for n in A.dims)
         return ChainHomotopy(A, A, zero, ident, tuple(P), through=L)
 
     if cert.kind == "nullhomotopy":
-        fmap = chain_map_from_sset_map(cert.f, ring)
+        fmap = chain_map_from_sset_map(cert.f)
         src, tgt = fmap.source, fmap.target
         L = len(cert.up)
-        P = []
-        for k in range(L):
-            m = _table_matrix(tgt.dims[k + 1], src.dims[k], cert.up[k])
-            if k % 2 == 0:
-                m = m.scale(-1)  # (-1)^{k+1}
-            P.append(m)
+        P = [_table_matrix(tgt.dims[k + 1], src.dims[k], [cert.up[k]], [(-1) ** (k + 1)])
+             for k in range(L)]
         const = [SparseIntMatrix.zero(tgt.dims[k], src.dims[k]) for k in range(len(src.dims))]
-        const[0] = SparseIntMatrix.from_entries(
-            tgt.dims[0], src.dims[0],
-            ((cert.base_vertex, s, 1) for s in range(src.dims[0])))
+        const[0] = _table_matrix(tgt.dims[0], src.dims[0], [(cert.base_vertex,) * src.dims[0]], [1])
         return ChainHomotopy(src, tgt, tuple(const), fmap.mats, tuple(P), through=L - 1)
 
     if cert.kind == "homotopy":
-        fmap = chain_map_from_sset_map(cert.f, ring)
-        gmap = chain_map_from_sset_map(cert.g, ring)
+        fmap = chain_map_from_sset_map(cert.f)
+        gmap = chain_map_from_sset_map(cert.g)
         src, tgt = fmap.source, fmap.target
         T = len(cert.tri) - 1
-        P = []
-        for k in range(T + 1):
-            m = SparseIntMatrix.zero(tgt.dims[k + 1], src.dims[k])
-            for i, tab in enumerate(cert.tri[k]):
-                term = _table_matrix(tgt.dims[k + 1], src.dims[k], tab)
-                m = m.add(term.scale(-1 if i % 2 == 0 else 1))  # (-1)^{i+1}
-            P.append(m)
+        P = [_table_matrix(tgt.dims[k + 1], src.dims[k], cert.tri[k]).scale(-1)  # (-1)^{i+1}
+             for k in range(T + 1)]
         return ChainHomotopy(src, tgt, fmap.mats, gmap.mats, tuple(P), through=T)
 
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
@@ -780,7 +755,6 @@ class DoubleComplex:
     introduces the (-1)^p twist on the vertical direction.
     """
 
-    ring: str
     sizes: tuple[tuple[int, ...], ...]
     dh: tuple[tuple[SparseIntMatrix, ...], ...]
     dv: tuple[tuple[SparseIntMatrix, ...], ...]
@@ -801,38 +775,14 @@ class DoubleComplex:
         return len(self.sizes[0]) if self.sizes else 0
 
 
-def bicomplex(B: BiSemiSimplicialSet, ring: str) -> DoubleComplex:
+def bicomplex(B: BiSemiSimplicialSet) -> DoubleComplex:
     """Signed row and column boundaries of a bi-semi-simplicial set."""
-    ring = parse_ring(ring)
     P, Q = B.p_levels, B.q_levels
-    dh = []
-    dv = []
-    for p in range(P):
-        dh_row = []
-        dv_row = []
-        for q in range(Q):
-            n = B.size(p, q)
-            if p == 0:
-                dh_row.append(SparseIntMatrix.zero(0, n))
-            else:
-                entries = []
-                for i in range(p + 1):
-                    sign = -1 if i % 2 else 1
-                    tab = B.dh[p][q][i]
-                    entries.extend((tab[s], s, sign) for s in range(n))
-                dh_row.append(SparseIntMatrix.from_entries(B.size(p - 1, q), n, entries))
-            if q == 0:
-                dv_row.append(SparseIntMatrix.zero(0, n))
-            else:
-                entries = []
-                for j in range(q + 1):
-                    sign = -1 if j % 2 else 1
-                    tab = B.dv[p][q][j]
-                    entries.extend((tab[s], s, sign) for s in range(n))
-                dv_row.append(SparseIntMatrix.from_entries(B.size(p, q - 1), n, entries))
-        dh.append(tuple(dh_row))
-        dv.append(tuple(dv_row))
-    return DoubleComplex(ring, B.sizes, tuple(dh), tuple(dv),
+    dh = tuple(tuple(_table_matrix(B.size(p - 1, q) if p else 0, B.size(p, q),
+                                   B.dh[p][q] if p else ()) for q in range(Q)) for p in range(P))
+    dv = tuple(tuple(_table_matrix(B.size(p, q - 1) if q else 0, B.size(p, q),
+                                   B.dv[p][q] if q else ()) for q in range(Q)) for p in range(P))
+    return DoubleComplex(B.sizes, dh, dv,
                          complete_p=B.trunc_p is None, complete_q=B.trunc_q is None)
 
 
@@ -841,8 +791,6 @@ def tensor_double_complex(A: ChainComplex, Bc: ChainComplex) -> DoubleComplex:
 
     Basis pairs are ordered a * dim(B_q) + b, matching exterior_product.
     """
-    if A.ring != Bc.ring:
-        raise ValueError("mixed rings in tensor product")
     P, Q = len(A.dims), len(Bc.dims)
     sizes = tuple(tuple(A.dims[p] * Bc.dims[q] for q in range(Q)) for p in range(P))
     dh = []
@@ -871,7 +819,7 @@ def tensor_double_complex(A: ChainComplex, Bc: ChainComplex) -> DoubleComplex:
                 dv_row.append(SparseIntMatrix.from_entries(na * nbm, na * nb, entries))
         dh.append(tuple(dh_row))
         dv.append(tuple(dv_row))
-    return DoubleComplex(A.ring, sizes, tuple(dh), tuple(dv),
+    return DoubleComplex(sizes, tuple(dh), tuple(dv),
                          complete_p=A.complete, complete_q=Bc.complete)
 
 
@@ -928,7 +876,7 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
                     entries.append((poff + r, off + c, sign * v))
         boundaries.append(SparseIntMatrix.from_entries(dims[n - 1], dims[n], entries))
     complete = D.complete_p and D.complete_q
-    C = make_chain_complex(D.ring, dims, boundaries, complete)
+    C = make_chain_complex(dims, boundaries, complete)
     return TotalComplex(C, tuple(layout))
 
 
@@ -955,15 +903,15 @@ def back_face(X: SemiSimplicialSet, n: int, q: int, s: int) -> int:
     return cur
 
 
-def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet, ring: str,
+def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet,
                       through: int | None = None) -> tuple[ChainMap, TotalComplex]:
     """AW: C(diagonal of X x Y) -> Tot(C X (x) C Y), front face tensor back face."""
     from .sset import diagonal as _diag, exterior_product as _ext
 
     diag = _diag(_ext(X, Y))
-    src = unnormalized_chains(diag, ring, through)
+    src = unnormalized_chains(diag, through)
     tot = total_complex(tensor_double_complex(
-        unnormalized_chains(X, ring, through), unnormalized_chains(Y, ring, through)))
+        unnormalized_chains(X, through), unnormalized_chains(Y, through)))
     n_max = min(src.top_degree, tot.complex.top_degree)
     mats = []
     for n in range(len(src.dims)):

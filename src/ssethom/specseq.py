@@ -1,5 +1,8 @@
 """Spectral sequence of a double complex over a prime field or the rationals.
 
+The double complex is integral; the field is an argument of
+``spectral_sequence`` and ``check_convergence``, parsed there.
+
 Filtration by columns: F_p of the total complex spans the blocks with first
 index <= p.  Pages come from explicit subspace chains
 
@@ -33,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homalg import DoubleComplex, TotalComplex, ring_prime, total_complex
+from .homalg import DoubleComplex, TotalComplex, parse_ring, ring_prime, total_complex
 
 
 # -- sparse linear algebra over Q or F_p ----------------------------------------
@@ -198,15 +201,15 @@ def transpose_double_complex(D: DoubleComplex) -> DoubleComplex:
     sizes = tuple(tuple(D.sizes[p][q] for p in range(P)) for q in range(Q))
     dh = tuple(tuple(D.dv[p][q] for p in range(P)) for q in range(Q))
     dv = tuple(tuple(D.dh[p][q] for p in range(P)) for q in range(Q))
-    return DoubleComplex(D.ring, sizes, dh, dv, D.complete_q, D.complete_p)
+    return DoubleComplex(sizes, dh, dv, D.complete_q, D.complete_p)
 
 
 class _Filtration:
     """Scratch for one orientation: total complex, block offsets, Z^r chains."""
 
-    def __init__(self, D: DoubleComplex):
+    def __init__(self, D: DoubleComplex, p: int | None):
         self.T = total_complex(D)
-        self.p = ring_prime(D.ring)
+        self.p = p
         self.P = D.p_levels
         self.Q = D.q_levels
         self.offsets = {}
@@ -275,14 +278,21 @@ class _Filtration:
         return [{off + j: x for j, x in k.items()} for k in _nullspace(images, self.p)]
 
 
-def spectral_sequence(D: DoubleComplex, orientation: str = "cols", R: int = 12) -> list[SSPage]:
-    """Pages E^0 .. E^stable (or E^R, whichever comes first)."""
+def _field_prime(ring: str) -> int | None:
+    """The characteristic of the field ``ring`` names, None for Q."""
+    ring = parse_ring(ring)
+    if ring == "Z":
+        raise ValueError("spectral sequences need field coefficients (Q or Fp)")
+    return ring_prime(ring)
+
+
+def spectral_sequence(D: DoubleComplex, ring: str, orientation: str = "cols",
+                      R: int = 12) -> list[SSPage]:
+    """Pages E^0 .. E^stable (or E^R, whichever comes first) over the field ``ring``."""
     if orientation not in ("cols", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if ring_prime(D.ring) is None and D.ring != "Q":
-        raise ValueError("spectral sequence needs field coefficients (Q or Fp)")
     work = transpose_double_complex(D) if orientation == "rows" else D
-    filt = _Filtration(work)
+    filt = _Filtration(work, _field_prime(ring))
     stable = max(1, min(filt.P, filt.Q + 1))
 
     pages = []
@@ -347,11 +357,10 @@ def _page(filt: _Filtration, r: int, orientation: str,
     return SSPage(r, orientation, dims, basis, diff), reps
 
 
-def check_convergence(pages: list[SSPage], T: TotalComplex) -> ConvergenceReport:
-    """Sum of stable-page dimensions per total degree against dim H(Tot)."""
-    ring = T.complex.ring
-    if ring_prime(ring) is None and ring != "Q":
-        raise ValueError("convergence check needs field coefficients (Q or Fp)")
+def check_convergence(pages: list[SSPage], T: TotalComplex, ring: str) -> ConvergenceReport:
+    """Sum of stable-page dimensions per total degree against dim H(Tot) over
+    the field ``ring``."""
+    _field_prime(ring)
     last = pages[-1]
     problems = []
     grid = pages[0].dims
@@ -367,8 +376,8 @@ def check_convergence(pages: list[SSPage], T: TotalComplex) -> ConvergenceReport
     degrees = []
     for n in range(T.complex.trusted_through + 1):
         total = sum(d for (p, q), d in last.dims.items() if p + q == n)
-        dim_h = (T.complex.dim(n) - T.complex.boundary_rank(n)
-                 - T.complex.boundary_rank(n + 1))
+        dim_h = (T.complex.dim(n) - T.complex.boundary_rank(n, ring)
+                 - T.complex.boundary_rank(n + 1, ring))
         degrees.append((n, total, dim_h))
         if total != dim_h:
             problems.append(f"degree {n}: E-infinity total {total} != dim H {dim_h}")

@@ -52,9 +52,6 @@ class SemiSimplicialSet:
     def is_complete(self) -> bool:
         return self.top_dim is not None
 
-    def level_count(self) -> int:
-        return len(self.sizes)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -489,9 +486,6 @@ class SimplicialSet:
     gen_faces: tuple[tuple[tuple[SimplexRef, ...], ...], ...]
     truncated_at: int | None = None
 
-    def gen_face(self, q: int, i: int, g: int) -> SimplexRef:
-        return self.gen_faces[q][i][g]
-
     def generator(self, q: int, g: int) -> SimplexRef:
         return SimplexRef((), q, g)
 
@@ -665,17 +659,7 @@ def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
 
 def standard_simplicial_simplex(n: int) -> SimplicialSet:
     """The simplicial n-simplex: nondegenerate part is the semi-simplicial one."""
-    return free_of_standard(n)
-
-
-def free_of_standard(n: int) -> SimplicialSet:
-    base = standard_semi_simplex(n)
-    gen_faces = [()]
-    for q in range(1, n + 1):
-        gen_faces.append(tuple(
-            tuple(SimplexRef((), q - 1, base.face(q, i, s)) for s in range(base.sizes[q]))
-            for i in range(q + 1)))
-    return SimplicialSet(base.sizes, tuple(gen_faces))
+    return free_degeneracies(standard_semi_simplex(n))
 
 
 def simplex_ref_to_monotone(n: int, ref: SimplexRef) -> tuple[int, ...]:

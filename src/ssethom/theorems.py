@@ -178,7 +178,7 @@ def check_adj_units(X: SemiSimplicialSet, N: int) -> CheckReport:
             notes.append(f"enumerated through {n_eff} to cover all listed levels")
     trusted = min(N, n_eff) - 1
     f, _ = unit_map(X, n_eff)
-    fc = chain_map_from_sset_map(f, "Z")
+    fc = chain_map_from_sset_map(f)
     items = [_cone_item("unit map is a homology isomorphism", fc, trusted)]
     return _finish("adj-units", N, trusted, items, [], notes, t0)
 
@@ -201,7 +201,7 @@ def check_fat_thin(Y: SimplicialSet, N: int) -> CheckReport:
         n_eff = Y.truncated_at
         notes.append(f"input truncated at {n_eff}; range clamped from cutoff {N}")
     trusted = n_eff - 1
-    proj = normalization_projection(enumerate_simplicial(Y, n_eff), "Z")
+    proj = normalization_projection(enumerate_simplicial(Y, n_eff))
     items = [_cone_item("normalization projection is a homology isomorphism",
                         proj, trusted)]
     return _finish("fat-thin", N, trusted, items, [], notes, t0)
@@ -232,7 +232,7 @@ def check_ez_diagonal(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport
     n_eff = _clamped_level(N, X, Y, notes=notes)
     ex = enumerate_simplicial(X, n_eff).sset
     ey = enumerate_simplicial(Y, n_eff).sset
-    aw, tot = alexander_whitney(ex, ey, "Z")
+    aw, tot = alexander_whitney(ex, ey)
     diag_h = graded_homology(aw.source, through=max(n_eff - 2, -1))
     comparisons = [GroupComparison(n, diag_h[n], homology(tot.complex, n))
                    for n in range(n_eff - 1)]
@@ -255,9 +255,9 @@ def check_products(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport:
     t0 = time.perf_counter()
     notes = []
     n_eff = _clamped_level(N, X, Y, notes=notes)
-    prod = unnormalized_chains(interior_product(X, Y, n_eff), "Z")
-    hx = graded_homology(normalized_chains(X, "Z", through=n_eff))
-    hy = graded_homology(normalized_chains(Y, "Z", through=n_eff))
+    prod = unnormalized_chains(interior_product(X, Y, n_eff))
+    hx = graded_homology(normalized_chains(X, through=n_eff))
+    hy = graded_homology(normalized_chains(Y, through=n_eff))
     comparisons = [GroupComparison(n, homology(prod, n), kunneth_oracle(hx, hy, n))
                    for n in range(n_eff)]
     return _finish("products", N, n_eff - 1, [], comparisons, notes, t0)
@@ -270,7 +270,7 @@ def check_krannich(C: FinNonUnitalCategory, N: int) -> CheckReport:
     """Freely adjoining units does not change nerve homology in trusted degrees."""
     t0 = time.perf_counter()
     f = nerve_unitalize_inclusion(C, N)
-    fc = chain_map_from_sset_map(f, "Z")
+    fc = chain_map_from_sset_map(f)
     items = [_cone_item("nerve of C -> nerve of C with units adjoined", fc, N - 1)]
     return _finish("krannich", N, N - 1, items, [], [], t0)
 
@@ -311,11 +311,11 @@ def check_terminal_contractible(C: FinNonUnitalCategory, N: int) -> CheckReport:
     items = [CheckItem(f"terminal object found at index {t}", True),
              CheckItem("prism certificate for id => constant",
                        cert_rep.ok, "; ".join(cert_rep.problems))]
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     hom_rep = check_chain_homotopy(h)
     items.append(CheckItem("prism chain homotopy between identity and constant, matrix-exact",
                            hom_rep.ok, "; ".join(hom_rep.problems)))
-    groups = graded_homology(unnormalized_chains(nerve(C, N).sset, "Z"),
+    groups = graded_homology(unnormalized_chains(nerve(C, N).sset),
                              through=N - 1)
     comparisons = _point_comparisons(groups, N - 1)
     return _finish("terminal-contractible", N, N - 1, items, comparisons, [], t0)
@@ -339,7 +339,7 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
     hypothesis_ok = True
     for b in range(D.n_objects):
         groups = graded_homology(
-            unnormalized_chains(nerve(comma_under_object(F, b), N).sset, "Z"),
+            unnormalized_chains(nerve(comma_under_object(F, b), N).sset),
             through=N - 1)
         bad = [(k, g) for k, g in enumerate(groups)
                if g != (_POINT if k == 0 else _ZERO)]
@@ -363,14 +363,14 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
         bad = []
         for b in range(n_chains):
             groups = graded_homology(
-                unnormalized_chains(eta_fiber(res, q, b), "Z"), through=N - 1)
+                unnormalized_chains(eta_fiber(res, q, b)), through=N - 1)
             for k, g in enumerate(groups):
                 if g != (_POINT if k == 0 else _ZERO):
                     bad.append(f"chain {b}: H_{k} = {g}")
         items.append(CheckItem(f"target-nerve fibers over {q}-chains have point homology",
                                not bad, "; ".join(bad)))
 
-    fc = chain_map_from_sset_map(nerve_map(F, N), "Z")
+    fc = chain_map_from_sset_map(nerve_map(F, N))
     items.append(_cone_item("nerve map of the functor", fc, N - 2))
     return _finish("quillen-a", N, N - 2, items, [], notes, t0)
 
@@ -379,12 +379,10 @@ def _resolution_models(F: FunctorData, N: int):
     """The two edge projections of the comma resolution as chain maps out of
     the truncated total complex, plus the shared target complexes."""
     res = comma_resolution(F, N)
-    tot = total_complex(bicomplex(res.bisset, "Z"))
+    tot = total_complex(bicomplex(res.bisset))
     T = truncate_complex(tot.complex, N)
-    CC = unnormalized_chains(res.c_nerve.sset, "Z")
-    CD = unnormalized_chains(nerve(F.target, N).sset, "Z")
-
-    from .snf import SparseIntMatrix
+    CC = unnormalized_chains(res.c_nerve.sset)
+    CD = unnormalized_chains(nerve(F.target, N).sset)
 
     eps_mats = []
     eta_mats = []
@@ -407,7 +405,7 @@ def check_resolution_triangle(F: FunctorData, N: int) -> CheckReport:
     homology once one is pushed through the functor's nerve map."""
     t0 = time.perf_counter()
     eps_model, eta_model, CD = _resolution_models(F, N)
-    nf = chain_map_from_sset_map(nerve_map(F, N), "Z")
+    nf = chain_map_from_sset_map(nerve_map(F, N))
     composite = compose_chain_maps(nf, eps_model)
     items = []
     for n in range(max(N - 1, 0)):
@@ -435,7 +433,7 @@ def check_bar_acyclic(M: FinMonoid, N: int) -> CheckReport:
     cert_rep = check_certificate(cert)
     items = [CheckItem("extra degeneracy certificate", cert_rep.ok,
                        "; ".join(cert_rep.problems))]
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     hom_rep = check_chain_homotopy(h)
     items.append(CheckItem("contraction identity dP + Pd = id, matrix-exact",
                            hom_rep.ok, "; ".join(hom_rep.problems)))
@@ -528,14 +526,14 @@ def group_completion_report(M: FinMonoid, N: int) -> CheckReport:
     notes = []
     if M.is_table:
         bm = graded_homology(
-            unnormalized_chains(nerve(monoid_as_category(M), N).sset, "Z"),
+            unnormalized_chains(nerve(monoid_as_category(M), N).sset),
             through=N - 1)
         if G.rank:
             notes.append("completion is infinite; classifying-space comparison skipped")
         else:
             completion = _cyclic_product_monoid(G.torsion)
             bg = graded_homology(
-                unnormalized_chains(nerve(monoid_as_category(completion), N).sset, "Z"),
+                unnormalized_chains(nerve(monoid_as_category(completion), N).sset),
                 through=N - 1)
             comparisons = [GroupComparison(k, bm[k], bg[k]) for k in range(N)]
         if N >= 2:
@@ -588,7 +586,7 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
     notes = []
     if X.truncated_at is None:
         n_eff = n
-        fc = chain_map_from_sset_map(skeleton_inclusion(X, n), "Z", through=n + 1)
+        fc = chain_map_from_sset_map(skeleton_inclusion(X, n), through=n + 1)
     else:
         n_eff = min(n, X.truncated_at - 1)
         if n_eff < n:
@@ -596,7 +594,7 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
                          f"skeleton degree clamped from {n} to {n_eff}")
         if n_eff < 0:
             return _finish("skeletal-shadow", N, -1, [], [], notes, t0)
-        fc = chain_map_from_sset_map(skeleton_inclusion(X, n_eff), "Z")
+        fc = chain_map_from_sset_map(skeleton_inclusion(X, n_eff))
     items = [_cone_item(f"{n_eff}-skeleton inclusion", fc, n_eff)]
     cols, _, tgt_co = induced_map_on_homology(fc, n_eff)
     onto = _induced_is_onto(cols, tgt_co)
@@ -627,7 +625,7 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
     cert_rep = check_certificate(cert)
     items.append(CheckItem("path space extra degeneracy", cert_rep.ok,
                            "; ".join(cert_rep.problems)))
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     hom_rep = check_chain_homotopy(h)
     items.append(CheckItem("path space contraction, matrix-exact", hom_rep.ok,
                            "; ".join(hom_rep.problems)))
@@ -645,7 +643,7 @@ def check_constant(size: int, N: int) -> CheckReport:
     homology: free in degree zero, nothing above."""
     t0 = time.perf_counter()
     X = constant_sset(size, N)
-    groups = graded_homology(unnormalized_chains(X, "Z"), through=N - 1)
+    groups = graded_homology(unnormalized_chains(X), through=N - 1)
     comparisons = [GroupComparison(k, groups[k],
                                    FPAbelianGroup(size) if k == 0 else _ZERO)
                    for k in range(min(N - 1, len(groups) - 1) + 1)]

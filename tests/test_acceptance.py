@@ -44,7 +44,7 @@ ZERO = FPAbelianGroup(0)
 
 
 def groups(X, through=None):
-    return graded_homology(unnormalized_chains(X, "Z"), through=through)
+    return graded_homology(unnormalized_chains(X), through=through)
 
 
 def test_criterion_01_classical_homology():
@@ -94,7 +94,7 @@ def test_criterion_04_diagonal_is_weak_equivalence():
     s1 = standard_semi_simplex(1)
     B = exterior_product(s1, s1)
     assert euler_characteristic(diagonal(B)) == 3
-    tot = total_complex(bicomplex(B, "Z")).complex
+    tot = total_complex(bicomplex(B)).complex
     assert graded_homology(tot) == (Z, ZERO, ZERO)
 
 
@@ -152,31 +152,31 @@ def test_criterion_09_spectral_sequence_pages():
     corpus = sset_corpus()
     interval, circle = corpus["interval"], corpus["circle"]
 
-    D = bicomplex(exterior_product(interval, interval), "F2")
-    pages = spectral_sequence(D)
+    D = bicomplex(exterior_product(interval, interval))
+    pages = spectral_sequence(D, "F2")
     for page in pages:
         if page.r >= 2:
             assert {k: v for k, v in page.dims.items() if v} == {(0, 0): 1}
     assert {k: v for k, v in pages[-1].dims.items() if v} == {(0, 0): 1}
 
-    T = bicomplex(exterior_product(circle, circle), "Q")
-    tpages = spectral_sequence(T)
+    T = bicomplex(exterior_product(circle, circle))
+    tpages = spectral_sequence(T, "Q")
     last = tpages[-1]
     totals = [sum(d for (p, q), d in last.dims.items() if p + q == n) for n in range(3)]
     assert totals == [1, 2, 1]
-    conv = check_convergence(tpages, total_complex(T))
+    conv = check_convergence(tpages, total_complex(T), "Q")
     assert conv.ok
 
-    for D2, pp in ((D, pages), (T, tpages)):
+    for D2, prime, pp in ((D, 2, pages), (T, None, tpages)):
         checked = 0
         for (p, q), matrix in pp[1].diff.items():
-            assert matrix == induced_d1(D2, pp, p, q)
+            assert matrix == induced_d1(D2, prime, pp, p, q)
             checked += 1
         assert checked > 0
 
-    for D2 in (D, T):
-        cols = spectral_sequence(D2, orientation="cols")[-1]
-        rows = spectral_sequence(D2, orientation="rows")[-1]
+    for D2, ring in ((D, "F2"), (T, "Q")):
+        cols = spectral_sequence(D2, ring, orientation="cols")[-1]
+        rows = spectral_sequence(D2, ring, orientation="rows")[-1]
         top = len(D2.sizes) + len(D2.sizes[0])
         for n in range(top):
             assert sum(d for (p, q), d in cols.dims.items() if p + q == n) == \

@@ -118,7 +118,7 @@ def test_nerve_composable_pair_is_a_triangle():
     assert nd.sset.sizes == (3, 3, 1, 0)
     # morphisms are lex: (0,1)=0, (0,2)=1, (1,2)=2; the unique 2-chain is (0, 2)
     assert nd.sset.faces[2] == ((2,), (1,), (0,))
-    assert graded_homology(unnormalized_chains(nd.sset, "Z"), through=2) == (Z, ZERO, ZERO)
+    assert graded_homology(unnormalized_chains(nd.sset), through=2) == (Z, ZERO, ZERO)
 
 
 def test_nerve_empty_category():
@@ -136,7 +136,7 @@ def test_nerve_of_z2_doubles():
 
 def test_classifying_space_of_z2():
     nd = nerve(monoid_as_category(cyclic_group_monoid(2)), 6)
-    C = unnormalized_chains(nd.sset, "Z")
+    C = unnormalized_chains(nd.sset)
     assert graded_homology(C, through=5) == (
         Z,
         FPAbelianGroup(0, (2,)),
@@ -171,7 +171,7 @@ def test_path_space_contraction_of_unital_nerve():
     rep = check_certificate(cert)
     assert rep.ok
     assert rep.kind == "extra-degeneracy-h"
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     assert check_chain_homotopy(h).ok
     ok, failures = acyclic_through(h.source, 2)
     assert ok, failures
@@ -180,7 +180,7 @@ def test_path_space_contraction_of_unital_nerve():
 def test_path_space_contraction_of_group_nerve():
     cert = nerve_path_contraction(monoid_as_category(cyclic_group_monoid(3)), 4)
     assert check_certificate(cert).ok
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     assert check_chain_homotopy(h).ok
 
 
@@ -208,7 +208,7 @@ def test_over_category_of_poset():
     assert over.is_unital
     assert (over.n_objects, over.n_morphisms) == (3, 6)
     nd = nerve(over, 3)
-    assert graded_homology(unnormalized_chains(nd.sset, "Z"), through=2) == (Z, ZERO, ZERO)
+    assert graded_homology(unnormalized_chains(nd.sset), through=2) == (Z, ZERO, ZERO)
 
 
 def test_under_category_of_poset():
@@ -262,7 +262,7 @@ def test_row_contractions_certify():
         rep = check_certificate(cert)
         assert rep.ok, rep.problems
         assert rep.kind == "extra-degeneracy-g"
-    h = chain_homotopy_from_certificate(row_contraction(res, 0), "Z")
+    h = chain_homotopy_from_certificate(row_contraction(res, 0))
     assert check_chain_homotopy(h).ok
 
 
@@ -287,7 +287,7 @@ def test_eta_fibers_of_identity_resolution():
     fib1 = eta_fiber(res, 0, 1)
     assert fib1.sizes == (2, 3, 4)
     assert validate_sset(fib1).ok
-    assert graded_homology(unnormalized_chains(fib1, "Z"), through=1) == (Z, ZERO)
+    assert graded_homology(unnormalized_chains(fib1), through=1) == (Z, ZERO)
     # over the 1-chain at the non-trivial edge the fiber is again a point
     edge_fiber = eta_fiber(res, 1, 1)
     assert edge_fiber.sizes == (1, 1, 1)
@@ -305,7 +305,7 @@ def test_nat_trans_to_constant_functor():
     assert rep.ok, rep.problems
     assert cert.f == nerve_map(G, 3)
     assert cert.g == nerve_map(F, 3)
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     assert check_chain_homotopy(h).ok
 
 
@@ -383,7 +383,7 @@ def test_bar_extra_degeneracy_contracts(M):
     rep = check_certificate(cert)
     assert rep.ok, rep.problems
     assert rep.kind == "extra-degeneracy-h"
-    h = chain_homotopy_from_certificate(cert, "Z")
+    h = chain_homotopy_from_certificate(cert)
     assert check_chain_homotopy(h).ok
     ok, failures = acyclic_through(h.source, 3)
     assert ok, failures
@@ -421,6 +421,6 @@ def test_nonunital_fixture_categories_validate():
 def test_parallel_arrows_nerve_is_a_wedge():
     nd = nerve(parallel_arrows_category(3), 2)
     assert nd.sset.sizes == (2, 3, 0)
-    H = graded_homology(unnormalized_chains(nd.sset, "Z"))
+    H = graded_homology(unnormalized_chains(nd.sset))
     assert H[0] == Z
     assert H[1] == FPAbelianGroup(2, ())

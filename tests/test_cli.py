@@ -621,6 +621,33 @@ def test_batch_rejects_unknown_check_before_running_any(check_id, capsys, tmp_pa
     assert ran == []
 
 
+@pytest.mark.parametrize("entry", [
+    {"check": "krannich", "files": ["poset2.cat.json"], "cutoff": 3, "seed": 4},
+    {"check": "krannich", "files": ["poset2.cat.json"]},
+    {"check": "products", "files": ["delta2.simp.json"], "cutoff": 3},
+    {"check": "adj-units", "files": ["rp2.ss.json"], "cutoff": 3, "seed": 1},
+    {"check": "constant", "cutoff": 2},
+    {"check": "skeletal-shadow", "files": ["sphere2.ss.json"], "cutoff": 3},
+], ids=["seed-on-a-plain-check", "no-cutoff", "wrong-file-count", "files-with-seed",
+        "no-size", "no-degree"])
+def test_batch_rejects_every_request_error_before_running_any(entry, capsys, tmp_path,
+                                                              monkeypatch):
+    ran = []
+    real = cli.theorems.check_bar_acyclic
+    monkeypatch.setitem(cli._PLAIN_CHECKS, "bar-acyclic",
+                        lambda *a: ran.append(a) or real(*a))
+    p = tmp_path / "batch.json"
+    first = {"check": "bar-acyclic", "files": [os.path.abspath(fixture("c2.mon.json"))],
+             "cutoff": 2}
+    entry = dict(entry, files=[os.path.abspath(fixture(f)) for f in entry.get("files", [])])
+    p.write_text(json.dumps([first, entry]))
+    code, out, err = run(capsys, "check", "--batch", str(p))
+    assert code == 2
+    assert out == ""
+    assert ran == []
+    assert f"{p}[1]: " in err
+
+
 def test_jobs_below_one_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "--batch", fixture("checks.batch.json"), "--jobs", "0"])

@@ -122,19 +122,19 @@ def test_adjunction_triangle_identities():
 def _complex_zoo():
     out = []
     for X in sset_corpus().values():
-        out.append(unnormalized_chains(X, "Z"))
+        out.append(unnormalized_chains(X))
     for seed in range(4):
-        out.append(normalized_chains(random_simplicial(seed), "Z"))
+        out.append(normalized_chains(random_simplicial(seed)))
     for M in (cyclic_group_monoid(3), klein_four_monoid(), absorbing_pair_monoid()):
-        out.append(unnormalized_chains(nerve(monoid_as_category(M), 4).sset, "Z"))
+        out.append(unnormalized_chains(nerve(monoid_as_category(M), 4).sset))
         out.append(unnormalized_chains(
             bar_construction(trivial_action(M, "right"), M,
-                             regular_action(M, "left"), 4), "Z"))
+                             regular_action(M, "left"), 4)))
     circle = sset_corpus()["circle"]
-    out.append(total_complex(bicomplex(exterior_product(circle, circle), "Z")).complex)
+    out.append(total_complex(bicomplex(exterior_product(circle, circle))).complex)
     for F in quillen_functor_corpus().values():
         res = comma_resolution(F, 3)
-        out.append(total_complex(bicomplex(res.bisset, "Z")).complex)
+        out.append(total_complex(bicomplex(res.bisset)).complex)
     return out
 
 
@@ -176,7 +176,7 @@ def test_chain_homotopy_identity_for_every_certificate():
     assert len(certs) > 30
     for cert in certs:
         assert check_certificate(cert).ok
-        h = chain_homotopy_from_certificate(cert, "Z")
+        h = chain_homotopy_from_certificate(cert)
         assert check_chain_homotopy(h).ok
 
 

@@ -102,9 +102,9 @@ FIELDS = (("Q", None), ("F2", 2), ("F3", 3), ("F5", 5))
 
 
 def field_rank(dense, cols, ring):
-    """Rank of the matrix as the one boundary d_1 of a complex over ``ring``."""
+    """Rank over ``ring`` of the matrix as the one boundary d_1 of a complex."""
     a = SparseIntMatrix.from_dense(dense, cols)
-    return make_chain_complex(ring, (len(dense), cols), [a]).boundary_rank(1)
+    return make_chain_complex((len(dense), cols), [a]).boundary_rank(1, ring)
 
 
 def dense_mul(a, b):

@@ -364,8 +364,8 @@ def test_nat_trans_sides_induce_equal_homology_maps():
     F = identity_functor(C)
     G = FunctorData(C, C, (1, 1), (2, 2, 2))
     N = 4
-    cf = chain_map_from_sset_map(nerve_map(F, N), "Z")
-    cg = chain_map_from_sset_map(nerve_map(G, N), "Z")
+    cf = chain_map_from_sset_map(nerve_map(F, N))
+    cg = chain_map_from_sset_map(nerve_map(G, N))
     for k in range(N - 1):
         src = homology_coordinates(cf.source, k)
         tgt = homology_coordinates(cf.target, k)
