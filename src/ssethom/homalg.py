@@ -13,8 +13,9 @@ The invariant factors come from reduce-then-factor.  Once per complex, free
 unit pairs (a generator and a face hit by +-1, one of them with no other live
 incidence) are removed, which splits off ``Z --1--> Z`` summands without any
 arithmetic; then only the residual boundary of the degree asked is put in
-Smith normal form.  Coordinates (``homology_coordinates``) still factor the
-unreduced matrices, since they need transforms in the original basis.
+Smith normal form.  Coordinates (``homology_coordinates``) need transforms
+in the original basis, so they factor the unreduced d_k and the relations
+among its cycles: two transform forms per degree.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .snf import (
-    SmithForm,
-    SparseIntMatrix,
-    kernel_basis,
-    smith_normal_form,
-    solve,
-)
+from .snf import SmithForm, SparseIntMatrix, smith_normal_form
 from .sset import (
     BiSemiSimplicialSet,
     Enumeration,
@@ -589,30 +584,23 @@ class HomologyCoordinates:
 
     Positions carry the invariant factor orders (0 means a free coordinate);
     trivial positions (order 1) are dropped.  ``project`` sends any cycle to
-    its class in these coordinates, torsion entries reduced mod their order.
-    ``project`` solves against ``cycle_form``, the transform Smith form of
-    ``cycle_matrix`` that ``homology_coordinates`` already computed;
-    ``representative`` solves against ``reduce_matrix``, factored on first
-    use and kept on the object.
+    its class in these coordinates, torsion entries reduced mod their order,
+    by one product with ``coords``; ``representative`` reads a column of
+    ``cycles``, the inverse of ``coords`` on the cycles of degree k.
     """
 
     group: FPAbelianGroup
     degree: int
-    cycle_matrix: SparseIntMatrix
-    cycle_form: SmithForm
-    reduce_matrix: SparseIntMatrix
+    boundary: SparseIntMatrix
+    coords: SparseIntMatrix
+    cycles: SparseIntMatrix
     orders: tuple[int, ...]
     positions: tuple[int, ...]
 
-    @cached_property
-    def _reduce_form(self) -> SmithForm:
-        return smith_normal_form(self.reduce_matrix, transforms=True)
-
     def project(self, v: dict) -> tuple[int, ...]:
-        x = solve(self.cycle_form, v)
-        if x is None:
+        if self.boundary.apply(v):
             raise ValueError("vector is not a cycle")
-        y = self.reduce_matrix.apply(x)
+        y = self.coords.apply(v)
         out = []
         for i in self.positions:
             d = self.orders[i]
@@ -621,40 +609,30 @@ class HomologyCoordinates:
 
     def representative(self, pos: int) -> dict:
         """A cycle whose class has coordinate 1 at ``positions[pos]``."""
-        i = self.positions[pos]
-        x = solve(self._reduce_form, {i: 1})
-        if x is None:
-            raise AssertionError("reduce matrix is unimodular, solve cannot fail")
-        return self.cycle_matrix.apply(x)
+        return self.cycles.column(self.positions[pos])
 
 
 def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
+    """Coordinates on H_k(C; Z) from two transform Smith forms: ``s`` of d_k
+    gives the cycle basis V[:, r:] and coordinates V_inv[r:]; ``t`` factors
+    the relations V_inv[r:] d_{k+1} transposed, which in coordinates t.V^T
+    span d_i Z in row i."""
     if k == C.top_degree and not C.complete:
         raise ValueError("homology at the top of a truncated complex is not trusted")
-    kb = kernel_basis(C.boundary(k))
-    z = len(kb)
-    zmat = SparseIntMatrix(C.dim(k), z,
-                           {r: {j: v[r] for j, v in enumerate(kb) if r in v}
-                            for r in range(C.dim(k))})
-    above = C.boundary(k + 1)
-    zform = smith_normal_form(zmat, transforms=True)
-    w_cols = []
-    for c in range(above.cols):
-        col = above.column(c)
-        x = solve(zform, col)
-        if x is None:
-            raise AssertionError("boundary is not a cycle; complex invalid")
-        w_cols.append(x)
-    w = SparseIntMatrix(z, len(w_cols),
-                        {r: {j: x[r] for j, x in enumerate(w_cols) if r in x}
-                         for r in range(z)})
-    s = smith_normal_form(w, transforms=True)
-    orders = tuple(s.factors[i] if i < s.rank else 0 for i in range(z))
+    d = C.boundary(k)
+    s = smith_normal_form(d, transforms=True)
+    r, n = s.rank, d.cols
+    z = n - r
+    to_cycle = SparseIntMatrix(z, n, {i - r: row for i, row in s.V_inv.data.items() if i >= r})
+    from_cycle = SparseIntMatrix(n, z, {i: {j - r: v for j, v in row.items() if j >= r}
+                                        for i, row in s.V.data.items()})
+    t = smith_normal_form(to_cycle.mul(C.boundary(k + 1)).transpose(), transforms=True)
+    orders = tuple(t.factors[i] if i < t.rank else 0 for i in range(z))
     positions = tuple(i for i in range(z) if orders[i] != 1)
     group = FPAbelianGroup(sum(1 for i in positions if orders[i] == 0),
                            tuple(orders[i] for i in positions if orders[i] > 1))
-    u = s.U if s.U is not None else SparseIntMatrix.identity(z)
-    return HomologyCoordinates(group, k, zmat, zform, u, orders, positions)
+    return HomologyCoordinates(group, k, d, t.V.transpose().mul(to_cycle),
+                               from_cycle.mul(t.V_inv.transpose()), orders, positions)
 
 
 def induced_map_on_homology(f: ChainMap, k: int,

@@ -14,11 +14,10 @@ an integer matrix is read off its invariant factors: their number over Q, and
 over F_p the number that p does not divide (the unimodular transforms stay
 invertible mod p).
 
-Solving is factor once, solve many: ``solve(s, b)`` takes the form
-``s = smith_normal_form(A, transforms=True)`` rather than A itself, so a
-caller with many right-hand sides pays for one elimination.  ``U`` and ``V``
-are dense (rows^2 and cols^2 Python ints) during the elimination, so
-transforms are asked for only where a solve or a kernel basis needs them.
+A transform form carries only the sparse column transform V and its
+inverse: A V = U^-1 D for a unimodular U that is never built.  Columns of V
+beyond the rank are a saturated kernel basis, and the same rows of V^-1 give
+a kernel vector's coordinates in it.
 """
 
 from __future__ import annotations
@@ -205,14 +204,15 @@ class SparseIntMatrix:
 class SmithForm(NamedTuple):
     """Invariant factors d_1 | d_2 | ... (all positive), plus optional transforms.
 
-    When transforms were requested, U @ A @ V is the diagonal matrix with the
-    invariant factors on the diagonal and U, V are unimodular.
+    When transforms were requested, V is unimodular, V_inv is its inverse, and
+    column i of A @ V is d_i times a column of some unimodular matrix for
+    i < rank and zero from ``rank`` on.
     """
 
     factors: tuple[int, ...]
     rank: int
-    U: SparseIntMatrix | None
     V: SparseIntMatrix | None
+    V_inv: SparseIntMatrix | None
 
 
 def _fill_score(rows, colrows, r, c):
@@ -222,9 +222,9 @@ def _fill_score(rows, colrows, r, c):
 def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
-    Without transforms this deletes pivot rows/columns as it goes (fast path
-    used for rank and homology).  With transforms it additionally maintains
-    dense U and V so that U A V = D exactly; only use that on small matrices.
+    Pivot rows and columns are deleted as they are cleared.  With transforms
+    every column operation is also applied to V and, inverted, to V_inv; the
+    row operations are not recorded.
     """
     rows: dict[int, dict[int, int]] = {r: dict(row) for r, row in A.data.items()}
     colrows: dict[int, set[int]] = {}
@@ -232,12 +232,12 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         for c in row:
             colrows.setdefault(c, set()).add(r)
 
-    U = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)] if transforms else None
-    # V maintained as list of columns: V_cols[j] = dense column vector
-    V_cols = [[1 if i == j else 0 for i in range(A.cols)] for j in range(A.cols)] if transforms else None
+    # V as sparse columns, V_inv as sparse rows
+    V_cols = [{j: 1} for j in range(A.cols)] if transforms else None
+    Vinv_rows = [{j: 1} for j in range(A.cols)] if transforms else None
 
     def row_axpy(i: int, r: int, coef: int):
-        """row_i += coef * row_r (on the working matrix and U)."""
+        """row_i += coef * row_r on the working matrix."""
         src = rows.get(r)
         if not src or coef == 0:
             return
@@ -254,13 +254,10 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
                     colrows[c].discard(i)
         if not dst:
             del rows[i]
-        if U is not None:
-            ur, ui = U[r], U[i]
-            for k in range(len(ui)):
-                ui[k] += coef * ur[k]
 
     def col_axpy(j: int, c: int, coef: int):
-        """col_j += coef * col_c (on the working matrix and V)."""
+        """col_j += coef * col_c on the working matrix and V; on V_inv that
+        is row_c -= coef * row_j."""
         if coef == 0:
             return
         src_rows = list(colrows.get(c, ()))
@@ -279,9 +276,8 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
                     del dst[j]
                     colrows[j].discard(r)
         if V_cols is not None:
-            vc, vj = V_cols[c], V_cols[j]
-            for k in range(len(vj)):
-                vj[k] += coef * vc[k]
+            _axpy(V_cols[j], V_cols[c], coef)
+            _axpy(Vinv_rows[c], Vinv_rows[j], -coef)
 
     diag: list[int] = []
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
@@ -396,12 +392,10 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         d = rows[r][c]
 
         if transforms and d < 0:
-            # normalize sign into U
-            for j in list(rows[r]):
-                rows[r][j] = -rows[r][j]
-            for k in range(len(U[r])):
-                U[r][k] = -U[r][k]
-            d = rows[r][c]
+            # negate column c of V and row c of V_inv; the pivot row goes next
+            for vec in (V_cols[c], Vinv_rows[c]):
+                for k in vec:
+                    vec[k] = -vec[k]
 
         diag.append(abs(d))
         pivots.append((r, c))
@@ -419,49 +413,18 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
     if not transforms:
         return SmithForm(tuple(diag), len(diag), None, None)
 
-    # Compose the permutations that move pivot k to position (k, k).
-    row_perm = [r for r, _ in pivots] + sorted(set(range(A.rows)) - {r for r, _ in pivots})
+    # Move pivot k to position (k, k): column k of V and row k of V_inv.
     col_perm = [c for _, c in pivots] + sorted(set(range(A.cols)) - {c for _, c in pivots})
-    Um = SparseIntMatrix.from_dense([U[r] for r in row_perm], A.rows)
-    Vm = SparseIntMatrix(A.cols, A.cols,
-                         {i: {j: V_cols[c][i] for j, c in enumerate(col_perm) if V_cols[c][i]}
-                          for i in range(A.cols)})
-    return SmithForm(tuple(diag), len(diag), Um, Vm)
+    Vt = SparseIntMatrix(A.cols, A.cols, {k: V_cols[c] for k, c in enumerate(col_perm)})
+    Vinv = SparseIntMatrix(A.cols, A.cols, {k: Vinv_rows[c] for k, c in enumerate(col_perm)})
+    return SmithForm(tuple(diag), len(diag), Vt.transpose(), Vinv)
 
 
-def kernel_basis(A: SparseIntMatrix) -> list[dict[int, int]]:
-    """Basis of the integer kernel, as sparse column vectors.
-
-    The columns of V beyond the rank satisfy A v = 0 and span the kernel
-    saturatedly (V unimodular).
-    """
-    if A.cols == 0:
-        return []
-    if A.is_zero():
-        return [{j: 1} for j in range(A.cols)]
-    s = smith_normal_form(A, transforms=True)
-    out = []
-    for j in range(s.rank, A.cols):
-        col = s.V.column(j)
-        out.append(col)
-    return out
-
-
-def solve(s: SmithForm, b: dict[int, int]) -> dict[int, int] | None:
-    """One integer solution x of A x = b, or None if none exists.
-
-    ``s`` is ``smith_normal_form(A, transforms=True)``: factor A once and
-    solve every right-hand side against that one form.
-    """
-    if s.U is None or s.V is None:
-        raise ValueError("solve needs a Smith form computed with transforms=True")
-    ub = s.U.apply(b)
-    y: dict[int, int] = {}
-    for i, v in ub.items():
-        if i >= s.rank:
-            return None
-        d = s.factors[i]
-        if v % d:
-            return None
-        y[i] = v // d
-    return s.V.apply(y)
+def _axpy(dst: dict[int, int], src: dict[int, int], coef: int):
+    """dst += coef * src on sparse vectors, dropping zeros."""
+    for k, v in src.items():
+        nv = dst.get(k, 0) + coef * v
+        if nv:
+            dst[k] = nv
+        else:
+            del dst[k]

@@ -321,14 +321,17 @@ def _page(filt: _Filtration, r: int, orientation: str,
                 continue
             block = filt.filt_end(n, p - 1)
             ech = _Echelon(filt.p)
+            # a vector in F_{p-1} projects to nothing, and so does its D-image
+            below = filt.filt_end(n + 1, p - 1)
             for z in filt.z_space(r - 1, p + r - 1, q - r + 2):
-                ech.add(_tail(filt.apply_d(n + 1, z), block))
+                if max(z) >= below:
+                    ech.add(_tail(filt.apply_d(n + 1, z), block))
             low = filt.filt_end(n - 1, p - r)
             preferred = filt.vertical_cycles(p, q) if r == 1 else prev_reps.get((p, q), [])
             # a preferred vector is kept when it lies in Z^r(p,q): D lands in F_{p-r}
             candidates = [c for c in preferred if all(i < low for i in filt.apply_d(n, c))]
             spot_reps, tags = [], []
-            for c in candidates + filt.z_space(r, p, q):
+            for c in candidates + [z for z in filt.z_space(r, p, q) if max(z) >= block]:
                 if ech.add(_tail(c, block)):
                     spot_reps.append(c)
                     tags.append(ech.count - 1)

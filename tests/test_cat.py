@@ -56,7 +56,6 @@ from ssethom.homalg import (
     chain_homotopy_from_certificate,
     check_chain_homotopy,
     graded_homology,
-    homology,
     unnormalized_chains,
 )
 from ssethom.sset import check_certificate, check_sset_map, validate_bisset, validate_sset

@@ -50,7 +50,7 @@ from ssethom.homalg import (
     total_complex,
     unnormalized_chains,
 )
-from ssethom.snf import SparseIntMatrix, kernel_basis, smith_normal_form
+from ssethom.snf import SparseIntMatrix, smith_normal_form
 from ssethom.sset import (
     BiSemiSimplicialSet,
     HomotopyCertificate,
@@ -232,7 +232,8 @@ def scaled_kernel_complex(rng):
     a = rng.randint(1, 6)
     A = SparseIntMatrix.from_entries(
         b, a, ((r, c, rng.randint(-3, 3)) for r in range(b) for c in range(a)))
-    kb = kernel_basis(A)
+    s = smith_normal_form(A, transforms=True)
+    kb = [s.V.column(j) for j in range(s.rank, a)]
     ms = [rng.randint(1, 6) for _ in kb]
     data = {}
     for j, (col, m) in enumerate(zip(kb, ms)):
@@ -689,20 +690,63 @@ def test_induced_identity_map():
     assert cols == [(1,)]
 
 
+def assert_coordinates_are_exact(C, seed=0):
+    """In every trusted degree: the group is the free-pair path's, each
+    representative projects to its unit vector, every boundary projects to 0,
+    an integer combination of representatives and boundaries projects to its
+    coefficients mod the orders, and a chain that is not a cycle raises."""
+    rng = random.Random(seed)
+    for k in range(C.trusted_through + 1):
+        hc = homology_coordinates(C, k)
+        assert hc.group == homology(C, k), k
+        n = len(hc.positions)
+        orders = [hc.orders[i] for i in hc.positions]
+        reps = [hc.representative(pos) for pos in range(n)]
+        for pos, rep in enumerate(reps):
+            assert hc.project(rep) == tuple(int(i == pos) for i in range(n)), (k, pos)
+        above = C.boundary(k + 1)
+        for c in range(above.cols):
+            assert hc.project(above.column(c)) == (0,) * n, (k, c)
+        coef = [rng.randint(-5, 5) for _ in range(n)]
+        v = {}
+        for a, rep in zip(coef, reps):
+            for i, x in rep.items():
+                v[i] = v.get(i, 0) + a * x
+        for c in range(above.cols):
+            b = rng.randint(-3, 3)
+            for i, x in above.column(c).items():
+                v[i] = v.get(i, 0) + b * x
+        v = {i: x for i, x in v.items() if x}
+        assert hc.project(v) == tuple(a % m if m else a for a, m in zip(coef, orders)), k
+        d = C.boundary(k)
+        hit = next((j for j in range(d.cols) if d.column(j)), None)
+        if hit is not None:
+            with pytest.raises(ValueError, match="not a cycle"):
+                hc.project({hit: 1})
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_spaces()))
+def test_homology_coordinates_on_fixture_spaces(name):
+    assert_coordinates_are_exact(_chains(_fixture_spaces()[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(CONE_MAPS))
+def test_homology_coordinates_on_mapping_cones(name):
+    assert_coordinates_are_exact(mapping_cone(CONE_MAPS[name]()))
+
+
 def test_coordinates_random_representatives_roundtrip():
     rng = random.Random(99)
-    for _ in range(10):
+    for seed in range(10):
         C, _, ms = scaled_kernel_complex(rng)
         hc = homology_coordinates(C, 1)
         assert hc.group == group_from_cyclic_orders(0, ms)
-        for pos in range(len(hc.positions)):
-            want = tuple(1 if i == pos else 0 for i in range(len(hc.positions)))
-            assert hc.project(hc.representative(pos)) == want
+        assert_coordinates_are_exact(C, seed)
 
 
 def test_homology_coordinates_factor_each_matrix_once(monkeypatch):
-    # one transform SNF each for the kernel basis, the cycle matrix and the
-    # boundary relations, however many boundary columns there are to solve
+    # one transform SNF for d_k and one for the relations among its cycles,
+    # however many boundary columns there are; none when projecting
     from ssethom import homalg, snf
 
     real = snf.smith_normal_form
@@ -721,13 +765,12 @@ def test_homology_coordinates_factor_each_matrix_once(monkeypatch):
         shapes.clear()
         hc = homology_coordinates(C, k)
         counts[C.boundary(k + 1).cols] = len(shapes)
-    assert counts == {64: 3, 256: 3}
+    assert counts == {64: 2, 256: 2}
     assert hc.group == Zmod(4)
-    # project reuses the cycle form; representative factors on first use only
     shapes.clear()
     for _ in range(5):
         assert hc.project(hc.representative(0)) == (1,)
-    assert len(shapes) == 1
+    assert shapes == []
 
 
 # -- normalization ------------------------------------------------------------------

@@ -59,7 +59,6 @@ from ssethom.sset import (
     monotone_to_simplex_ref,
     normalize_face,
     simplex_ref_to_monotone,
-    standard_semi_simplex,
     standard_simplicial_simplex,
     unit_map,
     validate_simplicial,

@@ -4,13 +4,12 @@ import pytest
 
 from ssethom import fixtures as fx
 from ssethom import theorems as th
-from ssethom.cat import FunctorData, FinMonoid, identity_functor, monoid_as_category, nerve, nerve_map
+from ssethom.cat import FunctorData, FinMonoid, identity_functor, monoid_as_category, nerve_map
 from ssethom.homalg import (
     FPAbelianGroup,
     chain_map_from_sset_map,
     homology_coordinates,
     induced_map_on_homology,
-    unnormalized_chains,
 )
 from ssethom.sset import (
     boundary_semi_simplex,
