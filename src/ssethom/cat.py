@@ -1,8 +1,8 @@
 """Finite non-unital categories and monoids.
 
-Nerves, unitalization, over/under and comma categories, the bi-semi-simplicial
-comma resolution with its augmentations, two-sided bar constructions, and
-Grothendieck groups.
+Nerves, unitalization, over and comma categories (the under category of c is
+the comma category c\\id), the bi-semi-simplicial comma resolution with its
+augmentations, two-sided bar constructions, and Grothendieck groups.
 
 Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
@@ -107,7 +107,7 @@ class FunctorData:
     mor_map: tuple[int, ...]
 
 
-def validate_functor(F: FunctorData, unital: bool = False) -> ValidationReport:
+def validate_functor(F: FunctorData) -> ValidationReport:
     problems: list[str] = []
     C, D = F.source, F.target
     if len(F.obj_map) != C.n_objects or len(F.mor_map) != C.n_morphisms:
@@ -124,13 +124,6 @@ def validate_functor(F: FunctorData, unital: bool = False) -> ValidationReport:
         for (f, g), h in C.comp.items():
             if F.mor_map[h] != D.comp.get((F.mor_map[f], F.mor_map[g])):
                 problems.append(f"composite of ({f},{g}) not preserved")
-        if unital:
-            if C.units is None or D.units is None:
-                problems.append("unital functor between non-unital categories")
-            else:
-                for c in range(C.n_objects):
-                    if F.mor_map[C.units[c]] != D.units[F.obj_map[c]]:
-                        problems.append(f"unit of object {c} not preserved")
     return ValidationReport(not problems, tuple(problems[:20]))
 
 
@@ -495,43 +488,17 @@ def over_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
     return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
 
 
-def under_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
-    """Objects are the arrows out of c; a morphism from f to g is any h with
-    h . f = g (the arrow-reversed dual of over_category)."""
-    if not (0 <= c < C.n_objects):
-        raise ValueError(f"object {c} out of range")
-    objects = [f for f in range(C.n_morphisms) if C.src[f] == c]
-    obj_index = {f: i for i, f in enumerate(objects)}
-    mors = [(f, h) for f in objects for h in range(C.n_morphisms)
-            if C.tgt[f] == C.src[h]]
-    mor_index = {fh: i for i, fh in enumerate(mors)}
-    src = tuple(obj_index[f] for f, h in mors)
-    tgt = tuple(obj_index[C.comp[(f, h)]] for f, h in mors)
-    comp = {}
-    for i, (f, h1) in enumerate(mors):
-        for j, (g, h2) in enumerate(mors):
-            if g == C.comp[(f, h1)]:
-                comp[(i, j)] = mor_index[(f, C.comp[(h1, h2)])]
-    units = None
-    if C.units is not None:
-        units = tuple(mor_index[(f, C.units[C.tgt[f]])] for f in objects)
-    return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
-
-
 def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
     """The category d\\F: objects (a, u : d -> F(a)), morphisms h with
-    F(h) . u = u'."""
+    F(h) . u = u'.  Objects are ordered by u, then a; morphisms by their
+    source object, then h.  For F = id this is the under category of d."""
     C, D = F.source, F.target
     if not (0 <= d < D.n_objects):
         raise ValueError(f"object {d} out of range")
-    objects = [(a, u) for a in range(C.n_objects) for u in range(D.n_morphisms)
+    objects = [(a, u) for u in range(D.n_morphisms) for a in range(C.n_objects)
                if D.src[u] == d and D.tgt[u] == F.obj_map[a]]
     obj_index = {x: i for i, x in enumerate(objects)}
-    mors = []
-    for h in range(C.n_morphisms):
-        for u in range(D.n_morphisms):
-            if D.src[u] == d and D.tgt[u] == F.obj_map[C.src[h]]:
-                mors.append((h, u))
+    mors = [(h, u) for a, u in objects for h in range(C.n_morphisms) if C.src[h] == a]
     mor_index = {x: i for i, x in enumerate(mors)}
     src = tuple(obj_index[(C.src[h], u)] for h, u in mors)
     tgt = tuple(obj_index[(C.tgt[h], D.comp[(u, F.mor_map[h])])] for h, u in mors)
@@ -677,19 +644,20 @@ def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:
 
 
 def row_contraction(res: CommaResolution, p: int) -> HomotopyCertificate:
-    """Extra degeneracy of a row over the source nerve, inserting the unit of
-    the anchor object (needs a unital target category)."""
+    """Extra degeneracy of a row of the dual resolution over the source
+    nerve, appending the unit of the anchor object (needs a unital target
+    category)."""
     F = res.functor
     C, D = F.source, F.target
+    if not res.dual:
+        raise ValueError("row contraction needs the dual resolution")
     if D.units is None:
         raise ValueError("row contraction needs a unital target")
     N = res.bisset.q_levels - 1
     row = resolution_row(res, p)
 
     def unit_of(a_idx):
-        a = res.c_nerve.chains[p][a_idx]
-        i = 0 if res.dual else p
-        return D.units[F.obj_map[chain_object(C, a, i)]]
+        return D.units[F.obj_map[chain_object(C, res.c_nerve.chains[p][a_idx], 0)]]
 
     h0 = tuple(res.index[p][0][(a_idx, (unit_of(a_idx),))]
                for a_idx in range(len(res.c_nerve.chains[p])))
@@ -697,12 +665,10 @@ def row_contraction(res: CommaResolution, p: int) -> HomotopyCertificate:
     for q in range(N):
         tab = []
         for a_idx, u in res.elements[p][q]:
-            u2 = u + (unit_of(a_idx),) if res.dual else (unit_of(a_idx),) + u
-            tab.append(res.index[p][q + 1][(a_idx, u2)])
+            tab.append(res.index[p][q + 1][(a_idx, u + (unit_of(a_idx),))])
         up.append(tuple(tab))
-    kind = "extra-degeneracy-h" if res.dual else "extra-degeneracy-g"
     return HomotopyCertificate(
-        kind=kind, space=row, aug_size=len(res.c_nerve.chains[p]),
+        kind="extra-degeneracy-h", space=row, aug_size=len(res.c_nerve.chains[p]),
         aug=res.eps[p][0], h0=h0, up=tuple(up))
 
 
@@ -806,38 +772,14 @@ def bar_construction(Y: MonoidAction, M: FinMonoid, X: MonoidAction, N: int) -> 
 
 def bar_extra_degeneracy(M: FinMonoid, N: int) -> HomotopyCertificate:
     """Contraction of B(*, M, M): shift the X slot into the letters and
-    restart at the unit."""
-    Y = trivial_action(M, "right")
-    X = regular_action(M, "left")
-    B = bar_construction(Y, M, X, N)
+    restart at the unit.  Level p indexes (m_1 .. m_p, x) in base |M|, so
+    appending x as a letter is s * |M| + unit."""
+    B = bar_construction(trivial_action(M, "right"), M, regular_action(M, "left"), N)
     n = M.size
-
-    def decode(p, s):
-        x = s % n
-        s //= n
-        ms = []
-        for _ in range(p):
-            ms.append(s % n)
-            s //= n
-        ms.reverse()
-        return tuple(ms), x
-
-    def encode(ms, x):
-        s = 0
-        for m in ms:
-            s = s * n + m
-        return s * n + x
-
-    up = []
-    for p in range(N):
-        tab = []
-        for s in range(B.sizes[p]):
-            ms, x = decode(p, s)
-            tab.append(encode(ms + (x,), M.unit))
-        up.append(tuple(tab))
+    up = tuple(tuple(s * n + M.unit for s in range(B.sizes[p])) for p in range(N))
     return HomotopyCertificate(
         kind="extra-degeneracy-h", space=B, aug_size=1,
-        aug=(0,) * B.sizes[0], h0=(M.unit,), up=tuple(up))
+        aug=(0,) * B.sizes[0], h0=(M.unit,), up=up)
 
 
 # -- Grothendieck groups ---------------------------------------------------------------

@@ -27,12 +27,13 @@ from .cat import (
     NatTransData,
     bar_construction,
     comma_resolution,
+    comma_under_object,
+    identity_functor,
     monoid_as_category,
     nerve,
     over_category,
     regular_action,
     trivial_action,
-    under_category,
     unitalize,
     validate_action,
     validate_category,
@@ -255,7 +256,8 @@ def _cmd_over(args) -> int:
     if not (0 <= args.object < C.n_objects):
         raise UsageError(f"object {args.object} out of range (category has "
                          f"{C.n_objects} objects)")
-    D = under_category(C, args.object) if args.under else over_category(C, args.object)
+    D = (comma_under_object(identity_functor(C), args.object) if args.under
+         else over_category(C, args.object))
     sys.stdout.write(formats.dumps_document(D))
     kind = "under" if args.under else "over"
     _say(f"{kind} category at object {args.object}: {_describe(D)}")

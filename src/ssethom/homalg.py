@@ -687,28 +687,17 @@ def chain_homotopy_from_certificate(cert: HomotopyCertificate) -> ChainHomotopy:
     dP + Pd = to - from on the nose; check_chain_homotopy confirms it
     matrix-exactly.
     """
-    if cert.kind in ("extra-degeneracy-h", "extra-degeneracy-g"):
+    if cert.kind == "extra-degeneracy-h":
         X = cert.space
         L = len(cert.up)
         A = augmented_complex(X, cert.aug_size, cert.aug, through=L)
         # degree k of A is level k-1 of X; P_0 is the section of the augmentation
-        odd = -1 if cert.kind == "extra-degeneracy-h" else 1
         P = [_table_matrix(A.dims[1], A.dims[0], [cert.h0], [1])]
-        P += [_table_matrix(A.dims[k + 1], A.dims[k], [cert.up[k - 1]], [odd if k % 2 else 1])
+        P += [_table_matrix(A.dims[k + 1], A.dims[k], [cert.up[k - 1]], [(-1) ** k])
               for k in range(1, L + 1)]
         ident = tuple(SparseIntMatrix.identity(n) for n in A.dims)
         zero = tuple(SparseIntMatrix.zero(n, n) for n in A.dims)
         return ChainHomotopy(A, A, zero, ident, tuple(P), through=L)
-
-    if cert.kind == "nullhomotopy":
-        fmap = chain_map_from_sset_map(cert.f)
-        src, tgt = fmap.source, fmap.target
-        L = len(cert.up)
-        P = [_table_matrix(tgt.dims[k + 1], src.dims[k], [cert.up[k]], [(-1) ** (k + 1)])
-             for k in range(L)]
-        const = [SparseIntMatrix.zero(tgt.dims[k], src.dims[k]) for k in range(len(src.dims))]
-        const[0] = _table_matrix(tgt.dims[0], src.dims[0], [(cert.base_vertex,) * src.dims[0]], [1])
-        return ChainHomotopy(src, tgt, tuple(const), fmap.mats, tuple(P), through=L - 1)
 
     if cert.kind == "homotopy":
         fmap = chain_map_from_sset_map(cert.f)
@@ -881,15 +870,13 @@ def back_face(X: SemiSimplicialSet, n: int, q: int, s: int) -> int:
     return cur
 
 
-def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet,
-                      through: int | None = None) -> tuple[ChainMap, TotalComplex]:
+def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> tuple[ChainMap, TotalComplex]:
     """AW: C(diagonal of X x Y) -> Tot(C X (x) C Y), front face tensor back face."""
     from .sset import diagonal as _diag, exterior_product as _ext
 
     diag = _diag(_ext(X, Y))
-    src = unnormalized_chains(diag, through)
-    tot = total_complex(tensor_double_complex(
-        unnormalized_chains(X, through), unnormalized_chains(Y, through)))
+    src = unnormalized_chains(diag)
+    tot = total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y)))
     n_max = min(src.top_degree, tot.complex.top_degree)
     mats = []
     for n in range(len(src.dims)):

@@ -146,13 +146,10 @@ def check_sset_map(f: SSetMap) -> ValidationReport:
                 break
     if problems:
         return ValidationReport(False, tuple(problems))
-    for p in range(1, len(src.sizes)):
-        for i in range(p + 1):
-            for s in range(src.sizes[p]):
-                if tgt.face(p, i, f.tables[p][s]) != f.tables[p - 1][src.face(p, i, s)]:
-                    problems.append(f"does not commute with d_{i} at level {p}, simplex {s}")
-                    if len(problems) > 20:
-                        return ValidationReport(False, tuple(problems))
+    problems = _identity_problems((
+        ([tgt.faces[p][i][v] for v in f.tables[p]], [f.tables[p - 1][t] for t in src.faces[p][i]],
+         f"does not commute with d_{i} at level {p}, simplex {{s}}")
+        for p in range(1, len(src.sizes)) for i in range(p + 1)), 21)
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -376,42 +373,26 @@ def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SegalReport:
-    level: int
     source_size: int
     product_size: int
-    composable_size: int
     injective: bool
 
     @property
     def bijective_onto_product(self) -> bool:
         return self.injective and self.source_size == self.product_size
 
-    @property
-    def bijective_onto_composables(self) -> bool:
-        return self.injective and self.source_size == self.composable_size
-
 
 def check_segal(X: SemiSimplicialSet, p: int) -> SegalReport:
-    """How far kappa_p is from a bijection onto edge tuples.
+    """How far kappa_p is from a bijection onto the edge tuples X_1^p.
 
-    The image always consists of composable tuples (d_0 e_j = d_1 e_{j+1}:
-    the far end of each edge is the near end of the next), so the report
-    counts those too.  For one-vertex complexes the two targets agree.
+    The image always consists of composable tuples (d_0 e_j = d_1 e_{j+1}),
+    so X_1^p is the right target only where every tuple composes, as in the
+    one-vertex nerve of a monoid that check_segal_nerve reads.
     """
     kappa = segal_map(X, p)
-    if p == 1:
-        composable = X.sizes[1]
-    else:
-        d0, d1 = X.faces[1][0], X.faces[1][1]
-        composable = 0
-        for tup in itertools.product(range(X.sizes[1]), repeat=p):
-            if all(d0[tup[j]] == d1[tup[j + 1]] for j in range(p - 1)):
-                composable += 1
     return SegalReport(
-        level=p,
         source_size=X.sizes[p],
         product_size=X.sizes[1] ** p,
-        composable_size=composable,
         injective=len(set(kappa)) == len(kappa),
     )
 
@@ -689,27 +670,22 @@ def interior_product(X: SimplicialSet, Y: SimplicialSet, n: int) -> SemiSimplici
 # homotopy certificates
 
 
-CERTIFICATE_KINDS = ("extra-degeneracy-h", "extra-degeneracy-g", "nullhomotopy", "homotopy")
+CERTIFICATE_KINDS = ("extra-degeneracy-h", "homotopy")
 
 
 @dataclass(frozen=True)
 class HomotopyCertificate:
-    """Simplex-level witness for a contraction, nullhomotopy, or homotopy.
+    """Simplex-level witness for a contraction or a homotopy.
 
     kind "extra-degeneracy-h": ``space`` is augmented by ``aug`` (level 0 to
     the augmentation set) with section ``h0``; ``up[p]`` is h_{p+1} moving
     level p to level p+1, satisfying d_{p+1} h_{p+1} = id and
     d_i h_{p+1} = h_p d_i (with d_0 at the bottom read as the augmentation).
-
-    kind "extra-degeneracy-g": same data, identities d_0 g_{p+1} = id and
-    d_i g_{p+1} = g_p d_{i-1}.
-
-    kind "nullhomotopy": ``f`` maps X to Y, ``base_vertex`` is a vertex of Y,
-    ``up[p]`` is h_{p+1}: X_p to Y_{p+1} with d_{p+1} h = f, lower faces
-    commuting, and d_0 h_1 constant at the base vertex.
+    The bar, path-space and dual comma-resolution row contractions are of
+    this kind.
 
     kind "homotopy": ``f`` and ``g`` map X to Y and ``tri[p][i]`` (0 <= i <= p)
-    are the prism sections X_p to Y_{p+1}.
+    are the prism sections X_p to Y_{p+1}, as a natural transformation gives.
     """
 
     kind: str
@@ -720,16 +696,7 @@ class HomotopyCertificate:
     up: tuple[tuple[int, ...], ...] = ()
     f: SSetMap | None = None
     g: SSetMap | None = None
-    base_vertex: int | None = None
     tri: tuple[tuple[tuple[int, ...], ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    ok: bool
-    kind: str
-    through_level: int
-    problems: tuple[str, ...] = ()
 
 
 def _check_aug(X, aug_size, aug, problems):
@@ -745,18 +712,18 @@ def _check_aug(X, aug_size, aug, problems):
                 return
 
 
-def check_certificate(cert: HomotopyCertificate) -> CertificateReport:
+def check_certificate(cert: HomotopyCertificate) -> ValidationReport:
     """Verify the defining identities of a certificate, simplex by simplex."""
     problems: list[str] = []
     kind = cert.kind
     if kind not in CERTIFICATE_KINDS:
-        return CertificateReport(False, kind, -1, (f"unknown kind {kind!r}",))
+        return ValidationReport(False, (f"unknown kind {kind!r}",))
 
-    if kind in ("extra-degeneracy-h", "extra-degeneracy-g"):
+    if kind == "extra-degeneracy-h":
         X = cert.space
         through = len(cert.up) - 1  # up[p] is h_{p+1}, needs X_{p+1}
         if X is None or cert.aug is None or cert.h0 is None or cert.aug_size is None:
-            return CertificateReport(False, kind, -1, ("missing augmentation data",))
+            return ValidationReport(False, ("missing augmentation data",))
         _check_aug(X, cert.aug_size, cert.aug, problems)
         if len(cert.h0) != cert.aug_size:
             problems.append("h0 table length mismatch")
@@ -768,7 +735,7 @@ def check_certificate(cert: HomotopyCertificate) -> CertificateReport:
                     problems.append(f"augmentation of h0[{a}] is not {a}")
         if through + 1 >= len(X.sizes):
             problems.append("certificate tables run past the listed levels")
-            return CertificateReport(False, kind, through, tuple(problems))
+            return ValidationReport(False, tuple(problems))
         for p in range(through + 1):
             h = cert.up[p]
             if len(h) != X.sizes[p]:
@@ -778,75 +745,32 @@ def check_certificate(cert: HomotopyCertificate) -> CertificateReport:
                 if not (0 <= v < X.sizes[p + 1]):
                     problems.append(f"h_{p + 1}[{s}] out of range")
                     continue
-                if kind == "extra-degeneracy-h":
-                    if X.face(p + 1, p + 1, v) != s:
-                        problems.append(f"d_{p + 1} h_{p + 1} != id at level {p} simplex {s}")
-                    if p == 0:
-                        if X.face(1, 0, v) != cert.h0[cert.aug[s]]:
-                            problems.append(f"d_0 h_1 != h_0 aug at simplex {s}")
-                    else:
-                        for i in range(p + 1):
-                            if X.face(p + 1, i, v) != cert.up[p - 1][X.face(p, i, s)]:
-                                problems.append(f"d_{i} h_{p + 1} != h_{p} d_{i} at level {p} simplex {s}")
-                else:
-                    if X.face(p + 1, 0, v) != s:
-                        problems.append(f"d_0 g_{p + 1} != id at level {p} simplex {s}")
-                    if p == 0:
-                        if X.face(1, 1, v) != cert.h0[cert.aug[s]]:
-                            problems.append(f"d_1 g_1 != g_0 aug at simplex {s}")
-                    else:
-                        for i in range(1, p + 2):
-                            if X.face(p + 1, i, v) != cert.up[p - 1][X.face(p, i - 1, s)]:
-                                problems.append(f"d_{i} g_{p + 1} != g_{p} d_{i - 1} at level {p} simplex {s}")
-                if len(problems) > 20:
-                    return CertificateReport(False, kind, through, tuple(problems))
-        return CertificateReport(not problems, kind, through, tuple(problems))
-
-    if kind == "nullhomotopy":
-        if cert.f is None or cert.base_vertex is None:
-            return CertificateReport(False, kind, -1, ("missing map or base vertex",))
-        X, Y = cert.f.source, cert.f.target
-        fr = check_sset_map(cert.f)
-        if not fr.ok:
-            return CertificateReport(False, kind, -1, ("f is not a map: " + fr.first(),))
-        through = len(cert.up) - 1
-        if through + 1 >= len(Y.sizes):
-            return CertificateReport(False, kind, through, ("tables run past the listed levels of the target",))
-        for p in range(through + 1):
-            h = cert.up[p]
-            if len(h) != X.sizes[p]:
-                problems.append(f"h_{p + 1} table length mismatch")
-                continue
-            for s, v in enumerate(h):
-                if not (0 <= v < Y.sizes[p + 1]):
-                    problems.append(f"h_{p + 1}[{s}] out of range")
-                    continue
-                if Y.face(p + 1, p + 1, v) != cert.f.tables[p][s]:
-                    problems.append(f"d_{p + 1} h_{p + 1} != f at level {p} simplex {s}")
+                if X.face(p + 1, p + 1, v) != s:
+                    problems.append(f"d_{p + 1} h_{p + 1} != id at level {p} simplex {s}")
                 if p == 0:
-                    if Y.face(1, 0, v) != cert.base_vertex:
-                        problems.append(f"d_0 h_1 not constant at the base vertex (simplex {s})")
+                    if X.face(1, 0, v) != cert.h0[cert.aug[s]]:
+                        problems.append(f"d_0 h_1 != h_0 aug at simplex {s}")
                 else:
                     for i in range(p + 1):
-                        if Y.face(p + 1, i, v) != cert.up[p - 1][X.face(p, i, s)]:
+                        if X.face(p + 1, i, v) != cert.up[p - 1][X.face(p, i, s)]:
                             problems.append(f"d_{i} h_{p + 1} != h_{p} d_{i} at level {p} simplex {s}")
                 if len(problems) > 20:
-                    return CertificateReport(False, kind, through, tuple(problems))
-        return CertificateReport(not problems, kind, through, tuple(problems))
+                    return ValidationReport(False, tuple(problems))
+        return ValidationReport(not problems, tuple(problems))
 
     # kind == "homotopy"
     if cert.f is None or cert.g is None:
-        return CertificateReport(False, kind, -1, ("missing endpoint maps",))
+        return ValidationReport(False, ("missing endpoint maps",))
     X, Y = cert.f.source, cert.f.target
     for name, m in (("f", cert.f), ("g", cert.g)):
         r = check_sset_map(m)
         if not r.ok:
-            return CertificateReport(False, kind, -1, (f"{name} is not a map: " + r.first(),))
+            return ValidationReport(False, (f"{name} is not a map: " + r.first(),))
     if cert.g.source != X or cert.g.target != Y:
-        return CertificateReport(False, kind, -1, ("f and g have different endpoints",))
+        return ValidationReport(False, ("f and g have different endpoints",))
     through = len(cert.tri) - 1
     if through + 1 >= len(Y.sizes):
-        return CertificateReport(False, kind, through, ("tables run past the listed levels of the target",))
+        return ValidationReport(False, ("tables run past the listed levels of the target",))
     for p in range(through + 1):
         level = cert.tri[p]
         if len(level) != p + 1:
@@ -860,9 +784,9 @@ def check_certificate(cert: HomotopyCertificate) -> CertificateReport:
                 if not (0 <= v < Y.sizes[p + 1]):
                     problems.append(f"H[{p}][{i}][{s}] out of range")
         if len(problems) > 20:
-            return CertificateReport(False, kind, through, tuple(problems))
+            return ValidationReport(False, tuple(problems))
     if problems:
-        return CertificateReport(False, kind, through, tuple(problems))
+        return ValidationReport(False, tuple(problems))
     for p in range(through + 1):
         H = cert.tri[p]
         for s in range(X.sizes[p]):
@@ -884,5 +808,5 @@ def check_certificate(cert: HomotopyCertificate) -> CertificateReport:
                             if Y.face(p + 1, i, H[j][s]) != prev[j][X.face(p, i - 1, s)]:
                                 problems.append(f"d_{i} H[{p}][{j}] != H[{p - 1}][{j}] d_{i - 1} at simplex {s}")
             if len(problems) > 20:
-                return CertificateReport(False, kind, through, tuple(problems))
-    return CertificateReport(not problems, kind, through, tuple(problems))
+                return ValidationReport(False, tuple(problems))
+    return ValidationReport(not problems, tuple(problems))
