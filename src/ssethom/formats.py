@@ -447,7 +447,7 @@ def load_document(data, path: str = ""):
     """Parse one tagged document (already JSON-decoded) into its object."""
     data = _obj(data, path)
     tag = _field(data, "type", path)
-    loader = _LOADERS.get(tag)
+    loader = _LOADERS.get(tag) if isinstance(tag, str) else None
     if loader is None:
         known = ", ".join(sorted(_LOADERS))
         raise FormatError(_sub(path, "type"), f"unknown document type {tag!r} (known: {known})")

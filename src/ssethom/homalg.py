@@ -34,6 +34,7 @@ from .sset import (
     SimplicialSet,
     SSetMap,
     ValidationReport,
+    levelwise_product,
 )
 
 
@@ -753,41 +754,32 @@ def bicomplex(B: BiSemiSimplicialSet) -> DoubleComplex:
                          complete_p=B.trunc_p is None, complete_q=B.trunc_q is None)
 
 
-def tensor_double_complex(A: ChainComplex, Bc: ChainComplex) -> DoubleComplex:
+def tensor_double_complex(A: ChainComplex, Bc: ChainComplex,
+                          through: int | None = None) -> DoubleComplex:
     """C_{p,q} = A_p (x) B_q with dh = dA (x) id and dv = id (x) dB.
 
     Basis pairs are ordered a * dim(B_q) + b, matching exterior_product.
+    With ``through``, the blocks with p + q > through are not built: their
+    dh and dv are None, and only ``total_complex(D, through)`` may read D.
     """
     P, Q = len(A.dims), len(Bc.dims)
-    sizes = tuple(tuple(A.dims[p] * Bc.dims[q] for q in range(Q)) for p in range(P))
-    dh = []
-    dv = []
-    for p in range(P):
-        dh_row = []
-        dv_row = []
-        for q in range(Q):
-            na, nb = A.dims[p], Bc.dims[q]
-            if p == 0:
-                dh_row.append(SparseIntMatrix.zero(0, na * nb))
-            else:
-                entries = []
-                for a, a2, v in A.diffs[p].entries():
-                    for b in range(nb):
-                        entries.append((a * nb + b, a2 * nb + b, v))
-                dh_row.append(SparseIntMatrix.from_entries(A.dims[p - 1] * nb, na * nb, entries))
-            if q == 0:
-                dv_row.append(SparseIntMatrix.zero(0, na * nb))
-            else:
-                nbm = Bc.dims[q - 1]
-                entries = []
-                for b, b2, v in Bc.diffs[q].entries():
-                    for a in range(na):
-                        entries.append((a * nbm + b, a * nb + b2, v))
-                dv_row.append(SparseIntMatrix.from_entries(na * nbm, na * nb, entries))
-        dh.append(tuple(dh_row))
-        dv.append(tuple(dv_row))
-    return DoubleComplex(sizes, tuple(dh), tuple(dv),
-                         complete_p=A.complete, complete_q=Bc.complete)
+
+    def dh(p, q):
+        nb = Bc.dims[q]
+        return SparseIntMatrix.from_entries(A.dim(p - 1) * nb, A.dims[p] * nb, (
+            (a * nb + b, a2 * nb + b, v) for a, a2, v in A.boundary(p).entries() for b in range(nb)))
+
+    def dv(p, q):
+        na, nb, nbm = A.dims[p], Bc.dims[q], Bc.dim(q - 1)
+        return SparseIntMatrix.from_entries(na * nbm, na * nb, (
+            (a * nbm + b, a * nb + b2, v) for b, b2, v in Bc.boundary(q).entries() for a in range(na)))
+
+    built = [[through is None or p + q <= through for q in range(Q)] for p in range(P)]
+    return DoubleComplex(
+        tuple(tuple(A.dims[p] * Bc.dims[q] for q in range(Q)) for p in range(P)),
+        tuple(tuple(dh(p, q) if built[p][q] else None for q in range(Q)) for p in range(P)),
+        tuple(tuple(dv(p, q) if built[p][q] else None for q in range(Q)) for p in range(P)),
+        complete_p=A.complete, complete_q=Bc.complete)
 
 
 @dataclass(frozen=True)
@@ -807,12 +799,17 @@ class TotalComplex:
         return 0, 0
 
 
-def total_complex(D: DoubleComplex) -> TotalComplex:
+def total_complex(D: DoubleComplex, through: int | None = None) -> TotalComplex:
     """Tot of D, checked once by ``ChainComplex``: d_Tot . d_Tot = 0 holds
     exactly when dh . dh = 0, dv . dv = 0 and every square commutes, since
-    the three land in the blocks (p-2, q), (p, q-2) and (p-1, q-1)."""
+    the three land in the blocks (p-2, q), (p, q-2) and (p-1, q-1).
+
+    With ``through``, degrees 0..through are listed (no more than D has) and
+    only the blocks with p + q <= through are read; the result is complete
+    only when D is and nothing was cut.
+    """
     P, Q = D.p_levels, D.q_levels
-    top = P + Q - 2
+    top = P + Q - 2 if through is None else min(through, P + Q - 2)
     layout = []
     dims = []
     for n in range(top + 1):
@@ -832,17 +829,13 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         for (p, q, off, sz) in layout[n]:
             if sz == 0:
                 continue
-            if p >= 1 and p - 1 in prev:
-                poff = prev[p - 1]
-                for r, c, v in D.dh[p][q].entries():
-                    entries.append((poff + r, off + c, v))
-            if q >= 1 and p in prev:
-                poff = prev[p]
+            if p - 1 in prev:
+                entries.extend((prev[p - 1] + r, off + c, v) for r, c, v in D.dh[p][q].entries())
+            if p in prev:
                 sign = -1 if p % 2 else 1
-                for r, c, v in D.dv[p][q].entries():
-                    entries.append((poff + r, off + c, sign * v))
+                entries.extend((prev[p] + r, off + c, sign * v) for r, c, v in D.dv[p][q].entries())
         boundaries.append(SparseIntMatrix.from_entries(dims[n - 1], dims[n], entries))
-    complete = D.complete_p and D.complete_q
+    complete = D.complete_p and D.complete_q and top == P + Q - 2
     C = make_chain_complex(dims, boundaries, complete)
     return TotalComplex(C, tuple(layout))
 
@@ -850,46 +843,39 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
 # -- Alexander-Whitney ------------------------------------------------------------
 
 
-def front_face(X: SemiSimplicialSet, n: int, p: int, s: int) -> int:
-    """Restrict to vertices 0..p by deleting the back vertices, top down."""
-    cur = s
-    lvl = n
-    for v in range(n, p, -1):
-        cur = X.face(lvl, v, cur)
-        lvl -= 1
-    return cur
-
-
-def back_face(X: SemiSimplicialSet, n: int, q: int, s: int) -> int:
-    """Restrict to the last q+1 vertices by deleting the front ones, top down."""
-    cur = s
-    lvl = n
-    for v in range(n - q - 1, -1, -1):
-        cur = X.face(lvl, v, cur)
-        lvl -= 1
-    return cur
+def _restriction_tables(X: SemiSimplicialSet, top: int, face) -> list:
+    """tabs[n][k][s]: simplex s of X_n cut down to a k-simplex one vertex at a
+    time, deleting vertex face(n, k) of the n-simplex first; tabs[n][n] is the
+    identity."""
+    tabs = []
+    for n in range(top + 1):
+        tabs.append([tuple(tabs[n - 1][k][t] for t in X.faces[n][face(n, k)]) for k in range(n)]
+                    + [range(X.sizes[n])])
+    return tabs
 
 
 def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> tuple[ChainMap, TotalComplex]:
-    """AW: C(diagonal of X x Y) -> Tot(C X (x) C Y), front face tensor back face."""
-    from .sset import diagonal as _diag, exterior_product as _ext
+    """AW: C(levelwise X x Y) -> Tot(C X (x) C Y), front face tensor back face.
 
-    diag = _diag(_ext(X, Y))
-    src = unnormalized_chains(diag)
-    tot = total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y)))
-    n_max = min(src.top_degree, tot.complex.top_degree)
+    The front p-face of x in X_n deletes vertices n, n-1, ..., p+1 and the
+    back q-face of y in Y_n deletes vertices n-q-1, ..., 0, both in that
+    order; they are tabulated once per level.  When the source is truncated
+    at its top degree S, Tot is built through S + 1 only: the map reads
+    degrees <= S, and the mapping cone of a map out of an incomplete source
+    stops at S + 1 anyway, so it is the cone into the full Tot.
+    """
+    src = unnormalized_chains(levelwise_product(X, Y))
+    through = None if src.complete else src.top_degree + 1
+    tot = total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y),
+                                              through), through)
+    front = _restriction_tables(X, src.top_degree, lambda n, p: n)
+    back = _restriction_tables(Y, src.top_degree, lambda n, q: n - q - 1)
     mats = []
     for n in range(len(src.dims)):
-        entries = []
-        if n <= n_max:
-            ny = Y.sizes[n] if n < len(Y.sizes) else 0
-            for s in range(src.dims[n]):
-                x, y = s // ny, s % ny
-                for (p, q, off, sz) in tot.layout[n]:
-                    if sz == 0:
-                        continue
-                    fx = front_face(X, n, p, x)
-                    by = back_face(Y, n, q, y)
-                    entries.append((off + fx * Y.sizes[q] + by, s, 1))
+        blocks = [(off, front[n][p], back[n][q], Y.sizes[q])
+                  for (p, q, off, sz) in tot.layout[n] if sz]
+        ny = Y.sizes[n]
+        entries = [(off + fx[s // ny] * nq + by[s % ny], s, 1)
+                   for s in range(src.dims[n]) for off, fx, by, nq in blocks]
         mats.append(SparseIntMatrix.from_entries(tot.complex.dims[n], src.dims[n], entries))
     return ChainMap(src, tot.complex, tuple(mats)), tot

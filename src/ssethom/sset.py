@@ -327,6 +327,18 @@ def diagonal(B: BiSemiSimplicialSet) -> SemiSimplicialSet:
     return SemiSimplicialSet(sizes, tuple(faces), truncated_at=trunc)
 
 
+def levelwise_product(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> SemiSimplicialSet:
+    """Level p is X_p x Y_p, (x, y) indexed x * |Y_p| + y, d_i(x, y) = (d_i x, d_i y):
+    ``diagonal(exterior_product(X, Y))`` without the off-diagonal levels."""
+    L = min(len(X.sizes), len(Y.sizes))
+    faces = ((),) + tuple(
+        tuple(tuple(a * Y.sizes[p - 1] + b for a in X.faces[p][i] for b in Y.faces[p][i])
+              for i in range(p + 1))
+        for p in range(1, L))
+    trunc = None if X.truncated_at is None and Y.truncated_at is None else L - 1
+    return SemiSimplicialSet(tuple(X.sizes[p] * Y.sizes[p] for p in range(L)), faces, trunc)
+
+
 # -- path spaces and Segal maps ----------------------------------------------
 
 
@@ -661,9 +673,7 @@ def monotone_to_simplex_ref(n: int, vals: tuple[int, ...]) -> SimplexRef:
 
 def interior_product(X: SimplicialSet, Y: SimplicialSet, n: int) -> SemiSimplicialSet:
     """Levelwise product through level n, as a semi-simplicial set."""
-    ex = enumerate_simplicial(X, n).sset
-    ey = enumerate_simplicial(Y, n).sset
-    return diagonal(exterior_product(ex, ey))
+    return levelwise_product(enumerate_simplicial(X, n).sset, enumerate_simplicial(Y, n).sset)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,23 @@ def test_unknown_type_rejected(capsys, tmp_path):
     assert "unknown document type" in err
 
 
+@pytest.mark.parametrize("name,nested,tag,argv", [
+    ("circle.ss.json", None, [1], ("validate",)),
+    ("id1.fun.json", "source", {"a": 1}, ("validate",)),
+    ("id1.fun.json", "source", {"a": 1}, ("resolve", "--cutoff", "2")),
+], ids=["sset-validate", "functor-source-validate", "functor-source-resolve"])
+def test_non_string_type_rejected(capsys, tmp_path, name, nested, tag, argv):
+    with open(fixture(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    (doc[nested] if nested else doc)["type"] = tag
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    field = f"{nested}.type" if nested else "type"
+    assert f": {field}: " in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "homology", str(tmp_path / "nope.json"))
     assert code == 2

@@ -19,7 +19,12 @@ from ssethom.cat import (
     nerve_unitalize_inclusion,
     trivial_action,
 )
-from ssethom.fixtures import cyclic_group_monoid, idempotent_category, klein_four_monoid
+from ssethom.fixtures import (
+    cyclic_group_monoid,
+    idempotent_category,
+    klein_four_monoid,
+    random_simplicial,
+)
 from ssethom.homalg import (
     _table_matrix,
     ChainMap,
@@ -48,6 +53,7 @@ from ssethom.homalg import (
     tensor_groups,
     tor_groups,
     total_complex,
+    truncate_complex,
     unnormalized_chains,
 )
 from ssethom.snf import SparseIntMatrix, smith_normal_form
@@ -628,6 +634,78 @@ def test_alexander_whitney_circle_square():
     assert aw.source.dims == (9, 9)
     # building the ChainMap already asserted it commutes with the boundary
     assert tot.complex.dims[1] == 18
+
+
+def front_face(X, n, p, s):
+    """Reference: restrict to vertices 0..p by deleting the back vertices, top down."""
+    cur = s
+    lvl = n
+    for v in range(n, p, -1):
+        cur = X.face(lvl, v, cur)
+        lvl -= 1
+    return cur
+
+
+def back_face(X, n, q, s):
+    """Reference: restrict to the last q+1 vertices by deleting the front ones, top down."""
+    cur = s
+    lvl = n
+    for v in range(n - q - 1, -1, -1):
+        cur = X.face(lvl, v, cur)
+        lvl -= 1
+    return cur
+
+
+def full_tot(X, Y):
+    return total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y)))
+
+
+def aw_pairs():
+    rp2 = enumerate_simplicial(formats.read_document(os.path.join(FIXTURES, "freerp2.simp.json")),
+                               4).sset
+    yield "freerp2-4", rp2, rp2
+    for seed in range(4):
+        yield (f"random-{seed}", enumerate_simplicial(random_simplicial(2 * seed), 3).sset,
+               enumerate_simplicial(random_simplicial(2 * seed + 1), 3).sset)
+
+
+AW_TRUNCATED = list(aw_pairs())
+AW_COMPLETE = [("circle-square", boundary_semi_simplex(2), boundary_semi_simplex(2)),
+               ("interval-square", standard_semi_simplex(1), standard_semi_simplex(1)),
+               ("triangle-by-sphere", standard_semi_simplex(2), boundary_semi_simplex(3))]
+
+
+@pytest.mark.parametrize("name,X,Y", AW_TRUNCATED + AW_COMPLETE,
+                         ids=[c[0] for c in AW_TRUNCATED + AW_COMPLETE])
+def test_alexander_whitney_columns_are_front_tensor_back(name, X, Y):
+    aw, tot = alexander_whitney(X, Y)
+    for n, m in enumerate(aw.mats):
+        ny = Y.sizes[n]
+        want = SparseIntMatrix.from_entries(m.rows, m.cols, (
+            (off + front_face(X, n, p, s // ny) * Y.sizes[q] + back_face(Y, n, q, s % ny), s, 1)
+            for s in range(m.cols) for (p, q, off, sz) in tot.layout[n] if sz))
+        assert m == want, n
+
+
+@pytest.mark.parametrize("name,X,Y", AW_TRUNCATED, ids=[c[0] for c in AW_TRUNCATED])
+def test_alexander_whitney_cuts_tot_above_the_source(name, X, Y):
+    aw, tot = alexander_whitney(X, Y)
+    S = aw.source.top_degree
+    full = full_tot(X, Y)
+    assert not aw.source.complete and full.complex.top_degree > S + 1
+    assert tot.complex == truncate_complex(full.complex, S + 1)
+    assert tot.layout == full.layout[:S + 2]
+    # the cone into the cut Tot is the cone of the same matrices into the full one
+    assert mapping_cone(aw) == mapping_cone(ChainMap(aw.source, full.complex, aw.mats))
+
+
+@pytest.mark.parametrize("name,X,Y", AW_COMPLETE, ids=[c[0] for c in AW_COMPLETE])
+def test_alexander_whitney_keeps_the_full_tot_of_complete_inputs(name, X, Y):
+    aw, tot = alexander_whitney(X, Y)
+    full = full_tot(X, Y)
+    assert aw.source.complete and tot.complex.complete
+    assert tot.complex.top_degree == len(X.sizes) + len(Y.sizes) - 2
+    assert (tot.complex, tot.layout) == (full.complex, full.layout)
 
 
 # -- chain maps, cones, induced maps ----------------------------------------------

@@ -25,6 +25,7 @@ from ssethom.sset import (
     interior_product,
     is_canonical_word,
     iter_simplices,
+    levelwise_product,
     monotone_to_simplex_ref,
     normalize_face,
     path_space,
@@ -234,6 +235,21 @@ def test_diagonal_of_interval_square():
     assert d.sizes == (4, 1)
     # the naive semi-simplicial diagonal is not a square: chi = 3, not 1
     assert euler_characteristic(d) == 3
+
+
+@pytest.mark.parametrize("X,Y", [
+    (boundary_semi_simplex(2), standard_semi_simplex(2)),
+    (enumerate_simplicial(free_degeneracies(boundary_semi_simplex(2)), 3).sset,
+     enumerate_simplicial(standard_simplicial_simplex(1), 4).sset),
+    (standard_semi_simplex(3), boundary_semi_simplex(2)),
+    (boundary_semi_simplex(3), enumerate_simplicial(standard_simplicial_simplex(2), 4).sset),
+], ids=["complete", "truncated-3-and-4", "unequal-levels", "complete-by-truncated"])
+def test_levelwise_product_is_the_diagonal_of_the_exterior_product(X, Y):
+    P = levelwise_product(X, Y)
+    assert P == diagonal(exterior_product(X, Y))
+    assert validate_sset(P).ok
+    assert len(P.sizes) == min(len(X.sizes), len(Y.sizes))
+    assert (P.truncated_at is None) == (X.truncated_at is None and Y.truncated_at is None)
 
 
 def test_interior_product_of_intervals_is_a_square():
