@@ -78,24 +78,44 @@ def _ring(coeff: str) -> str:
 # ---------------------------------------------------------------------------
 # loading with validation
 
+def _truncation(X) -> str:
+    return f", truncated at {X.truncated_at}" if X.truncated_at is not None else ""
+
+
+# One row per document class: (class, name, validator or None, description).
 _KINDS = (
-    (SemiSimplicialSet, "semi-simplicial set", validate_sset),
-    (SimplicialSet, "simplicial set", validate_simplicial),
-    (BiSemiSimplicialSet, "bi-semi-simplicial set", validate_bisset),
-    (FunctorData, "functor", validate_functor),
-    (NatTransData, "natural transformation", validate_nat_trans),
-    (FinNonUnitalCategory, "category", validate_category),
-    (FinMonoid, "monoid", validate_monoid),
-    (MonoidAction, "monoid action", validate_action),
-    (SparseIntMatrix, "matrix", None),
+    (SemiSimplicialSet, "semi-simplicial set", validate_sset,
+     lambda X: f"semi-simplicial set with level sizes {tuple(X.sizes)}{_truncation(X)}"),
+    (SimplicialSet, "simplicial set", validate_simplicial,
+     lambda Y: f"simplicial set with generator counts {tuple(Y.gen_sizes)}{_truncation(Y)}"),
+    (BiSemiSimplicialSet, "bi-semi-simplicial set", validate_bisset,
+     lambda B: (f"bi-semi-simplicial set on a {len(B.sizes)}x{len(B.sizes[0])} grid, "
+                f"{sum(map(sum, B.sizes))} simplices")),
+    (FunctorData, "functor", validate_functor,
+     lambda F: (f"functor from {F.source.n_objects} objects / {F.source.n_morphisms} "
+                f"morphisms to {F.target.n_objects} / {F.target.n_morphisms}")),
+    (NatTransData, "natural transformation", validate_nat_trans,
+     lambda eta: f"natural transformation with {len(eta.components)} components"),
+    (FinNonUnitalCategory, "category", validate_category,
+     lambda C: (f"category with {C.n_objects} objects, {C.n_morphisms} morphisms, "
+                + ("unital" if C.units is not None else "no units"))),
+    (FinMonoid, "monoid", validate_monoid,
+     lambda M: (f"monoid with {M.size} elements" if M.is_table else
+                f"commutative monoid presentation on {M.gens} generators, "
+                f"{len(M.relations)} relations")),
+    (MonoidAction, "monoid action", validate_action,
+     lambda A: f"{A.side} action of a {A.monoid.size}-element monoid on {A.size} elements"),
+    (SparseIntMatrix, "matrix", None, lambda A: f"{A.rows}x{A.cols} integer matrix"),
 )
 
 
-def _kind_of(obj):
-    for cls, name, checker in _KINDS:
-        if isinstance(obj, cls):
-            return name, checker
-    raise TypeError(f"unhandled document object {type(obj).__name__}")
+def _kind(obj) -> tuple:
+    """The ``_KINDS`` row of a document object."""
+    return next(row for row in _KINDS if isinstance(obj, row[0]))
+
+
+def _describe(obj) -> str:
+    return _kind(obj)[3](obj)
 
 
 def _load_schema(path: str):
@@ -110,44 +130,14 @@ def _load_schema(path: str):
 def _load_checked(path: str, want: tuple, what: str):
     """Load a document, insist on its kind, and run the owning validator."""
     obj = _load_schema(path)
+    _, name, checker, _ = _kind(obj)
     if not isinstance(obj, want):
-        name, _ = _kind_of(obj)
         raise UsageError(f"{path}: expected {what}, found a {name} document")
-    name, checker = _kind_of(obj)
     if checker is not None:
         rep = checker(obj)
         if not rep.ok:
             raise UsageError(f"{path}: invalid {name}: {rep.problems[0]}")
     return obj
-
-
-def _describe(obj) -> str:
-    if isinstance(obj, SemiSimplicialSet):
-        tail = f", truncated at {obj.truncated_at}" if obj.truncated_at is not None else ""
-        return f"semi-simplicial set with level sizes {tuple(obj.sizes)}{tail}"
-    if isinstance(obj, SimplicialSet):
-        tail = f", truncated at {obj.truncated_at}" if obj.truncated_at is not None else ""
-        return f"simplicial set with generator counts {tuple(obj.gen_sizes)}{tail}"
-    if isinstance(obj, BiSemiSimplicialSet):
-        return (f"bi-semi-simplicial set on a {len(obj.sizes)}x{len(obj.sizes[0])} grid, "
-                f"{sum(map(sum, obj.sizes))} simplices")
-    if isinstance(obj, FunctorData):
-        return (f"functor from {obj.source.n_objects} objects / {obj.source.n_morphisms} "
-                f"morphisms to {obj.target.n_objects} / {obj.target.n_morphisms}")
-    if isinstance(obj, NatTransData):
-        return f"natural transformation with {len(obj.components)} components"
-    if isinstance(obj, FinNonUnitalCategory):
-        u = "unital" if obj.units is not None else "no units"
-        return f"category with {obj.n_objects} objects, {obj.n_morphisms} morphisms, {u}"
-    if isinstance(obj, FinMonoid):
-        if obj.is_table:
-            return f"monoid with {obj.size} elements"
-        return f"commutative monoid presentation on {obj.gens} generators, {len(obj.relations)} relations"
-    if isinstance(obj, MonoidAction):
-        return f"{obj.side} action of a {obj.monoid.size}-element monoid on {obj.size} elements"
-    if isinstance(obj, SparseIntMatrix):
-        return f"{obj.rows}x{obj.cols} integer matrix"
-    return type(obj).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def _describe(obj) -> str:
 
 def _cmd_validate(args) -> int:
     obj = _load_schema(args.file)
-    name, checker = _kind_of(obj)
+    _, _, checker, describe = _kind(obj)
     if checker is None:
         ok, problems = True, []
     else:
@@ -164,7 +154,7 @@ def _cmd_validate(args) -> int:
         ok, problems = rep.ok, list(rep.problems)
     _emit({"command": "validate", "file": args.file,
            "type": formats.save_document(obj)["type"], "ok": ok, "problems": problems})
-    _say(f"{_describe(obj)}: {'ok' if ok else 'INVALID'}")
+    _say(f"{describe(obj)}: {'ok' if ok else 'INVALID'}")
     for p in problems:
         _say(f"  {p}")
     return 0 if ok else 1
@@ -335,12 +325,14 @@ def _cmd_group_complete(args) -> int:
     if M.is_table and args.cutoff is None:
         raise UsageError("--cutoff is required for a table-form monoid "
                          "(it bounds the classifying-space comparison)")
+    t0 = time.perf_counter()
     try:
         rep = theorems.group_completion_report(M, args.cutoff if args.cutoff is not None else 0)
     except ValueError as e:
         raise UsageError(f"{args.file}: {e}") from None
+    seconds = time.perf_counter() - t0
     _emit(rep.to_dict())
-    _render_report(rep.to_dict(), rep.seconds)
+    _render_report(rep.to_dict(), seconds)
     return 0 if rep.verdict == "pass" else 1
 
 
@@ -348,39 +340,46 @@ def _cmd_group_complete(args) -> int:
 # the check suite
 
 
-_CHECK_INPUTS = {
-    "adj-units": ((SemiSimplicialSet,), "a semi-simplicial document"),
-    "fat-thin": ((SimplicialSet,), "a simplicial document"),
-    "ez-diagonal": ((SimplicialSet, SimplicialSet), "two simplicial documents"),
-    "products": ((SimplicialSet, SimplicialSet), "two simplicial documents"),
-    "krannich": ((FinNonUnitalCategory,), "a category document"),
-    "terminal-contractible": ((FinNonUnitalCategory,), "a category document"),
-    "quillen-a": ((FunctorData,), "a functor document"),
-    "resolution-triangle": ((FunctorData,), "a functor document"),
-    "bar-acyclic": ((FinMonoid,), "a table-form monoid document"),
-    "group-completion": ((FinMonoid,), "a monoid document"),
-    "skeletal-shadow": ((SemiSimplicialSet,), "a semi-simplicial document"),
-    "segal-nerve": ((FinMonoid,), "a group multiplication table"),
-    "constant": ((), "no file (pass --size instead)"),
-}
+# One row per named check: (id, input kinds, what the inputs are, the extra
+# parameter it reads or None, the check, its seeded variant or None).  The
+# check is called as check(*inputs, extra, cutoff), without extra when it
+# reads none, and the seeded variant as variant(seed, cutoff).
+_CHECKS = (
+    ("adj-units", (SemiSimplicialSet,), "a semi-simplicial document", None,
+     theorems.check_adj_units, theorems.check_adj_units_random),
+    ("fat-thin", (SimplicialSet,), "a simplicial document", None,
+     theorems.check_fat_thin, theorems.check_fat_thin_random),
+    ("ez-diagonal", (SimplicialSet, SimplicialSet), "two simplicial documents", None,
+     theorems.check_ez_diagonal, theorems.check_ez_diagonal_random),
+    ("products", (SimplicialSet, SimplicialSet), "two simplicial documents", None,
+     theorems.check_products, None),
+    ("krannich", (FinNonUnitalCategory,), "a category document", None,
+     theorems.check_krannich, None),
+    ("terminal-contractible", (FinNonUnitalCategory,), "a category document", None,
+     theorems.check_terminal_contractible, None),
+    ("quillen-a", (FunctorData,), "a functor document", None,
+     theorems.check_quillen_a, None),
+    ("resolution-triangle", (FunctorData,), "a functor document", None,
+     theorems.check_resolution_triangle, None),
+    ("bar-acyclic", (FinMonoid,), "a table-form monoid document", None,
+     theorems.check_bar_acyclic, None),
+    ("group-completion", (FinMonoid,), "a monoid document", None,
+     theorems.group_completion_report, None),
+    ("skeletal-shadow", (SemiSimplicialSet,), "a semi-simplicial document", "degree",
+     theorems.check_skeletal_shadow, None),
+    ("segal-nerve", (FinMonoid,), "a group multiplication table", None,
+     theorems.check_segal_nerve, None),
+    ("constant", (), "no file (pass --size instead)", "size",
+     theorems.check_constant, None),
+)
 
-_RANDOM_CHECKS = {
-    "adj-units": theorems.check_adj_units_random,
-    "fat-thin": theorems.check_fat_thin_random,
-    "ez-diagonal": theorems.check_ez_diagonal_random,
-}
 
-_PLAIN_CHECKS = {
-    "adj-units": theorems.check_adj_units,
-    "fat-thin": theorems.check_fat_thin,
-    "krannich": theorems.check_krannich,
-    "terminal-contractible": theorems.check_terminal_contractible,
-    "quillen-a": theorems.check_quillen_a,
-    "resolution-triangle": theorems.check_resolution_triangle,
-    "bar-acyclic": theorems.check_bar_acyclic,
-    "group-completion": theorems.group_completion_report,
-    "segal-nerve": theorems.check_segal_nerve,
-}
+def _check_row(check_id) -> tuple:
+    for row in _CHECKS:
+        if row[0] == check_id:
+            return row
+    known = ", ".join(sorted(row[0] for row in _CHECKS))
+    raise UsageError(f"unknown check {check_id!r} (known: {known})")
 
 
 def _check_request(check_id, files: list, cutoff, seed, degree, size) -> None:
@@ -389,46 +388,36 @@ def _check_request(check_id, files: list, cutoff, seed, degree, size) -> None:
     A single check and every entry of a batch pass through here before any
     check runs, so a bad batch entry stops the batch before its first entry.
     """
-    if not isinstance(check_id, str) or check_id not in _CHECK_INPUTS:
-        known = ", ".join(sorted(_CHECK_INPUTS))
-        raise UsageError(f"unknown check {check_id!r} (known: {known})")
-    if degree is not None and check_id != "skeletal-shadow":
-        raise UsageError(f"check {check_id} does not read --degree")
-    if size is not None and check_id != "constant":
-        raise UsageError(f"check {check_id} does not read --size")
+    _, kinds, what, param, _, seeded = _check_row(check_id)
+    extra = {"degree": degree, "size": size}
+    for name, value in extra.items():
+        if value is not None and name != param:
+            raise UsageError(f"check {check_id} does not read --{name}")
     if cutoff is None:
         raise UsageError(f"check {check_id} needs --cutoff")
     if seed is not None:
-        if check_id not in _RANDOM_CHECKS:
-            allowed = ", ".join(sorted(_RANDOM_CHECKS))
+        if seeded is None:
+            allowed = ", ".join(sorted(row[0] for row in _CHECKS if row[5] is not None))
             raise UsageError(f"--seed only applies to the randomized checks ({allowed})")
         if files:
             raise UsageError("--seed generates the input; do not pass files with it")
         return
-    kinds, what = _CHECK_INPUTS[check_id]
     if len(files) != len(kinds):
         raise UsageError(f"check {check_id} takes {what}, got {len(files)} file(s)")
-    if check_id == "constant" and size is None:
-        raise UsageError("check constant needs --size")
-    if check_id == "skeletal-shadow" and degree is None:
-        raise UsageError("check skeletal-shadow needs --degree")
+    if param is not None and extra[param] is None:
+        raise UsageError(f"check {check_id} needs --{param}")
 
 
 def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
     """Run a request that ``_check_request`` accepted."""
+    _, kinds, what, param, check, seeded = _check_row(check_id)
     if seed is not None:
-        return _RANDOM_CHECKS[check_id](seed, cutoff)
-    kinds, what = _CHECK_INPUTS[check_id]
-    objs = [_load_checked(f, (k,), what) for f, k in zip(files, kinds)]
+        return seeded(seed, cutoff)
+    args = [_load_checked(f, (k,), what) for f, k in zip(files, kinds)]
+    if param is not None:
+        args.append({"degree": degree, "size": size}[param])
     try:
-        if check_id == "constant":
-            return theorems.check_constant(size, cutoff)
-        if check_id == "skeletal-shadow":
-            return theorems.check_skeletal_shadow(objs[0], degree, cutoff)
-        if check_id in ("ez-diagonal", "products"):
-            fn = theorems.check_ez_diagonal if check_id == "ez-diagonal" else theorems.check_products
-            return fn(objs[0], objs[1], cutoff)
-        return _PLAIN_CHECKS[check_id](objs[0], cutoff)
+        return check(*args, cutoff)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -504,8 +493,7 @@ def _cmd_check(args) -> int:
     if args.batch is not None:
         if args.check_id is not None or args.files:
             raise UsageError("--batch replaces the check id and files")
-        given = [f"--{k}" for k in ("cutoff", "seed", "degree", "size")
-                 if getattr(args, k) is not None]
+        given = [f"--{k}" for k in _BATCH_PARAMS if getattr(args, k) is not None]
         if given:
             raise UsageError(f"--batch takes its parameters from the file, not {given[0]}")
         items = _check_batch_items(args.batch)
@@ -529,9 +517,11 @@ def _cmd_check(args) -> int:
         raise UsageError("--jobs only applies to --batch runs")
     request = (args.check_id, args.files, args.cutoff, args.seed, args.degree, args.size)
     _check_request(*request)
+    t0 = time.perf_counter()
     rep = _run_check(*request)
+    seconds = time.perf_counter() - t0
     _emit(rep.to_dict())
-    _render_report(rep.to_dict(), rep.seconds)
+    _render_report(rep.to_dict(), seconds)
     return 0 if rep.verdict == "pass" else 1
 
 
@@ -631,23 +621,26 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=_nonneg_int, default=None,
                     help="homology comparison range (required for table input)")
 
+    def reading(param):
+        return ", ".join(row[0] for row in _CHECKS if row[3] == param)
+
     sp = sub.add_parser(
         "check",
         help="Run one named homological check, or a batch of them.",
         description="Run one named check and report pass/fail.  Known checks: "
-                    + ", ".join(sorted(_CHECK_INPUTS)) + ".")
+                    + ", ".join(sorted(row[0] for row in _CHECKS)) + ".")
     sp.add_argument("check_id", nargs="?", default=None, metavar="check",
                     help="which check to run")
     sp.add_argument("files", nargs="*", help="input documents for the check")
     sp.add_argument("--cutoff", type=_nonneg_int, default=None,
                     help="homological range of the check (required)")
     sp.add_argument("--seed", type=int, default=None,
-                    help="generate a random input instead of reading files "
-                         "(adj-units, fat-thin, ez-diagonal)")
+                    help="generate a random input instead of reading files ("
+                         + ", ".join(row[0] for row in _CHECKS if row[5] is not None) + ")")
     sp.add_argument("--degree", type=_nonneg_int, default=None,
-                    help="skeleton degree (skeletal-shadow only)")
+                    help=f"skeleton degree ({reading('degree')} only)")
     sp.add_argument("--size", type=_nonneg_int, default=None,
-                    help="number of points (constant only)")
+                    help=f"number of points ({reading('size')} only)")
     sp.add_argument("--batch", default=None, metavar="FILE",
                     help="run every check listed in a JSON batch file")
     sp.add_argument("--jobs", type=_positive_int, default=1,

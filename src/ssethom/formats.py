@@ -442,6 +442,18 @@ _LOADERS = {
     "matrix": _load_matrix,
 }
 
+_SAVERS = {
+    SemiSimplicialSet: _save_sset,
+    SimplicialSet: _save_simplicial,
+    BiSemiSimplicialSet: _save_bisset,
+    FinNonUnitalCategory: _save_category,
+    FunctorData: _save_functor,
+    NatTransData: _save_nat_trans,
+    FinMonoid: _save_monoid,
+    MonoidAction: _save_action,
+    SparseIntMatrix: _save_matrix,
+}
+
 
 def load_document(data, path: str = ""):
     """Parse one tagged document (already JSON-decoded) into its object."""
@@ -456,25 +468,10 @@ def load_document(data, path: str = ""):
 
 def save_document(obj) -> dict:
     """The inverse of load_document, up to field ordering."""
-    if isinstance(obj, SemiSimplicialSet):
-        return _save_sset(obj)
-    if isinstance(obj, SimplicialSet):
-        return _save_simplicial(obj)
-    if isinstance(obj, BiSemiSimplicialSet):
-        return _save_bisset(obj)
-    if isinstance(obj, FunctorData):
-        return _save_functor(obj)
-    if isinstance(obj, NatTransData):
-        return _save_nat_trans(obj)
-    if isinstance(obj, FinNonUnitalCategory):
-        return _save_category(obj)
-    if isinstance(obj, FinMonoid):
-        return _save_monoid(obj)
-    if isinstance(obj, MonoidAction):
-        return _save_action(obj)
-    if isinstance(obj, SparseIntMatrix):
-        return _save_matrix(obj)
-    raise TypeError(f"no document form for {type(obj).__name__}")
+    saver = _SAVERS.get(type(obj))
+    if saver is None:
+        raise TypeError(f"no document form for {type(obj).__name__}")
+    return saver(obj)
 
 
 def read_document(filename: str):

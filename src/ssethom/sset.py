@@ -479,9 +479,6 @@ class SimplicialSet:
     gen_faces: tuple[tuple[tuple[SimplexRef, ...], ...], ...]
     truncated_at: int | None = None
 
-    def generator(self, q: int, g: int) -> SimplexRef:
-        return SimplexRef((), q, g)
-
     @property
     def top_generator_degree(self) -> int:
         nonempty = [q for q, s in enumerate(self.gen_sizes) if s]

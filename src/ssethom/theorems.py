@@ -8,15 +8,14 @@ mapping cone", and "contractible" as "point homology through the trusted
 range"; every report names the range it actually verified.
 
 Reports are pure functions of their inputs: rerunning a check yields an
-identical report (timing is carried separately and never serialized).
+identical report.  They carry no timing; the command line times the call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .cat import (
     FinMonoid,
@@ -59,7 +58,6 @@ from .homalg import (
     normalization_projection,
     normalized_chains,
     total_complex,
-    truncate_complex,
     unnormalized_chains,
 )
 from .snf import SparseIntMatrix, smith_normal_form
@@ -113,7 +111,6 @@ class CheckReport:
     hypotheses: tuple
     comparisons: tuple
     notes: tuple = ()
-    seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -127,8 +124,7 @@ class CheckReport:
         }
 
 
-def _finish(check: str, cutoff: int, trusted: int, items, comparisons,
-            notes, t0: float) -> CheckReport:
+def _finish(check: str, cutoff: int, trusted: int, items, comparisons, notes) -> CheckReport:
     items = tuple(it for it in items if it is not None)
     comparisons = tuple(comparisons)
     if any(not it.ok for it in items) or any(not c.equal for c in comparisons):
@@ -137,8 +133,7 @@ def _finish(check: str, cutoff: int, trusted: int, items, comparisons,
         verdict = "untrusted-at-cutoff"
     else:
         verdict = "pass"
-    return CheckReport(check, verdict, cutoff, trusted, items, comparisons,
-                       tuple(notes), time.perf_counter() - t0)
+    return CheckReport(check, verdict, cutoff, trusted, items, comparisons, tuple(notes))
 
 
 def _cone_item(label: str, f: ChainMap, through: int) -> CheckItem | None:
@@ -166,7 +161,6 @@ def _point_comparisons(groups, through: int):
 def check_adj_units(X: SemiSimplicialSet, N: int) -> CheckReport:
     """The unit X -> E X (freely added degeneracies, then flattened) is a
     homology isomorphism in every trusted degree."""
-    t0 = time.perf_counter()
     notes = []
     if X.truncated_at is not None:
         n_eff = X.truncated_at
@@ -180,7 +174,7 @@ def check_adj_units(X: SemiSimplicialSet, N: int) -> CheckReport:
     f, _ = unit_map(X, n_eff)
     fc = chain_map_from_sset_map(f)
     items = [_cone_item("unit map is a homology isomorphism", fc, trusted)]
-    return _finish("adj-units", N, trusted, items, [], notes, t0)
+    return _finish("adj-units", N, trusted, items, [], notes)
 
 
 def check_adj_units_random(seed: int, N: int) -> CheckReport:
@@ -194,7 +188,6 @@ def check_adj_units_random(seed: int, N: int) -> CheckReport:
 def check_fat_thin(Y: SimplicialSet, N: int) -> CheckReport:
     """Unnormalized and normalized chains of a simplicial set agree in every
     trusted degree (the normalization projection has an acyclic cone)."""
-    t0 = time.perf_counter()
     notes = []
     n_eff = N
     if Y.truncated_at is not None and Y.truncated_at < N:
@@ -204,7 +197,7 @@ def check_fat_thin(Y: SimplicialSet, N: int) -> CheckReport:
     proj = normalization_projection(enumerate_simplicial(Y, n_eff))
     items = [_cone_item("normalization projection is a homology isomorphism",
                         proj, trusted)]
-    return _finish("fat-thin", N, trusted, items, [], notes, t0)
+    return _finish("fat-thin", N, trusted, items, [], notes)
 
 
 def check_fat_thin_random(seed: int, N: int) -> CheckReport:
@@ -227,7 +220,6 @@ def check_ez_diagonal(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport
     """The levelwise product's homology agrees with the total complex of the
     levelwise tensor, and the front-face/back-face comparison map certifies it
     at the chain level."""
-    t0 = time.perf_counter()
     notes = []
     n_eff = _clamped_level(N, X, Y, notes=notes)
     ex = enumerate_simplicial(X, n_eff).sset
@@ -237,7 +229,7 @@ def check_ez_diagonal(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport
     comparisons = [GroupComparison(n, diag_h[n], homology(tot.complex, n))
                    for n in range(n_eff - 1)]
     items = [_cone_item("front-face/back-face comparison map", aw, n_eff - 1)]
-    return _finish("ez-diagonal", N, n_eff - 2, items, comparisons, notes, t0)
+    return _finish("ez-diagonal", N, n_eff - 2, items, comparisons, notes)
 
 
 def check_ez_diagonal_random(seed: int, N: int) -> CheckReport:
@@ -252,7 +244,6 @@ def check_ez_diagonal_random(seed: int, N: int) -> CheckReport:
 def check_products(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport:
     """Homology of the levelwise product against the Kunneth oracle applied
     to the factors' homology."""
-    t0 = time.perf_counter()
     notes = []
     n_eff = _clamped_level(N, X, Y, notes=notes)
     prod = unnormalized_chains(interior_product(X, Y, n_eff))
@@ -260,7 +251,7 @@ def check_products(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport:
     hy = graded_homology(normalized_chains(Y, through=n_eff))
     comparisons = [GroupComparison(n, homology(prod, n), kunneth_oracle(hx, hy, n))
                    for n in range(n_eff)]
-    return _finish("products", N, n_eff - 1, [], comparisons, notes, t0)
+    return _finish("products", N, n_eff - 1, [], comparisons, notes)
 
 
 # -- freely added units --------------------------------------------------------------
@@ -268,11 +259,10 @@ def check_products(X: SimplicialSet, Y: SimplicialSet, N: int) -> CheckReport:
 
 def check_krannich(C: FinNonUnitalCategory, N: int) -> CheckReport:
     """Freely adjoining units does not change nerve homology in trusted degrees."""
-    t0 = time.perf_counter()
     f = nerve_unitalize_inclusion(C, N)
     fc = chain_map_from_sset_map(f)
     items = [_cone_item("nerve of C -> nerve of C with units adjoined", fc, N - 1)]
-    return _finish("krannich", N, N - 1, items, [], [], t0)
+    return _finish("krannich", N, N - 1, items, [], [])
 
 
 # -- terminal objects ------------------------------------------------------------------
@@ -295,7 +285,6 @@ def check_terminal_contractible(C: FinNonUnitalCategory, N: int) -> CheckReport:
     """A terminal object makes the nerve contractible: the canonical natural
     transformation to the constant functor gives a chain contraction, and the
     nerve has point homology through the trusted range."""
-    t0 = time.perf_counter()
     if C.units is None:
         raise ValueError("this check needs declared units")
     t = _find_terminal(C)
@@ -318,7 +307,7 @@ def check_terminal_contractible(C: FinNonUnitalCategory, N: int) -> CheckReport:
     groups = graded_homology(unnormalized_chains(nerve(C, N).sset),
                              through=N - 1)
     comparisons = _point_comparisons(groups, N - 1)
-    return _finish("terminal-contractible", N, N - 1, items, comparisons, [], t0)
+    return _finish("terminal-contractible", N, N - 1, items, comparisons, [])
 
 
 # -- fibers over objects and the comma resolution ---------------------------------------
@@ -330,7 +319,6 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
     the comma resolution's certificates (row contractions and acyclic fibers
     of the projection to the target nerve), and the conclusion on the nerve
     map."""
-    t0 = time.perf_counter()
     D = F.target
     if D.units is None:
         raise ValueError("this check needs a unital target category")
@@ -351,7 +339,7 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
     if not hypothesis_ok:
         notes.append("hypotheses not met")
         notes.append("resolution and conclusion stages skipped")
-        return _finish("quillen-a", N, N - 2, items, [], notes, t0)
+        return _finish("quillen-a", N, N - 2, items, [], notes)
 
     res = comma_resolution(F, N, dual=True)
     for p in range(N + 1):
@@ -372,15 +360,15 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
 
     fc = chain_map_from_sset_map(nerve_map(F, N))
     items.append(_cone_item("nerve map of the functor", fc, N - 2))
-    return _finish("quillen-a", N, N - 2, items, [], notes, t0)
+    return _finish("quillen-a", N, N - 2, items, [], notes)
 
 
 def _resolution_models(F: FunctorData, N: int):
     """The two edge projections of the comma resolution as chain maps out of
     the truncated total complex, plus the shared target complexes."""
     res = comma_resolution(F, N)
-    tot = total_complex(bicomplex(res.bisset))
-    T = truncate_complex(tot.complex, N)
+    tot = total_complex(bicomplex(res.bisset), through=N)
+    T = tot.complex
     CC = unnormalized_chains(res.c_nerve.sset)
     CD = unnormalized_chains(nerve(F.target, N).sset)
 
@@ -403,7 +391,6 @@ def _resolution_models(F: FunctorData, N: int):
 def check_resolution_triangle(F: FunctorData, N: int) -> CheckReport:
     """Both edge projections of the comma resolution induce the same map on
     homology once one is pushed through the functor's nerve map."""
-    t0 = time.perf_counter()
     eps_model, eta_model, CD = _resolution_models(F, N)
     nf = chain_map_from_sset_map(nerve_map(F, N))
     composite = compose_chain_maps(nf, eps_model)
@@ -417,7 +404,7 @@ def check_resolution_triangle(F: FunctorData, N: int) -> CheckReport:
             f"H_{n}: eta projection equals nerve(F) after eps projection",
             via_eta == via_eps,
             f"{via_eta} != {via_eps}" if via_eta != via_eps else ""))
-    return _finish("resolution-triangle", N, N - 2, items, [], [], t0)
+    return _finish("resolution-triangle", N, N - 2, items, [], [])
 
 
 # -- two-sided bar constructions --------------------------------------------------------
@@ -426,7 +413,6 @@ def check_resolution_triangle(F: FunctorData, N: int) -> CheckReport:
 def check_bar_acyclic(M: FinMonoid, N: int) -> CheckReport:
     """B(*, M, M) augmented over the point is exactly acyclic: the appended
     last-coordinate degeneracy gives a chain contraction."""
-    t0 = time.perf_counter()
     if not M.is_table:
         raise ValueError("this check needs a multiplication table")
     cert = bar_extra_degeneracy(M, N)
@@ -440,7 +426,7 @@ def check_bar_acyclic(M: FinMonoid, N: int) -> CheckReport:
     ok, failures = acyclic_through(h.source, N - 1)
     items.append(CheckItem(f"augmented bar complex acyclic through {N - 1}", ok,
                            "; ".join(f"H_{k} = {g}" for k, g in failures)))
-    return _finish("bar-acyclic", N, N - 1, items, [], [], t0)
+    return _finish("bar-acyclic", N, N - 1, items, [], [])
 
 
 # -- group completion ----------------------------------------------------------------
@@ -516,7 +502,6 @@ def group_completion_report(M: FinMonoid, N: int) -> CheckReport:
     """Group completion of a commutative monoid: the Grothendieck group, its
     group ring, and (for tables) the homology of BM against B of the
     completion."""
-    t0 = time.perf_counter()
     if M.is_table and not is_commutative_monoid(M):
         raise ValueError("group completion report needs a commutative monoid")
     G = grothendieck_group(M)
@@ -548,7 +533,7 @@ def group_completion_report(M: FinMonoid, N: int) -> CheckReport:
                 f"counted {counted}, matrix route {G.torsion}"))
     else:
         notes.append("presentation input: homology of BM not computed")
-    return _finish("group-completion", N, N - 1, items, comparisons, notes, t0)
+    return _finish("group-completion", N, N - 1, items, comparisons, notes)
 
 
 # -- skeleta ---------------------------------------------------------------------------
@@ -580,7 +565,6 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
     """The n-skeleton inclusion is a homology isomorphism below n and a
     surjection at n, with the surjection double-checked by an explicit
     cokernel computation."""
-    t0 = time.perf_counter()
     if n >= N:
         raise ValueError("the skeleton degree must sit below the cutoff")
     notes = []
@@ -593,14 +577,14 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
             notes.append(f"input truncated at {X.truncated_at}; "
                          f"skeleton degree clamped from {n} to {n_eff}")
         if n_eff < 0:
-            return _finish("skeletal-shadow", N, -1, [], [], notes, t0)
+            return _finish("skeletal-shadow", N, -1, [], [], notes)
         fc = chain_map_from_sset_map(skeleton_inclusion(X, n_eff))
     items = [_cone_item(f"{n_eff}-skeleton inclusion", fc, n_eff)]
     cols, _, tgt_co = induced_map_on_homology(fc, n_eff)
     onto = _induced_is_onto(cols, tgt_co)
     items.append(CheckItem(f"H_{n_eff} surjectivity by explicit cokernel", onto,
                            "" if onto else f"image columns {cols} do not span {tgt_co.group}"))
-    return _finish("skeletal-shadow", N, n_eff, items, [], notes, t0)
+    return _finish("skeletal-shadow", N, n_eff, items, [], notes)
 
 
 # -- Segal maps and the path space -------------------------------------------------------
@@ -609,7 +593,6 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
 def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
     """For a group: the nerve satisfies the Segal condition on the nose, and
     the path space of the nerve contracts onto the vertex."""
-    t0 = time.perf_counter()
     if not M.is_table or not is_group(M):
         raise ValueError("the Segal certificate is only issued for group tables")
     C = monoid_as_category(M)
@@ -632,7 +615,7 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
     ok, failures = acyclic_through(h.source, N - 1)
     items.append(CheckItem(f"augmented path complex acyclic through {N - 1}", ok,
                            "; ".join(f"H_{k} = {g}" for k, g in failures)))
-    return _finish("segal-nerve", N, N - 1, items, [], [], t0)
+    return _finish("segal-nerve", N, N - 1, items, [], [])
 
 
 # -- constant semi-simplicial spaces ------------------------------------------------------
@@ -641,10 +624,9 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
 def check_constant(size: int, N: int) -> CheckReport:
     """The constant semi-simplicial set on a finite set has the set's
     homology: free in degree zero, nothing above."""
-    t0 = time.perf_counter()
     X = constant_sset(size, N)
     groups = graded_homology(unnormalized_chains(X), through=N - 1)
     comparisons = [GroupComparison(k, groups[k],
                                    FPAbelianGroup(size) if k == 0 else _ZERO)
                    for k in range(min(N - 1, len(groups) - 1) + 1)]
-    return _finish("constant", N, N - 1, [], comparisons, [], t0)
+    return _finish("constant", N, N - 1, [], comparisons, [])

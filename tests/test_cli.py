@@ -2,11 +2,13 @@ import glob
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
 from ssethom import cli, formats
-from ssethom.cat import FinMonoid, FinNonUnitalCategory, FunctorData, validate_category
+from ssethom.cat import (FinMonoid, FinNonUnitalCategory, FunctorData, NatTransData,
+                         validate_category)
 from ssethom.sset import BiSemiSimplicialSet, SemiSimplicialSet, validate_bisset, validate_sset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -388,6 +390,18 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 # -- the check suite ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "adj-units", fixture("rp2.ss.json"), "--cutoff", "4"),
+    ("check", "fat-thin", "--seed", "2", "--cutoff", "3"),
+    ("group-complete", fixture("c2.mon.json"), "--cutoff", "3"),
+], ids=["check", "seeded-check", "group-complete"])
+def test_the_cli_times_the_check(argv, capsys):
+    code, doc, err = run_json(capsys, *argv)
+    head = err.splitlines()[0]
+    assert head.startswith(f"{doc['check']}: {doc['verdict']}  (cutoff ")
+    assert re.fullmatch(r"\[\d+\.\d{3}s\]", head.rsplit("  ", 1)[1])
+
+
 def test_check_pass_exits_zero(capsys):
     code, doc, err = run_json(capsys, "check", "adj-units", fixture("rp2.ss.json"),
                               "--cutoff", "4")
@@ -576,6 +590,133 @@ def test_jobs_without_batch_rejected(capsys):
     assert code == 2
 
 
+# -- exact request errors and help text ----------------------------------------
+
+
+_KNOWN_CHECKS = ("adj-units, bar-acyclic, constant, ez-diagonal, fat-thin, group-completion, "
+                 "krannich, products, quillen-a, resolution-triangle, segal-nerve, "
+                 "skeletal-shadow, terminal-contractible")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("telescope", "--cutoff", "3"), f"unknown check 'telescope' (known: {_KNOWN_CHECKS})"),
+    (("adj-units", fixture("rp2.ss.json"), "--cutoff", "3", "--degree", "2"),
+     "check adj-units does not read --degree"),
+    (("skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "3", "--degree", "1",
+      "--size", "2"), "check skeletal-shadow does not read --size"),
+    (("adj-units", fixture("rp2.ss.json")), "check adj-units needs --cutoff"),
+    (("products", "--seed", "1", "--cutoff", "3"),
+     "--seed only applies to the randomized checks (adj-units, ez-diagonal, fat-thin)"),
+    (("adj-units", fixture("rp2.ss.json"), "--seed", "1", "--cutoff", "3"),
+     "--seed generates the input; do not pass files with it"),
+    (("constant", "--cutoff", "2"), "check constant needs --size"),
+    (("skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "3"),
+     "check skeletal-shadow needs --degree"),
+    (("adj-units", fixture("c2.mon.json"), "--cutoff", "3"),
+     f"{fixture('c2.mon.json')}: expected a semi-simplicial document, found a monoid document"),
+], ids=["unknown", "degree", "size", "cutoff", "seed-plain", "seed-files", "no-size",
+        "no-degree", "wrong-kind"])
+def test_check_request_errors_are_exact(argv, message, capsys):
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("check_id, what", [
+    ("adj-units", "a semi-simplicial document"),
+    ("fat-thin", "a simplicial document"),
+    ("ez-diagonal", "two simplicial documents"),
+    ("products", "two simplicial documents"),
+    ("krannich", "a category document"),
+    ("terminal-contractible", "a category document"),
+    ("quillen-a", "a functor document"),
+    ("resolution-triangle", "a functor document"),
+    ("bar-acyclic", "a table-form monoid document"),
+    ("group-completion", "a monoid document"),
+    ("skeletal-shadow", "a semi-simplicial document"),
+    ("segal-nerve", "a group multiplication table"),
+    ("constant", "no file (pass --size instead)"),
+])
+def test_check_file_count_error_is_exact(check_id, what, capsys):
+    files = [fixture("rp2.ss.json")] * 3
+    extra = {"skeletal-shadow": ("--degree", "1"), "constant": ("--size", "1")}.get(check_id, ())
+    code, out, err = run(capsys, "check", check_id, *files, "--cutoff", "3", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: check {check_id} takes {what}, got 3 file(s)\n"
+
+
+_CHECK_HELP = """\
+usage: ssethom check [-h] [--cutoff CUTOFF] [--seed SEED] [--degree DEGREE]
+                     [--size SIZE] [--batch FILE] [--jobs JOBS]
+                     [check] [files ...]
+
+Run one named check and report pass/fail. Known checks: adj-units, bar-
+acyclic, constant, ez-diagonal, fat-thin, group-completion, krannich,
+products, quillen-a, resolution-triangle, segal-nerve, skeletal-shadow,
+terminal-contractible.
+
+positional arguments:
+  check            which check to run
+  files            input documents for the check
+
+options:
+  -h, --help       show this help message and exit
+  --cutoff CUTOFF  homological range of the check (required)
+  --seed SEED      generate a random input instead of reading files (adj-
+                   units, fat-thin, ez-diagonal)
+  --degree DEGREE  skeleton degree (skeletal-shadow only)
+  --size SIZE      number of points (constant only)
+  --batch FILE     run every check listed in a JSON batch file
+  --jobs JOBS      parallel workers for a batch run
+"""
+
+
+def test_readme_check_table_lists_every_check(capsys):
+    code, out, err = run(capsys, "check", "nope", "--cutoff", "1")
+    known = err[err.index("(known: ") + len("(known: "):err.rindex(")")].split(", ")
+    with open(os.path.join(FIXTURES, "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = readme[readme.index("| id | input |"):].split("\n\n", 1)[0]
+    listed = [line.split("`")[1] for line in table.splitlines()[2:]]
+    assert sorted(listed) == known
+    assert len(set(listed)) == len(listed)
+
+
+def test_check_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _CHECK_HELP
+
+
+@pytest.mark.parametrize("name, line", [
+    ("threepoints.ss.json", "semi-simplicial set with level sizes (3, 3, 3), truncated at 2"),
+    ("delta2.simp.json", "simplicial set with generator counts (3, 3, 1)"),
+    ("torus.bis.json", "bi-semi-simplicial set on a 2x2 grid, 36 simplices"),
+    ("endpoint.fun.json", "functor from 1 objects / 1 morphisms to 2 / 3"),
+    ("poset2.cat.json", "category with 3 objects, 6 morphisms, unital"),
+    ("idempotent.cat.json", "category with 1 objects, 1 morphisms, no units"),
+    ("c3.mon.json", "monoid with 3 elements"),
+    ("glued.pres.json", "commutative monoid presentation on 2 generators, 1 relations"),
+    ("regc2.act.json", "left action of a 2-element monoid on 2 elements"),
+    ("example.mat.json", "3x3 integer matrix"),
+], ids=lambda v: v.split(".")[0] if v.endswith(".json") else "line")
+def test_validate_describes_each_document_kind(name, line, capsys):
+    code, out, err = run(capsys, "validate", fixture(name))
+    assert code == 0
+    assert err.splitlines()[0] == f"{line}: ok"
+
+
+def test_validate_describes_a_natural_transformation(capsys, tmp_path):
+    F = FunctorData(*[formats.read_document(fixture("poset2.cat.json"))] * 2,
+                    (0, 1, 2), tuple(range(6)))
+    p = tmp_path / "id.nat.json"
+    formats.write_document(str(p), NatTransData(F, F, F.source.units))
+    code, doc, err = run_json(capsys, "validate", str(p))
+    assert doc["type"] == "nat-trans"
+    assert err.startswith("natural transformation with 3 components: ")
+
+
 # -- argument bounds -----------------------------------------------------------
 
 
@@ -651,8 +792,13 @@ def test_batch_rejects_every_request_error_before_running_any(entry, capsys, tmp
                                                               monkeypatch):
     ran = []
     real = cli.theorems.check_bar_acyclic
-    monkeypatch.setitem(cli._PLAIN_CHECKS, "bar-acyclic",
-                        lambda *a: ran.append(a) or real(*a))
+
+    def spy(*a):
+        ran.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(cli, "_CHECKS", tuple(
+        row[:4] + (spy,) + row[5:] if row[0] == "bar-acyclic" else row for row in cli._CHECKS))
     p = tmp_path / "batch.json"
     first = {"check": "bar-acyclic", "files": [os.path.abspath(fixture("c2.mon.json"))],
              "cutoff": 2}

@@ -23,6 +23,7 @@ from ssethom.fixtures import (
     cyclic_group_monoid,
     idempotent_category,
     klein_four_monoid,
+    quillen_functor_corpus,
     random_simplicial,
 )
 from ssethom.homalg import (
@@ -706,6 +707,21 @@ def test_alexander_whitney_keeps_the_full_tot_of_complete_inputs(name, X, Y):
     assert aw.source.complete and tot.complex.complete
     assert tot.complex.top_degree == len(X.sizes) + len(Y.sizes) - 2
     assert (tot.complex, tot.layout) == (full.complex, full.layout)
+
+
+def _entry_order(C):
+    return [[(r, list(row.items())) for r, row in d.data.items()] for d in C.diffs]
+
+
+@pytest.mark.parametrize("name", sorted(quillen_functor_corpus()))
+def test_resolution_tot_cut_at_n_is_its_truncation(name):
+    F = quillen_functor_corpus()[name]
+    for N in range(6):
+        D = bicomplex(comma_resolution(F, N).bisset)
+        cut, full = total_complex(D, through=N), total_complex(D)
+        assert cut.complex == truncate_complex(full.complex, N), N
+        assert _entry_order(cut.complex) == _entry_order(truncate_complex(full.complex, N)), N
+        assert cut.layout == full.layout[:N + 1], N
 
 
 # -- chain maps, cones, induced maps ----------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -355,6 +356,8 @@ def test_seconds_not_serialized_and_not_compared():
     rep = th.check_constant(2, 3)
     assert "seconds" not in rep.to_dict()
     assert rep == th.check_constant(2, 3)
+    # a report carries no timing at all; the command line times the call
+    assert "seconds" not in {f.name for f in dataclasses.fields(rep)}
 
 
 def test_nat_trans_sides_induce_equal_homology_maps():
