@@ -6,20 +6,26 @@ augmentations, two-sided bar constructions, and Grothendieck groups.
 
 Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
+
+Validators check shapes and ranges before any law, and a document is valid
+only when the documents nested in it (categories, functors, monoid) are.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .homalg import FPAbelianGroup
 from .snf import SparseIntMatrix, smith_normal_form
 from .sset import (
     BiSemiSimplicialSet,
-    HomotopyCertificate,
+    ExtraDegeneracy,
+    PrismHomotopy,
     SemiSimplicialSet,
     SSetMap,
     ValidationReport,
+    _identity_problems,
     path_space,
     path_space_augmentation,
 )
@@ -49,54 +55,58 @@ class FinNonUnitalCategory:
             raise ValueError(f"morphisms {f} then {g} are not composable") from None
 
 
+def _at(labels, template):
+    """A law message that names position s by the tuple ``labels[s]``."""
+    return lambda s, **_: template.format(*labels[s])
+
+
+def _nested_problems(**reports: ValidationReport) -> list[str]:
+    """The problems of nested documents, each prefixed with its field."""
+    return [f"{name}: {p}" for name, rep in reports.items() for p in rep.problems]
+
+
 def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
-    problems: list[str] = []
     m = C.n_morphisms
     if len(C.tgt) != m:
         return ValidationReport(False, ("src and tgt tables differ in length",))
-    for f in range(m):
-        if not (0 <= C.src[f] < C.n_objects and 0 <= C.tgt[f] < C.n_objects):
-            problems.append(f"morphism {f} has an endpoint out of range")
+    problems = [f"morphism {f} has an endpoint out of range" for f in range(m)
+                if not (0 <= C.src[f] < C.n_objects and 0 <= C.tgt[f] < C.n_objects)]
     composable = {(f, g) for f in range(m) for g in range(m) if C.tgt[f] == C.src[g]}
-    if set(C.comp) != composable:
-        missing = composable - set(C.comp)
-        extra = set(C.comp) - composable
-        if missing:
-            problems.append(f"composition missing on {sorted(missing)[:5]}")
-        if extra:
-            problems.append(f"composition defined on non-composable {sorted(extra)[:5]}")
+    missing, extra = composable - C.comp.keys(), C.comp.keys() - composable
+    if missing:
+        problems.append(f"composition missing on {sorted(missing)[:5]}")
+    if extra:
+        problems.append(f"composition defined on non-composable {sorted(extra)[:5]}")
     for (f, g), h in C.comp.items():
         if not (0 <= h < m):
             problems.append(f"composite of ({f},{g}) out of range")
         elif (f, g) in composable and (C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]):
             problems.append(f"composite of ({f},{g}) has wrong endpoints")
-    if not problems:
-        for f in range(m):
-            for g in range(m):
-                if C.tgt[f] != C.src[g]:
-                    continue
-                fg = C.comp[(f, g)]
-                for h in range(m):
-                    if C.tgt[g] != C.src[h]:
-                        continue
-                    if C.comp[(fg, h)] != C.comp[(f, C.comp[(g, h)])]:
-                        problems.append(f"associativity fails on ({f},{g},{h})")
-                        if len(problems) >= 20:
-                            return ValidationReport(False, tuple(problems))
-    if C.units is not None and not problems:
-        if len(C.units) != C.n_objects:
-            problems.append("one unit per object required")
-        else:
-            for c, u in enumerate(C.units):
-                if not (0 <= u < m) or C.src[u] != c or C.tgt[u] != c:
-                    problems.append(f"unit of object {c} is not an endomorphism of it")
-            for f in range(m):
-                if not problems:
-                    if C.comp[(C.units[C.src[f]], f)] != f:
-                        problems.append(f"unit law fails on the left of morphism {f}")
-                    elif C.comp[(f, C.units[C.tgt[f]])] != f:
-                        problems.append(f"unit law fails on the right of morphism {f}")
-    return ValidationReport(not problems, tuple(problems[:20]))
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
+    comp = C.comp
+    triples = [(f, g, h) for f in range(m) for g in range(m) if C.tgt[f] == C.src[g]
+               for h in range(m) if C.tgt[g] == C.src[h]]
+    problems = _identity_problems(((
+        [comp[(comp[(f, g)], h)] for f, g, h in triples],
+        [comp[(f, comp[(g, h)])] for f, g, h in triples],
+        _at(triples, "associativity fails on ({},{},{})")),), 20)
+    if problems or C.units is None:
+        return ValidationReport(not problems, tuple(problems))
+    units = C.units
+    if len(units) != C.n_objects:
+        return ValidationReport(False, ("one unit per object required",))
+    problems = [f"unit of object {c} is not an endomorphism of it" for c, u in enumerate(units)
+                if not (0 <= u < m) or C.src[u] != c or C.tgt[u] != c]
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
+    # only the first failing unit law is named, the left one before the right
+    problems = _identity_problems(((
+        [(comp[(units[C.src[f]], f)], comp[(f, units[C.tgt[f]])]) for f in range(m)],
+        [(f, f) for f in range(m)],
+        lambda s, left, right: "unit law fails on the "
+                               f"{'left' if left[0] != s else 'right'} of morphism {s}"),), 1)
+    return ValidationReport(not problems, tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -108,23 +118,27 @@ class FunctorData:
 
 
 def validate_functor(F: FunctorData) -> ValidationReport:
-    problems: list[str] = []
     C, D = F.source, F.target
+    problems = _nested_problems(source=validate_category(C), target=validate_category(D))
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
     if len(F.obj_map) != C.n_objects or len(F.mor_map) != C.n_morphisms:
         return ValidationReport(False, ("object or morphism map has wrong length",))
     if any(not (0 <= x < D.n_objects) for x in F.obj_map):
         problems.append("object map out of range")
     if any(not (0 <= x < D.n_morphisms) for x in F.mor_map):
         problems.append("morphism map out of range")
-    if not problems:
-        for f in range(C.n_morphisms):
-            if D.src[F.mor_map[f]] != F.obj_map[C.src[f]] or \
-               D.tgt[F.mor_map[f]] != F.obj_map[C.tgt[f]]:
-                problems.append(f"morphism {f}: endpoints not preserved")
-        for (f, g), h in C.comp.items():
-            if F.mor_map[h] != D.comp.get((F.mor_map[f], F.mor_map[g])):
-                problems.append(f"composite of ({f},{g}) not preserved")
-    return ValidationReport(not problems, tuple(problems[:20]))
+    if problems:
+        return ValidationReport(False, tuple(problems))
+    ob, mor = F.obj_map, F.mor_map
+    problems = _identity_problems((
+        ([(D.src[mor[f]], D.tgt[mor[f]]) for f in range(C.n_morphisms)],
+         [(ob[C.src[f]], ob[C.tgt[f]]) for f in range(C.n_morphisms)],
+         "morphism {s}: endpoints not preserved".format),
+        ([mor[h] for h in C.comp.values()],
+         [D.comp.get((mor[f], mor[g])) for f, g in C.comp],
+         _at(list(C.comp), "composite of ({},{}) not preserved"))), 20)
+    return ValidationReport(not problems, tuple(problems))
 
 
 def identity_functor(C: FinNonUnitalCategory) -> FunctorData:
@@ -139,23 +153,25 @@ class NatTransData:
 
 
 def validate_nat_trans(eta: NatTransData) -> ValidationReport:
-    problems: list[str] = []
     F, G = eta.F, eta.G
-    if F.source is not G.source or F.target is not G.target:
+    problems = _nested_problems(F=validate_functor(F), G=validate_functor(G))
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
+    if F.source != G.source or F.target != G.target:
         return ValidationReport(False, ("the two functors do not share source and target",))
-    C, D = F.source, F.target
-    if len(eta.components) != C.n_objects:
+    C, D, k = F.source, F.target, eta.components
+    if len(k) != C.n_objects:
         return ValidationReport(False, ("one component per source object required",))
-    for c, u in enumerate(eta.components):
-        if not (0 <= u < D.n_morphisms) or D.src[u] != F.obj_map[c] or D.tgt[u] != G.obj_map[c]:
-            problems.append(f"component at object {c} does not run F(c) -> G(c)")
-    if not problems:
-        for f in range(C.n_morphisms):
-            c, c2 = C.src[f], C.tgt[f]
-            if D.comp[(F.mor_map[f], eta.components[c2])] != \
-               D.comp[(eta.components[c], G.mor_map[f])]:
-                problems.append(f"naturality square fails at morphism {f}")
-    return ValidationReport(not problems, tuple(problems[:20]))
+    problems = [f"component at object {c} does not run F(c) -> G(c)" for c, u in enumerate(k)
+                if not (0 <= u < D.n_morphisms) or D.src[u] != F.obj_map[c]
+                or D.tgt[u] != G.obj_map[c]]
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
+    problems = _identity_problems(((
+        [D.comp[(F.mor_map[f], k[C.tgt[f]])] for f in range(C.n_morphisms)],
+        [D.comp[(k[C.src[f]], G.mor_map[f])] for f in range(C.n_morphisms)],
+        "naturality square fails at morphism {s}".format),), 20)
+    return ValidationReport(not problems, tuple(problems))
 
 
 # -- monoids and actions ---------------------------------------------------------
@@ -195,17 +211,13 @@ def validate_monoid(M: FinMonoid) -> ValidationReport:
             return ValidationReport(False, ("table entry out of range",))
         if M.unit is None or not (0 <= M.unit < n):
             return ValidationReport(False, ("table form needs a unit index",))
-        e = M.unit
-        for a in range(n):
-            if M.table[e][a] != a or M.table[a][e] != a:
-                problems.append(f"unit law fails at element {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if M.table[M.table[a][b]][c] != M.table[a][M.table[b][c]]:
-                        problems.append(f"associativity fails at ({a},{b},{c})")
-                        if len(problems) >= 20:
-                            return ValidationReport(False, tuple(problems))
+        e, t = M.unit, M.table
+        triples = list(itertools.product(range(n), repeat=3))
+        problems = _identity_problems((
+            ([(t[e][a], t[a][e]) for a in range(n)], [(a, a) for a in range(n)],
+             "unit law fails at element {s}".format),
+            ([t[t[a][b]][c] for a, b, c in triples], [t[a][t[b][c]] for a, b, c in triples],
+             _at(triples, "associativity fails at ({},{},{})"))), 20)
     else:
         if M.gens is None or M.gens < 0:
             return ValidationReport(False, ("presentation form needs a generator count",))
@@ -278,8 +290,10 @@ class MonoidAction:
 
 
 def validate_action(A: MonoidAction) -> ValidationReport:
-    problems: list[str] = []
     M = A.monoid
+    problems = _nested_problems(monoid=validate_monoid(M))
+    if problems:
+        return ValidationReport(False, tuple(problems))
     if A.side not in ("left", "right"):
         return ValidationReport(False, (f"unknown side {A.side!r}",))
     n, k = M.size, A.size
@@ -288,30 +302,16 @@ def validate_action(A: MonoidAction) -> ValidationReport:
         return ValidationReport(False, ("action table has wrong shape",))
     if any(not (0 <= v < k) for row in A.table for v in row):
         return ValidationReport(False, ("action value out of range",))
-    e = M.unit
-    if A.side == "left":
-        for x in range(k):
-            if A.table[e][x] != x:
-                problems.append(f"unit does not fix element {x}")
-        for m in range(n):
-            for m2 in range(n):
-                for x in range(k):
-                    if A.table[m][A.table[m2][x]] != A.table[M.mult(m, m2)][x]:
-                        problems.append(f"associativity fails at ({m},{m2},{x})")
-                        if len(problems) >= 20:
-                            return ValidationReport(False, tuple(problems))
-    else:
-        for x in range(k):
-            if A.table[x][e] != x:
-                problems.append(f"unit does not fix element {x}")
-        for m in range(n):
-            for m2 in range(n):
-                for x in range(k):
-                    if A.table[A.table[x][m]][m2] != A.table[x][M.mult(m, m2)]:
-                        problems.append(f"associativity fails at ({x},{m},{m2})")
-                        if len(problems) >= 20:
-                            return ValidationReport(False, tuple(problems))
-    return ValidationReport(not problems, tuple(problems[:20]))
+    left = A.side == "left"
+    t = A.table if left else tuple(zip(*A.table))  # t[m][x] is m.x or x.m
+    triples = list(itertools.product(range(n), range(n), range(k)))
+    problems = _identity_problems((
+        ([t[M.unit][x] for x in range(k)], list(range(k)), "unit does not fix element {s}".format),
+        ([t[m][t[m2][x]] if left else t[m2][t[m][x]] for m, m2, x in triples],
+         [t[M.mult(m, m2)][x] for m, m2, x in triples],
+         _at(triples if left else [(x, m, m2) for m, m2, x in triples],
+             "associativity fails at ({},{},{})"))), 20)
+    return ValidationReport(not problems, tuple(problems))
 
 
 def trivial_action(M: FinMonoid, side: str) -> MonoidAction:
@@ -414,7 +414,7 @@ def insert_unit_chain(C: FinNonUnitalCategory, chain, i: int) -> tuple[int, ...]
     return chain[:i] + (u,) + chain[i:]
 
 
-def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> HomotopyCertificate:
+def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:
     """Contraction of the path space of a unital nerve onto the objects.
 
     The extra degeneracy appends the unit of the chain's final object, the
@@ -435,9 +435,7 @@ def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> HomotopyCertifica
             longer = chain + (C.units[C.tgt[chain[-1]]],)
             table.append(nd.index[p + 2][longer])
         up.append(tuple(table))
-    return HomotopyCertificate(
-        kind="extra-degeneracy-h", space=px, aug_size=aug_size, aug=aug,
-        h0=h0, up=tuple(up))
+    return ExtraDegeneracy(px, aug_size, aug, h0, tuple(up))
 
 
 # -- unitalization and slice categories ------------------------------------------
@@ -643,7 +641,7 @@ def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:
     return SemiSimplicialSet(sizes, tuple(faces), truncated_at=B.q_levels - 1)
 
 
-def row_contraction(res: CommaResolution, p: int) -> HomotopyCertificate:
+def row_contraction(res: CommaResolution, p: int) -> ExtraDegeneracy:
     """Extra degeneracy of a row of the dual resolution over the source
     nerve, appending the unit of the anchor object (needs a unital target
     category)."""
@@ -667,9 +665,7 @@ def row_contraction(res: CommaResolution, p: int) -> HomotopyCertificate:
         for a_idx, u in res.elements[p][q]:
             tab.append(res.index[p][q + 1][(a_idx, u + (unit_of(a_idx),))])
         up.append(tuple(tab))
-    return HomotopyCertificate(
-        kind="extra-degeneracy-h", space=row, aug_size=len(res.c_nerve.chains[p]),
-        aug=res.eps[p][0], h0=h0, up=tuple(up))
+    return ExtraDegeneracy(row, len(res.c_nerve.chains[p]), res.eps[p][0], h0, tuple(up))
 
 
 def eta_fiber(res: CommaResolution, q: int, b: int) -> SemiSimplicialSet:
@@ -688,7 +684,7 @@ def eta_fiber(res: CommaResolution, q: int, b: int) -> SemiSimplicialSet:
     return SemiSimplicialSet(sizes, tuple(faces), truncated_at=P - 1)
 
 
-def nat_trans_homotopy(eta: NatTransData, N: int) -> HomotopyCertificate:
+def nat_trans_homotopy(eta: NatTransData, N: int) -> PrismHomotopy:
     """The prism sections carrying nerve(G) to nerve(F) along the components."""
     rep = validate_nat_trans(eta)
     if not rep.ok:
@@ -715,7 +711,7 @@ def nat_trans_homotopy(eta: NatTransData, N: int) -> HomotopyCertificate:
                 tab.append(dn.index[p + 1][prism])
             level.append(tuple(tab))
         tri.append(tuple(level))
-    return HomotopyCertificate(kind="homotopy", f=fmap, g=gmap, tri=tuple(tri))
+    return PrismHomotopy(fmap, gmap, tuple(tri))
 
 
 # -- bar constructions ---------------------------------------------------------------
@@ -770,16 +766,14 @@ def bar_construction(Y: MonoidAction, M: FinMonoid, X: MonoidAction, N: int) -> 
     return SemiSimplicialSet(sizes, tuple(faces), truncated_at=N)
 
 
-def bar_extra_degeneracy(M: FinMonoid, N: int) -> HomotopyCertificate:
+def bar_extra_degeneracy(M: FinMonoid, N: int) -> ExtraDegeneracy:
     """Contraction of B(*, M, M): shift the X slot into the letters and
     restart at the unit.  Level p indexes (m_1 .. m_p, x) in base |M|, so
     appending x as a letter is s * |M| + unit."""
     B = bar_construction(trivial_action(M, "right"), M, regular_action(M, "left"), N)
     n = M.size
     up = tuple(tuple(s * n + M.unit for s in range(B.sizes[p])) for p in range(N))
-    return HomotopyCertificate(
-        kind="extra-degeneracy-h", space=B, aug_size=1,
-        aug=(0,) * B.sizes[0], h0=(M.unit,), up=up)
+    return ExtraDegeneracy(B, 1, (0,) * B.sizes[0], (M.unit,), up)
 
 
 # -- Grothendieck groups ---------------------------------------------------------------

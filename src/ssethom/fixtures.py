@@ -6,6 +6,7 @@ Everything here is deterministic; the random generators take explicit seeds.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from .cat import (
@@ -92,34 +93,31 @@ def random_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SimplicialSet:
 # -- categories ----------------------------------------------------------------
 
 
+def _order_category(elements, relation, unital: bool) -> FinNonUnitalCategory:
+    """One morphism (a, b) per related pair of elements, listed
+    lexicographically by element position; (a, b) then (b, c) is (a, c)."""
+    pos = {e: i for i, e in enumerate(elements)}
+    mors = [(a, b) for a in elements for b in elements if relation(a, b)]
+    index = {m: k for k, m in enumerate(mors)}
+    comp = {}
+    for x, (a, b) in enumerate(mors):
+        for y, (b2, c) in enumerate(mors):
+            if b == b2:
+                comp[(x, y)] = index[(a, c)]
+    units = tuple(index[(e, e)] for e in elements) if unital else None
+    return FinNonUnitalCategory(len(elements), tuple(pos[a] for a, b in mors),
+                                tuple(pos[b] for a, b in mors), comp, units=units)
+
+
 def poset_category(n: int) -> FinNonUnitalCategory:
     """The poset 0 <= 1 <= ... <= n as a unital category; morphisms (i, j)
     listed lexicographically."""
-    mors = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-    index = {m: k for k, m in enumerate(mors)}
-    src = tuple(i for i, j in mors)
-    tgt = tuple(j for i, j in mors)
-    comp = {}
-    for a, (i, j) in enumerate(mors):
-        for b, (j2, k) in enumerate(mors):
-            if j == j2:
-                comp[(a, b)] = index[(i, k)]
-    units = tuple(index[(i, i)] for i in range(n + 1))
-    return FinNonUnitalCategory(n + 1, src, tgt, comp, units=units)
+    return _order_category(range(n + 1), operator.le, unital=True)
 
 
 def strict_poset_category(n: int) -> FinNonUnitalCategory:
     """The strict order 0 < 1 < ... < n: no identities, so non-unital."""
-    mors = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    index = {m: k for k, m in enumerate(mors)}
-    src = tuple(i for i, j in mors)
-    tgt = tuple(j for i, j in mors)
-    comp = {}
-    for a, (i, j) in enumerate(mors):
-        for b, (j2, k) in enumerate(mors):
-            if j == j2:
-                comp[(a, b)] = index[(i, k)]
-    return FinNonUnitalCategory(n + 1, src, tgt, comp)
+    return _order_category(range(n + 1), operator.lt, unital=False)
 
 
 def composable_pair_category() -> FinNonUnitalCategory:
@@ -143,19 +141,8 @@ def parallel_arrows_category(k: int) -> FinNonUnitalCategory:
 
 def grid_poset_category() -> FinNonUnitalCategory:
     """The product order on {0,1} x {0,1} (a commuting square with units)."""
-    elems = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pos = {e: i for i, e in enumerate(elems)}
-    mors = [(a, b) for a in elems for b in elems if a[0] <= b[0] and a[1] <= b[1]]
-    index = {m: k for k, m in enumerate(mors)}
-    src = tuple(pos[a] for a, b in mors)
-    tgt = tuple(pos[b] for a, b in mors)
-    comp = {}
-    for x, (a, b) in enumerate(mors):
-        for y, (b2, c) in enumerate(mors):
-            if b == b2:
-                comp[(x, y)] = index[(a, c)]
-    units = tuple(index[(e, e)] for e in elems)
-    return FinNonUnitalCategory(4, src, tgt, comp, units=units)
+    return _order_category([(0, 0), (0, 1), (1, 0), (1, 1)],
+                           lambda a, b: a[0] <= b[0] and a[1] <= b[1], unital=True)
 
 
 def nonunital_category_corpus() -> dict[str, FinNonUnitalCategory]:

@@ -29,7 +29,8 @@ from .snf import SmithForm, SparseIntMatrix, smith_normal_form
 from .sset import (
     BiSemiSimplicialSet,
     Enumeration,
-    HomotopyCertificate,
+    ExtraDegeneracy,
+    PrismHomotopy,
     SemiSimplicialSet,
     SimplicialSet,
     SSetMap,
@@ -681,14 +682,14 @@ def check_chain_homotopy(h: ChainHomotopy) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
-def chain_homotopy_from_certificate(cert: HomotopyCertificate) -> ChainHomotopy:
+def chain_homotopy_from_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ChainHomotopy:
     """Turn a simplex-level certificate into signed chain-level matrices.
 
     The identities verified by check_certificate make the result satisfy
     dP + Pd = to - from on the nose; check_chain_homotopy confirms it
     matrix-exactly.
     """
-    if cert.kind == "extra-degeneracy-h":
+    if isinstance(cert, ExtraDegeneracy):
         X = cert.space
         L = len(cert.up)
         A = augmented_complex(X, cert.aug_size, cert.aug, through=L)
@@ -700,16 +701,13 @@ def chain_homotopy_from_certificate(cert: HomotopyCertificate) -> ChainHomotopy:
         zero = tuple(SparseIntMatrix.zero(n, n) for n in A.dims)
         return ChainHomotopy(A, A, zero, ident, tuple(P), through=L)
 
-    if cert.kind == "homotopy":
-        fmap = chain_map_from_sset_map(cert.f)
-        gmap = chain_map_from_sset_map(cert.g)
-        src, tgt = fmap.source, fmap.target
-        T = len(cert.tri) - 1
-        P = [_table_matrix(tgt.dims[k + 1], src.dims[k], cert.tri[k]).scale(-1)  # (-1)^{i+1}
-             for k in range(T + 1)]
-        return ChainHomotopy(src, tgt, fmap.mats, gmap.mats, tuple(P), through=T)
-
-    raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    fmap = chain_map_from_sset_map(cert.f)
+    gmap = chain_map_from_sset_map(cert.g)
+    src, tgt = fmap.source, fmap.target
+    T = len(cert.tri) - 1
+    P = [_table_matrix(tgt.dims[k + 1], src.dims[k], cert.tri[k]).scale(-1)  # (-1)^{i+1}
+         for k in range(T + 1)]
+    return ChainHomotopy(src, tgt, fmap.mats, gmap.mats, tuple(P), through=T)
 
 
 # -- double complexes -------------------------------------------------------------

@@ -6,6 +6,9 @@ Semi-simplicial sets are stored as plain level sizes plus face tables:
 the nondegenerate simplices are listed, and every simplex is named by a
 canonical pair (degeneracy word, generator).  A degeneracy word is a strictly
 decreasing tuple (j_1 > ... > j_k) standing for s_{j_1} ... s_{j_k}.
+
+Every table law is checked by comparing two whole tables.  A certificate is an
+``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by ``check_certificate``.
 """
 
 from __future__ import annotations
@@ -100,18 +103,20 @@ def _level_identities(levels, template):
         for j in range(1, p + 1):
             for i in range(j):
                 yield ([down[i][t] for t in up[j]], [down[j - 1][t] for t in up[i]],
-                       template(p, i, j))
+                       template(p, i, j).format)
 
 
 def _identity_problems(identities, limit: int) -> list[str]:
-    """A message per simplex where the two tables of an identity differ, at
-    most ``limit``; whole tables are compared before any simplex is walked."""
+    """A message per position where the two tables of an identity differ, at
+    most ``limit``; whole tables are compared before any position is walked.
+    ``message(s=, left=, right=)`` names position s: a template's ``format``,
+    or a function that looks up the position's label."""
     problems = []
-    for lefts, rights, template in identities:
+    for lefts, rights, message in identities:
         if lefts != rights:
             for s, (left, right) in enumerate(zip(lefts, rights)):
                 if left != right:
-                    problems.append(template.format(s=s, left=left, right=right))
+                    problems.append(message(s=s, left=left, right=right))
                     if len(problems) == limit:
                         return problems
     return problems
@@ -148,7 +153,7 @@ def check_sset_map(f: SSetMap) -> ValidationReport:
         return ValidationReport(False, tuple(problems))
     problems = _identity_problems((
         ([tgt.faces[p][i][v] for v in f.tables[p]], [f.tables[p - 1][t] for t in src.faces[p][i]],
-         f"does not commute with d_{i} at level {p}, simplex {{s}}")
+         f"does not commute with d_{i} at level {p}, simplex {{s}}".format)
         for p in range(1, len(src.sizes)) for i in range(p + 1)), 21)
     return ValidationReport(not problems, tuple(problems))
 
@@ -269,7 +274,7 @@ def validate_bisset(B: BiSemiSimplicialSet) -> ValidationReport:
                     for j in range(q + 1):
                         yield ([B.dv[p - 1][q][j][t] for t in B.dh[p][q][i]],
                                [B.dh[p][q - 1][i][t] for t in B.dv[p][q][j]],
-                               f"dh/dv do not commute at ({p},{q}) simplex {{s}}")
+                               f"dh/dv do not commute at ({p},{q}) simplex {{s}}".format)
 
     problems = _identity_problems(identities(), 20)
     return ValidationReport(not problems, tuple(problems))
@@ -677,143 +682,113 @@ def interior_product(X: SimplicialSet, Y: SimplicialSet, n: int) -> SemiSimplici
 # homotopy certificates
 
 
-CERTIFICATE_KINDS = ("extra-degeneracy-h", "homotopy")
+@dataclass(frozen=True)
+class ExtraDegeneracy:
+    """A contraction of ``space``, augmented by ``aug`` onto ``aug_size``
+    points with section ``h0``: ``up[p]`` is h_{p+1}, level p to level p+1,
+    with d_{p+1} h_{p+1} = id, d_i h_{p+1} = h_p d_i and d_0 h_1 = h_0 aug.
+    The bar, path-space and dual comma-resolution row contractions are of
+    this kind."""
+
+    space: SemiSimplicialSet
+    aug_size: int
+    aug: tuple[int, ...]
+    h0: tuple[int, ...]
+    up: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
-class HomotopyCertificate:
-    """Simplex-level witness for a contraction or a homotopy.
+class PrismHomotopy:
+    """``f`` and ``g`` map X to Y, and ``tri[p][i]`` (0 <= i <= p) are the
+    prism sections X_p to Y_{p+1}, as a natural transformation gives."""
 
-    kind "extra-degeneracy-h": ``space`` is augmented by ``aug`` (level 0 to
-    the augmentation set) with section ``h0``; ``up[p]`` is h_{p+1} moving
-    level p to level p+1, satisfying d_{p+1} h_{p+1} = id and
-    d_i h_{p+1} = h_p d_i (with d_0 at the bottom read as the augmentation).
-    The bar, path-space and dual comma-resolution row contractions are of
-    this kind.
-
-    kind "homotopy": ``f`` and ``g`` map X to Y and ``tri[p][i]`` (0 <= i <= p)
-    are the prism sections X_p to Y_{p+1}, as a natural transformation gives.
-    """
-
-    kind: str
-    space: SemiSimplicialSet | None = None
-    aug_size: int | None = None
-    aug: tuple[int, ...] | None = None
-    h0: tuple[int, ...] | None = None
-    up: tuple[tuple[int, ...], ...] = ()
-    f: SSetMap | None = None
-    g: SSetMap | None = None
-    tri: tuple[tuple[tuple[int, ...], ...], ...] = ()
+    f: SSetMap
+    g: SSetMap
+    tri: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _check_aug(X, aug_size, aug, problems):
-    if len(aug) != X.sizes[0]:
-        problems.append("augmentation table length mismatch")
-        return
-    if any(not (0 <= a < aug_size) for a in aug):
-        problems.append("augmentation value out of range")
-    if len(X.sizes) > 1:
-        for s in range(X.sizes[1]):
-            if aug[X.face(1, 0, s)] != aug[X.face(1, 1, s)]:
-                problems.append(f"augmentation not constant on edge {s}")
-                return
+def check_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ValidationReport:
+    """Verify a certificate: table shapes and ranges first, then each defining
+    identity on whole tables, naming at most 21 failing simplices."""
+    problems = (_extra_degeneracy_problems if isinstance(cert, ExtraDegeneracy)
+                else _prism_problems)(cert)
+    return ValidationReport(not problems, tuple(problems))
 
 
-def check_certificate(cert: HomotopyCertificate) -> ValidationReport:
-    """Verify the defining identities of a certificate, simplex by simplex."""
-    problems: list[str] = []
-    kind = cert.kind
-    if kind not in CERTIFICATE_KINDS:
-        return ValidationReport(False, (f"unknown kind {kind!r}",))
+def _table_problems(name: str, tab, length: int, high: int) -> list[str]:
+    """A length mismatch, or a message per entry of ``tab`` outside 0..high-1."""
+    if len(tab) != length:
+        return [f"{name} table length mismatch"]
+    return [f"{name}[{s}] out of range" for s, v in enumerate(tab) if not (0 <= v < high)]
 
-    if kind == "extra-degeneracy-h":
-        X = cert.space
-        through = len(cert.up) - 1  # up[p] is h_{p+1}, needs X_{p+1}
-        if X is None or cert.aug is None or cert.h0 is None or cert.aug_size is None:
-            return ValidationReport(False, ("missing augmentation data",))
-        _check_aug(X, cert.aug_size, cert.aug, problems)
-        if len(cert.h0) != cert.aug_size:
-            problems.append("h0 table length mismatch")
-        else:
-            for a, v in enumerate(cert.h0):
-                if not (0 <= v < X.sizes[0]):
-                    problems.append(f"h0[{a}] out of range")
-                elif cert.aug[v] != a:
-                    problems.append(f"augmentation of h0[{a}] is not {a}")
-        if through + 1 >= len(X.sizes):
-            problems.append("certificate tables run past the listed levels")
-            return ValidationReport(False, tuple(problems))
-        for p in range(through + 1):
-            h = cert.up[p]
-            if len(h) != X.sizes[p]:
-                problems.append(f"h_{p + 1} table length mismatch")
+
+def _extra_degeneracy_problems(cert: ExtraDegeneracy) -> list[str]:
+    X, aug, h0, up = cert.space, cert.aug, cert.h0, cert.up
+    if len(up) >= len(X.sizes):
+        return ["certificate tables run past the listed levels"]
+    problems = _table_problems("augmentation", aug, X.sizes[0], cert.aug_size)
+    problems += _table_problems("h0", h0, cert.aug_size, X.sizes[0])
+    for p, h in enumerate(up):
+        problems += _table_problems(f"h_{p + 1}", h, X.sizes[p], X.sizes[p + 1])
+    if problems:
+        return problems[:21]
+    # the augmentation is constant on edges; only its first failing edge is named
+    edges = _identity_problems((
+        ([aug[t] for t in X.faces[1][0]], [aug[t] for t in X.faces[1][1]],
+         "augmentation not constant on edge {s}".format),), 1) if len(X.sizes) > 1 else []
+
+    def identities():
+        yield [aug[v] for v in h0], list(range(cert.aug_size)), "augmentation of h0[{s}] is not {s}".format
+        for p, h in enumerate(up):
+            d = X.faces[p + 1]
+            yield ([d[p + 1][v] for v in h], list(range(X.sizes[p])),
+                   f"d_{p + 1} h_{p + 1} != id at level {p} simplex {{s}}".format)
+            if p == 0:
+                yield [d[0][v] for v in h], [h0[a] for a in aug], "d_0 h_1 != h_0 aug at simplex {s}".format
                 continue
-            for s, v in enumerate(h):
-                if not (0 <= v < X.sizes[p + 1]):
-                    problems.append(f"h_{p + 1}[{s}] out of range")
-                    continue
-                if X.face(p + 1, p + 1, v) != s:
-                    problems.append(f"d_{p + 1} h_{p + 1} != id at level {p} simplex {s}")
-                if p == 0:
-                    if X.face(1, 0, v) != cert.h0[cert.aug[s]]:
-                        problems.append(f"d_0 h_1 != h_0 aug at simplex {s}")
-                else:
-                    for i in range(p + 1):
-                        if X.face(p + 1, i, v) != cert.up[p - 1][X.face(p, i, s)]:
-                            problems.append(f"d_{i} h_{p + 1} != h_{p} d_{i} at level {p} simplex {s}")
-                if len(problems) > 20:
-                    return ValidationReport(False, tuple(problems))
-        return ValidationReport(not problems, tuple(problems))
+            for i in range(p + 1):
+                yield ([d[i][v] for v in h], [up[p - 1][t] for t in X.faces[p][i]],
+                       f"d_{i} h_{p + 1} != h_{p} d_{i} at level {p} simplex {{s}}".format)
 
-    # kind == "homotopy"
-    if cert.f is None or cert.g is None:
-        return ValidationReport(False, ("missing endpoint maps",))
-    X, Y = cert.f.source, cert.f.target
-    for name, m in (("f", cert.f), ("g", cert.g)):
+    return edges + _identity_problems(identities(), 21 - len(edges))
+
+
+def _prism_problems(cert: PrismHomotopy) -> list[str]:
+    f, g, tri = cert.f, cert.g, cert.tri
+    X, Y = f.source, f.target
+    for name, m in (("f", f), ("g", g)):
         r = check_sset_map(m)
         if not r.ok:
-            return ValidationReport(False, (f"{name} is not a map: " + r.first(),))
-    if cert.g.source != X or cert.g.target != Y:
-        return ValidationReport(False, ("f and g have different endpoints",))
-    through = len(cert.tri) - 1
-    if through + 1 >= len(Y.sizes):
-        return ValidationReport(False, ("tables run past the listed levels of the target",))
-    for p in range(through + 1):
-        level = cert.tri[p]
+            return [f"{name} is not a map: " + r.first()]
+    if g.source != X or g.target != Y:
+        return ["f and g have different endpoints"]
+    if len(tri) >= len(Y.sizes):
+        return ["tables run past the listed levels of the target"]
+    problems = []
+    for p, level in enumerate(tri):
         if len(level) != p + 1:
             problems.append(f"level {p}: expected {p + 1} prism tables, got {len(level)}")
             continue
         for i, tab in enumerate(level):
-            if len(tab) != X.sizes[p]:
-                problems.append(f"H[{p}][{i}] table length mismatch")
-                continue
-            for s, v in enumerate(tab):
-                if not (0 <= v < Y.sizes[p + 1]):
-                    problems.append(f"H[{p}][{i}][{s}] out of range")
-        if len(problems) > 20:
-            return ValidationReport(False, tuple(problems))
+            problems += _table_problems(f"H[{p}][{i}]", tab, X.sizes[p], Y.sizes[p + 1])
     if problems:
-        return ValidationReport(False, tuple(problems))
-    for p in range(through + 1):
-        H = cert.tri[p]
-        for s in range(X.sizes[p]):
-            if Y.face(p + 1, 0, H[0][s]) != cert.f.tables[p][s]:
-                problems.append(f"d_0 H[{p}][0] != f at simplex {s}")
-            if Y.face(p + 1, p + 1, H[p][s]) != cert.g.tables[p][s]:
-                problems.append(f"d_{p + 1} H[{p}][{p}] != g at simplex {s}")
+        return problems[:21]
+
+    def identities():
+        for p, H in enumerate(tri):
+            d = Y.faces[p + 1]
+            yield [d[0][v] for v in H[0]], list(f.tables[p]), f"d_0 H[{p}][0] != f at simplex {{s}}".format
+            yield ([d[p + 1][v] for v in H[p]], list(g.tables[p]),
+                   f"d_{p + 1} H[{p}][{p}] != g at simplex {{s}}".format)
             for i in range(1, p + 1):
-                if Y.face(p + 1, i, H[i][s]) != Y.face(p + 1, i, H[i - 1][s]):
-                    problems.append(f"glue d_{i} H[{p}][{i}] != d_{i} H[{p}][{i - 1}] at simplex {s}")
-            if p >= 1:
-                prev = cert.tri[p - 1]
-                for j in range(p + 1):
-                    for i in range(j):
-                        if Y.face(p + 1, i, H[j][s]) != prev[j - 1][X.face(p, i, s)]:
-                            problems.append(f"d_{i} H[{p}][{j}] != H[{p - 1}][{j - 1}] d_{i} at simplex {s}")
-                    for i in range(j + 2, p + 2):
-                        if j <= p - 1:
-                            if Y.face(p + 1, i, H[j][s]) != prev[j][X.face(p, i - 1, s)]:
-                                problems.append(f"d_{i} H[{p}][{j}] != H[{p - 1}][{j}] d_{i - 1} at simplex {s}")
-            if len(problems) > 20:
-                return ValidationReport(False, tuple(problems))
-    return ValidationReport(not problems, tuple(problems))
+                yield ([d[i][v] for v in H[i]], [d[i][v] for v in H[i - 1]],
+                       f"glue d_{i} H[{p}][{i}] != d_{i} H[{p}][{i - 1}] at simplex {{s}}".format)
+            for j in range(p + 1):
+                for i in range(j):
+                    yield ([d[i][v] for v in H[j]], [tri[p - 1][j - 1][t] for t in X.faces[p][i]],
+                           f"d_{i} H[{p}][{j}] != H[{p - 1}][{j - 1}] d_{i} at simplex {{s}}".format)
+                for i in range(j + 2, p + 2):
+                    yield ([d[i][v] for v in H[j]], [tri[p - 1][j][t] for t in X.faces[p][i - 1]],
+                           f"d_{i} H[{p}][{j}] != H[{p - 1}][{j}] d_{i - 1} at simplex {{s}}".format)
+
+    return _identity_problems(identities(), 21)

@@ -144,6 +144,16 @@ def _cone_item(label: str, f: ChainMap, through: int) -> CheckItem | None:
     return CheckItem(f"{label} (cone acyclic through {through})", ok, detail)
 
 
+def _certified_homotopy(cert, cert_label: str, homotopy_label: str):
+    """Items for a certificate and for its chain homotopy, matrix-exact, and
+    that chain homotopy."""
+    cert_rep = check_certificate(cert)
+    h = chain_homotopy_from_certificate(cert)
+    hom_rep = check_chain_homotopy(h)
+    return [CheckItem(cert_label, cert_rep.ok, "; ".join(cert_rep.problems)),
+            CheckItem(homotopy_label, hom_rep.ok, "; ".join(hom_rep.problems))], h
+
+
 _POINT = FPAbelianGroup(1)
 _ZERO = FPAbelianGroup(0)
 
@@ -295,15 +305,10 @@ def check_terminal_contractible(C: FinNonUnitalCategory, N: int) -> CheckReport:
     G = FunctorData(C, C, (t,) * C.n_objects, (C.units[t],) * C.n_morphisms)
     eta = NatTransData(identity_functor(C), G,
                        tuple(arrows[c] for c in range(C.n_objects)))
-    cert = nat_trans_homotopy(eta, N)
-    cert_rep = check_certificate(cert)
-    items = [CheckItem(f"terminal object found at index {t}", True),
-             CheckItem("prism certificate for id => constant",
-                       cert_rep.ok, "; ".join(cert_rep.problems))]
-    h = chain_homotopy_from_certificate(cert)
-    hom_rep = check_chain_homotopy(h)
-    items.append(CheckItem("prism chain homotopy between identity and constant, matrix-exact",
-                           hom_rep.ok, "; ".join(hom_rep.problems)))
+    certified, _ = _certified_homotopy(
+        nat_trans_homotopy(eta, N), "prism certificate for id => constant",
+        "prism chain homotopy between identity and constant, matrix-exact")
+    items = [CheckItem(f"terminal object found at index {t}", True)] + certified
     groups = graded_homology(unnormalized_chains(nerve(C, N).sset),
                              through=N - 1)
     comparisons = _point_comparisons(groups, N - 1)
@@ -415,14 +420,8 @@ def check_bar_acyclic(M: FinMonoid, N: int) -> CheckReport:
     last-coordinate degeneracy gives a chain contraction."""
     if not M.is_table:
         raise ValueError("this check needs a multiplication table")
-    cert = bar_extra_degeneracy(M, N)
-    cert_rep = check_certificate(cert)
-    items = [CheckItem("extra degeneracy certificate", cert_rep.ok,
-                       "; ".join(cert_rep.problems))]
-    h = chain_homotopy_from_certificate(cert)
-    hom_rep = check_chain_homotopy(h)
-    items.append(CheckItem("contraction identity dP + Pd = id, matrix-exact",
-                           hom_rep.ok, "; ".join(hom_rep.problems)))
+    items, h = _certified_homotopy(bar_extra_degeneracy(M, N), "extra degeneracy certificate",
+                                   "contraction identity dP + Pd = id, matrix-exact")
     ok, failures = acyclic_through(h.source, N - 1)
     items.append(CheckItem(f"augmented bar complex acyclic through {N - 1}", ok,
                            "; ".join(f"H_{k} = {g}" for k, g in failures)))
@@ -604,14 +603,10 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
         detail = "" if ok else (f"source {rep.source_size}, edge tuples "
                                 f"{rep.product_size}, injective {rep.injective}")
         items.append(CheckItem(f"Segal map at level {p} is bijective", ok, detail))
-    cert = nerve_path_contraction(C, N + 1)
-    cert_rep = check_certificate(cert)
-    items.append(CheckItem("path space extra degeneracy", cert_rep.ok,
-                           "; ".join(cert_rep.problems)))
-    h = chain_homotopy_from_certificate(cert)
-    hom_rep = check_chain_homotopy(h)
-    items.append(CheckItem("path space contraction, matrix-exact", hom_rep.ok,
-                           "; ".join(hom_rep.problems)))
+    certified, h = _certified_homotopy(nerve_path_contraction(C, N + 1),
+                                       "path space extra degeneracy",
+                                       "path space contraction, matrix-exact")
+    items += certified
     ok, failures = acyclic_through(h.source, N - 1)
     items.append(CheckItem(f"augmented path complex acyclic through {N - 1}", ok,
                            "; ".join(f"H_{k} = {g}" for k, g in failures)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ssethom.cat import (
@@ -58,7 +60,13 @@ from ssethom.homalg import (
     graded_homology,
     unnormalized_chains,
 )
-from ssethom.sset import check_certificate, check_sset_map, validate_bisset, validate_sset
+from ssethom.sset import (
+    check_certificate,
+    check_sset_map,
+    standard_semi_simplex,
+    validate_bisset,
+    validate_sset,
+)
 
 
 Z = FPAbelianGroup(1, ())
@@ -301,6 +309,48 @@ def test_nat_trans_to_constant_functor():
     assert check_chain_homotopy(h).ok
 
 
+def _edited(tables, at, value):
+    """``tables`` (nested tuples) with the entry at index path ``at`` set to ``value``."""
+    i, *rest = at
+    entry = _edited(tables[i], rest, value) if rest else value
+    return tables[:i] + (entry,) + tables[i + 1:]
+
+
+def test_certificate_problem_lists_are_exact():
+    # prism sections of id => constant on the poset 0 < 1 < 2, one entry of
+    # H[2][0] and one of H[2][2] moved: every identity family fails once
+    C = poset_category(2)
+    G = FunctorData(C, C, (2, 2, 2), (C.units[2],) * C.n_morphisms)
+    prism = nat_trans_homotopy(NatTransData(identity_functor(C), G, (2, 4, 5)), 3)
+    tri = _edited(_edited(prism.tri, (2, 0, 1), 0), (2, 2, 5), 0)
+    assert check_certificate(dataclasses.replace(prism, tri=tri)).problems == (
+        "d_0 H[2][0] != f at simplex 1",
+        "d_3 H[2][2] != g at simplex 5",
+        "glue d_1 H[2][1] != d_1 H[2][0] at simplex 1",
+        "glue d_2 H[2][2] != d_2 H[2][1] at simplex 5",
+        "d_2 H[2][0] != H[1][0] d_1 at simplex 1",
+        "d_3 H[2][0] != H[1][0] d_2 at simplex 1",
+        "d_0 H[2][2] != H[1][1] d_0 at simplex 5",
+        "d_1 H[2][2] != H[1][1] d_1 at simplex 5",
+    )
+    # the bar contraction of Z/2 with h_2 sending simplex 2 to 0
+    bar = bar_extra_degeneracy(cyclic_group_monoid(2), 3)
+    assert check_certificate(dataclasses.replace(bar, up=_edited(bar.up, (1, 2), 0))).problems == (
+        "d_2 h_2 != id at level 1 simplex 2",
+        "d_1 h_2 != h_1 d_1 at level 1 simplex 2",
+        "d_0 h_3 != h_2 d_0 at level 2 simplex 2",
+        "d_0 h_3 != h_2 d_0 at level 2 simplex 6",
+        "d_1 h_3 != h_2 d_1 at level 2 simplex 2",
+        "d_1 h_3 != h_2 d_1 at level 2 simplex 4",
+        "d_2 h_3 != h_2 d_2 at level 2 simplex 4",
+        "d_2 h_3 != h_2 d_2 at level 2 simplex 7",
+    )
+    # an augmentation that is not constant on two edges names only the first
+    split = dataclasses.replace(bar, space=standard_semi_simplex(2), aug_size=2, aug=(0, 1, 1),
+                                h0=(0, 1), up=())
+    assert check_certificate(split).problems == ("augmentation not constant on edge 0",)
+
+
 def test_nat_trans_validation_catches_wrong_component():
     C = poset_category(1)
     F = identity_functor(C)
@@ -345,6 +395,126 @@ def test_actions_validate():
         assert validate_action(A).ok
     bad = MonoidAction(M, 2, ((0, 1), (1, 0), (0, 1)), "left")
     assert not validate_action(bad).ok
+
+
+# -- exact problem lists: shapes first, then each law on whole tables, cut at 20 --
+
+
+def _table_category(rows, units=None) -> FinNonUnitalCategory:
+    """One object; composing a then b is rows[a][b]."""
+    n = len(rows)
+    return FinNonUnitalCategory(1, (0,) * n, (0,) * n,
+                                {(a, b): rows[a][b] for a in range(n) for b in range(n)}, units)
+
+
+def test_validate_category_lists_the_first_20_associativity_failures():
+    C = _table_category([[(a - b) % 4 for b in range(4)] for a in range(4)])
+    assert validate_category(C).problems == tuple(
+        f"associativity fails on ({f},{g},{h})" for f, g, h in (
+            (0, 0, 1), (0, 0, 3), (0, 1, 1), (0, 1, 3), (0, 2, 1), (0, 2, 3), (0, 3, 1),
+            (0, 3, 3), (1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 1, 3), (1, 2, 1), (1, 2, 3),
+            (1, 3, 1), (1, 3, 3), (2, 0, 1), (2, 0, 3), (2, 1, 1), (2, 1, 3)))
+
+
+def test_validate_category_names_the_first_unit_law_failure():
+    # the right law fails at morphism 1 and the left law at morphism 2;
+    # morphism by morphism, the right law at 1 comes first
+    C = _table_category([(0, 1, 0)] * 3, units=(0,))
+    assert validate_category(C).problems == ("unit law fails on the right of morphism 1",)
+
+
+def test_validate_functor_lists_the_first_20_failures():
+    C = poset_category(3)
+    F = FunctorData(C, C, (0, 1, 2, 3), tuple(range(9, -1, -1)))
+    assert validate_functor(F).problems == tuple(
+        f"morphism {f}: endpoints not preserved" for f in range(10)) + tuple(
+        f"composite of ({f},{g}) not preserved" for f, g in (
+            (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (2, 7), (2, 8), (3, 9), (4, 4)))
+
+
+def test_validate_nat_trans_lists_the_first_20_failures():
+    # id => negation on Z/23: the square at f commutes only for f = 0
+    C = monoid_as_category(cyclic_group_monoid(23))
+    G = FunctorData(C, C, (0,), tuple(-f % 23 for f in range(23)))
+    assert validate_functor(G).ok
+    rep = validate_nat_trans(NatTransData(identity_functor(C), G, (5,)))
+    assert rep.problems == tuple(f"naturality square fails at morphism {f}" for f in range(1, 21))
+
+
+def test_validate_monoid_lists_the_first_20_failures():
+    M = FinMonoid(table=tuple(tuple((a - b) % 3 for b in range(3)) for a in range(3)), unit=0)
+    assert validate_monoid(M).problems == (
+        "unit law fails at element 1", "unit law fails at element 2") + tuple(
+        f"associativity fails at ({a},{b},{c})" for a in range(3) for b in range(3)
+        for c in (1, 2))
+
+
+def test_validate_monoid_cuts_unit_law_failures_at_20():
+    # subtraction on Z/21: the unit law fails at 20 elements, and the
+    # associativity failures after them are all cut
+    M = FinMonoid(table=tuple(tuple((a - b) % 21 for b in range(21)) for a in range(21)), unit=0)
+    assert validate_monoid(M).problems == tuple(
+        f"unit law fails at element {a}" for a in range(1, 21))
+
+
+def test_validate_action_lists_the_first_20_failures_on_either_side():
+    M = cyclic_group_monoid(3)
+    left = MonoidAction(M, 8, tuple(tuple(x * (m + 2) % 8 for x in range(8)) for m in range(3)),
+                        "left")
+    right = MonoidAction(M, 8, tuple(zip(*left.table)), "right")
+    units = tuple(f"unit does not fix element {x}" for x in range(1, 8))
+    failing = ((0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 5), (0, 0, 6), (0, 0, 7), (0, 1, 1),
+               (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7))
+    assert validate_action(left).problems == units + tuple(
+        f"associativity fails at ({m},{m2},{x})" for m, m2, x in failing)
+    assert validate_action(right).problems == units + tuple(
+        f"associativity fails at ({x},{m},{m2})" for m, m2, x in failing)
+
+
+def test_validate_action_cuts_unit_law_failures_at_20():
+    # the unit of Z/2 shifts all 21 elements
+    M = cyclic_group_monoid(2)
+    A = MonoidAction(M, 21, (tuple((x + 1) % 21 for x in range(21)), tuple(range(21))), "left")
+    assert validate_action(A).problems == tuple(f"unit does not fix element {x}" for x in range(20))
+
+
+# -- nested documents ---------------------------------------------------------------
+
+
+def test_functor_is_valid_only_when_its_categories_are():
+    C = poset_category(1)
+    broken = FinNonUnitalCategory(C.n_objects, C.src, C.tgt,
+                                  {k: v for k, v in C.comp.items() if k != (2, 2)}, C.units)
+    rep = validate_functor(FunctorData(broken, broken, (0, 1), (0, 1, 2)))
+    assert rep.problems == ("source: composition missing on [(2, 2)]",
+                            "target: composition missing on [(2, 2)]")
+
+
+def test_nat_trans_functors_are_validated_before_naturality():
+    # F sends the arrow 0 -> 1 to the unit of 0, so the square at it does not
+    # compose; F is reported instead of the square being looked up
+    C = poset_category(1)
+    F = FunctorData(C, C, (0, 1), (0, 0, 2))
+    rep = validate_nat_trans(NatTransData(F, identity_functor(C), (0, 2)))
+    assert rep.problems == ("F: morphism 1: endpoints not preserved",
+                            "F: composite of (1,2) not preserved")
+
+
+def test_nat_trans_compares_equal_categories_not_identical_ones():
+    C = poset_category(1)
+    copy = FinNonUnitalCategory(C.n_objects, C.src, C.tgt, dict(C.comp), C.units)
+    eta = NatTransData(identity_functor(C), identity_functor(copy), C.units)
+    assert validate_nat_trans(eta).ok
+    other = identity_functor(poset_category(0))
+    assert validate_nat_trans(NatTransData(identity_functor(C), other, C.units)).problems == (
+        "the two functors do not share source and target",)
+
+
+def test_action_is_valid_only_when_its_monoid_is():
+    bad = FinMonoid(table=((0, 1), (1, 0)), unit=1)
+    A = MonoidAction(bad, 1, ((0,), (0,)), "left")
+    assert validate_action(A).problems == ("monoid: unit law fails at element 0",
+                                           "monoid: unit law fails at element 1")
 
 
 def test_bar_of_trivial_actions_is_the_nerve():

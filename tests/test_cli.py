@@ -715,6 +715,37 @@ def test_validate_describes_a_natural_transformation(capsys, tmp_path):
     code, doc, err = run_json(capsys, "validate", str(p))
     assert doc["type"] == "nat-trans"
     assert err.startswith("natural transformation with 3 components: ")
+    # F and G are read as separate documents: equal categories, not the same object
+    assert code == 0
+    assert doc["ok"] is True
+    assert err.splitlines()[0].endswith(": ok")
+
+
+def test_validate_names_the_nested_functor_of_a_natural_transformation(capsys, tmp_path):
+    C = formats.read_document(fixture("id1.fun.json")).source
+    F = FunctorData(C, C, (0, 1), (0, 0, 2))
+    p = tmp_path / "bad.nat.json"
+    formats.write_document(str(p), NatTransData(F, FunctorData(C, C, (0, 1), (0, 1, 2)), (0, 2)))
+    code, doc, err = run_json(capsys, "validate", str(p))
+    assert code == 1
+    assert doc["problems"] == ["F: morphism 1: endpoints not preserved",
+                               "F: composite of (1,2) not preserved"]
+
+
+def test_functor_is_invalid_when_its_categories_are(capsys, tmp_path):
+    with open(fixture("id1.fun.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for side in ("source", "target"):
+        doc[side]["compose"] = [c for c in doc[side]["compose"] if (c["f"], c["g"]) != (2, 2)]
+    p = tmp_path / "id1.fun.json"
+    p.write_text(json.dumps(doc))
+    code, report, err = run_json(capsys, "validate", str(p))
+    assert code == 1
+    assert "source: composition missing on [(2, 2)]" in report["problems"]
+    code, out, err = run(capsys, "check", "quillen-a", str(p), "--cutoff", "2")
+    assert code == 2
+    assert out == ""
+    assert "invalid functor: source: composition missing on [(2, 2)]" in err
 
 
 # -- argument bounds -----------------------------------------------------------

@@ -60,7 +60,8 @@ from ssethom.homalg import (
 from ssethom.snf import SparseIntMatrix, smith_normal_form
 from ssethom.sset import (
     BiSemiSimplicialSet,
-    HomotopyCertificate,
+    ExtraDegeneracy,
+    PrismHomotopy,
     SemiSimplicialSet,
     SimplicialSet,
     SSetMap,
@@ -901,9 +902,8 @@ def test_projection_to_normalized_is_quasi_iso():
 
 
 def test_contraction_certificates_give_chain_contractions():
-    cert = HomotopyCertificate(
-        kind="extra-degeneracy-h", space=constant_sset(1, 3), aug_size=1, aug=(0,),
-        h0=(0,), up=((0,), (0,), (0,)))
+    cert = ExtraDegeneracy(constant_sset(1, 3), aug_size=1, aug=(0,), h0=(0,),
+                           up=((0,), (0,), (0,)))
     assert check_certificate(cert).ok
     ch = chain_homotopy_from_certificate(cert)
     rep = check_chain_homotopy(ch)
@@ -917,7 +917,7 @@ def test_homotopy_certificate_interval():
     I = standard_semi_simplex(1)
     f = SSetMap(pt, I, ((1,),))
     g = SSetMap(pt, I, ((0,),))
-    cert = HomotopyCertificate(kind="homotopy", f=f, g=g, tri=(((0,),),))
+    cert = PrismHomotopy(f=f, g=g, tri=(((0,),),))
     assert check_certificate(cert).ok
     ch = chain_homotopy_from_certificate(cert)
     rep = check_chain_homotopy(ch)

@@ -5,7 +5,8 @@ import pytest
 
 from ssethom.sset import (
     BiSemiSimplicialSet,
-    HomotopyCertificate,
+    ExtraDegeneracy,
+    PrismHomotopy,
     SemiSimplicialSet,
     SimplexRef,
     SSetMap,
@@ -446,9 +447,7 @@ def test_enumeration_order_is_by_degree_then_word():
 
 def test_contraction_certificates_on_constant():
     X = constant_sset(1, 3)
-    cert = HomotopyCertificate(
-        kind="extra-degeneracy-h", space=X, aug_size=1, aug=(0,), h0=(0,),
-        up=((0,), (0,), (0,)))
+    cert = ExtraDegeneracy(X, aug_size=1, aug=(0,), h0=(0,), up=((0,), (0,), (0,)))
     rep = check_certificate(cert)
     assert rep.ok, rep.problems
 
@@ -458,19 +457,26 @@ def test_homotopy_certificate_on_interval():
     iv = standard_semi_simplex(1)
     far = SSetMap(pt, iv, ((1,),))
     near = SSetMap(pt, iv, ((0,),))
-    cert = HomotopyCertificate(kind="homotopy", f=far, g=near, tri=(((0,),),))
+    cert = PrismHomotopy(f=far, g=near, tri=(((0,),),))
     rep = check_certificate(cert)
     assert rep.ok, rep.problems
     # swapping the endpoint maps breaks the prism identities
-    bad = HomotopyCertificate(kind="homotopy", f=near, g=far, tri=(((0,),),))
+    bad = PrismHomotopy(f=near, g=far, tri=(((0,),),))
     assert not check_certificate(bad).ok
+
+
+def test_certificate_tables_out_of_range_are_reported_not_read():
+    X = constant_sset(2, 2)
+    up = ((0, 1), (0, 1))
+    aug_out_of_range = ExtraDegeneracy(X, aug_size=1, aug=(0, 1), h0=(0,), up=up)
+    assert check_certificate(aug_out_of_range).problems == ("augmentation[1] out of range",)
+    no_section = ExtraDegeneracy(X, aug_size=1, aug=(0, 0), h0=(), up=up)
+    assert check_certificate(no_section).problems == ("h0 table length mismatch",)
 
 
 def test_certificate_detects_broken_table():
     X = constant_sset(2, 2)
-    cert = HomotopyCertificate(
-        kind="extra-degeneracy-h", space=X, aug_size=1, aug=(0, 0), h0=(0,),
-        up=((0, 0), (0, 0)))
+    cert = ExtraDegeneracy(X, aug_size=1, aug=(0, 0), h0=(0,), up=((0, 0), (0, 0)))
     rep = check_certificate(cert)
     # d_{p+1} h != id on simplex 1 since everything maps to 0
     assert not rep.ok
