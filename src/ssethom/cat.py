@@ -26,6 +26,9 @@ from .sset import (
     SSetMap,
     ValidationReport,
     _identity_problems,
+    _nested_problems,
+    listed_bisset,
+    listed_sset,
     path_space,
     path_space_augmentation,
 )
@@ -58,11 +61,6 @@ class FinNonUnitalCategory:
 def _at(labels, template):
     """A law message that names position s by the tuple ``labels[s]``."""
     return lambda s, **_: template.format(*labels[s])
-
-
-def _nested_problems(**reports: ValidationReport) -> list[str]:
-    """The problems of nested documents, each prefixed with its field."""
-    return [f"{name}: {p}" for name, rep in reports.items() for p in rep.problems]
 
 
 def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
@@ -294,6 +292,8 @@ def validate_action(A: MonoidAction) -> ValidationReport:
     problems = _nested_problems(monoid=validate_monoid(M))
     if problems:
         return ValidationReport(False, tuple(problems))
+    if not M.is_table:
+        return ValidationReport(False, ("an action needs a table-form monoid",))
     if A.side not in ("left", "right"):
         return ValidationReport(False, (f"unknown side {A.side!r}",))
     n, k = M.size, A.size
@@ -329,21 +329,21 @@ def regular_action(M: FinMonoid, side: str) -> MonoidAction:
 # -- nerves ------------------------------------------------------------------------
 
 
-def _tuple_face(C: FinNonUnitalCategory, chain: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Face i of a composable tuple: drop an end or compose two neighbours."""
-    n = len(chain)
-    if i == 0:
-        return chain[1:]
-    if i == n:
-        return chain[:-1]
-    return chain[:i - 1] + (C.compose(chain[i - 1], chain[i]),) + chain[i + 1:]
+def _nerve_faces(C: FinNonUnitalCategory):
+    """``face(p, i, chain)``, d_i of a p-chain of the nerve of C: drop an end
+    or compose two neighbours; a 1-chain drops to the object at the far end."""
+    src, tgt, comp = C.src, C.tgt, C.comp
 
+    def face(p, i, chain):
+        if p == 1:
+            return tgt[chain[0]] if i == 0 else src[chain[0]]
+        if i == 0:
+            return chain[1:]
+        if i == p:
+            return chain[:-1]
+        return chain[:i - 1] + (comp[(chain[i - 1], chain[i])],) + chain[i + 1:]
 
-def nerve_face(C: FinNonUnitalCategory, chain, i: int):
-    """Face of a nerve chain; a 1-chain drops to the object at the far end."""
-    if len(chain) == 1:
-        return C.tgt[chain[0]] if i == 0 else C.src[chain[0]]
-    return _tuple_face(C, chain, i)
+    return face
 
 
 @dataclass(frozen=True)
@@ -365,28 +365,12 @@ def nerve(C: FinNonUnitalCategory, N: int) -> NerveData:
     by_source = [[] for _ in range(C.n_objects)]
     for f in range(C.n_morphisms):
         by_source[C.src[f]].append(f)
-    chains: list[tuple] = [tuple(range(C.n_objects))]
-    for p in range(1, N + 1):
-        if p == 1:
-            chains.append(tuple((f,) for f in range(C.n_morphisms)))
-        else:
-            level = []
-            for chain in chains[p - 1]:
-                level.extend(chain + (g,) for g in by_source[C.tgt[chain[-1]]])
-            chains.append(tuple(level))
-    index: list[dict] = [{c: c for c in chains[0]}]
-    index.extend({chain: s for s, chain in enumerate(chains[p])} for p in range(1, N + 1))
-    sizes = tuple(len(chains[p]) for p in range(N + 1))
-    faces: list[tuple] = [()]
-    for p in range(1, N + 1):
-        if p == 1:
-            faces.append((C.tgt, C.src))
-        else:
-            faces.append(tuple(
-                tuple(index[p - 1][_tuple_face(C, chain, i)] for chain in chains[p])
-                for i in range(p + 1)))
-    sset = SemiSimplicialSet(sizes, tuple(faces), truncated_at=N)
-    return NerveData(C, sset, tuple(chains), tuple(index))
+    chains = [tuple(range(C.n_objects)), tuple((f,) for f in range(C.n_morphisms))][:N + 1]
+    for p in range(2, N + 1):
+        chains.append(tuple(chain + (g,) for chain in chains[-1]
+                            for g in by_source[C.tgt[chain[-1]]]))
+    sset, index = listed_sset(chains, _nerve_faces(C), N)
+    return NerveData(C, sset, tuple(chains), index)
 
 
 def nerve_map(F: FunctorData, N: int) -> SSetMap:
@@ -542,75 +526,29 @@ def comma_resolution(F: FunctorData, N: int, dual: bool = False) -> CommaResolut
     C, D = F.source, F.target
     cn = nerve(C, N)
     dn = nerve(D, N + 1)
-    by_start: dict[tuple[int, int], list] = {}
-    by_end: dict[tuple[int, int], list] = {}
+    pool: dict[tuple[int, int], list] = {}  # (length, anchor object) -> target chains
     for ln in range(1, N + 2):
         for chain in dn.chains[ln]:
-            by_start.setdefault((ln, D.src[chain[0]]), []).append(chain)
-            by_end.setdefault((ln, D.tgt[chain[-1]]), []).append(chain)
+            pool.setdefault((ln, D.tgt[chain[-1]] if dual else D.src[chain[0]]), []).append(chain)
+    elements = tuple(tuple(tuple(
+        (a_idx, u) for a_idx, a in enumerate(cn.chains[p])
+        for u in pool.get((q + 1, F.obj_map[chain_object(C, a, 0 if dual else p)]), ()))
+        for q in range(N + 1)) for p in range(N + 1))
 
-    def anchor(p, a):
-        if dual:
-            return F.obj_map[chain_object(C, a, 0)]
-        return F.obj_map[chain_object(C, a, p)]
+    c_faces, d_face = cn.sset.faces, _nerve_faces(D)
 
-    elements: list[list[tuple]] = []
-    index: list[list[dict]] = []
-    for p in range(N + 1):
-        row_e = []
-        row_i = []
-        for q in range(N + 1):
-            elems = []
-            for a_idx, a in enumerate(cn.chains[p]):
-                pool = by_end if dual else by_start
-                for u in pool.get((q + 1, anchor(p, a)), ()):
-                    elems.append((a_idx, u))
-            row_e.append(tuple(elems))
-            row_i.append({x: s for s, x in enumerate(elems)})
-        elements.append(row_e)
-        index.append(row_i)
+    def hface(p, q, i, elem):
+        a_idx, u = elem
+        if dual and i == 0:
+            u = u[:-1] + (D.comp[(u[-1], F.mor_map[cn.chains[p][a_idx][0]])],)
+        elif not dual and i == p:
+            u = (D.comp[(F.mor_map[cn.chains[p][a_idx][-1]], u[0])],) + u[1:]
+        return c_faces[p][i][a_idx], u
 
-    sizes = tuple(tuple(len(elements[p][q]) for q in range(N + 1)) for p in range(N + 1))
-    dh: list[list[tuple]] = []
-    dv: list[list[tuple]] = []
-    for p in range(N + 1):
-        dh_row = []
-        dv_row = []
-        for q in range(N + 1):
-            elems = elements[p][q]
-            if p == 0:
-                dh_row.append(())
-            else:
-                tables = []
-                for i in range(p + 1):
-                    tab = []
-                    for a_idx, u in elems:
-                        a = cn.chains[p][a_idx]
-                        a2 = cn.index[p - 1][nerve_face(C, a, i)]
-                        u2 = u
-                        if not dual and i == p:
-                            u2 = (D.comp[(F.mor_map[a[-1]], u[0])],) + u[1:]
-                        elif dual and i == 0:
-                            u2 = u[:-1] + (D.comp[(u[-1], F.mor_map[a[0]])],)
-                        tab.append(index[p - 1][q][(a2, u2)])
-                    tables.append(tuple(tab))
-                dh_row.append(tuple(tables))
-            if q == 0:
-                dv_row.append(())
-            else:
-                tables = []
-                for j in range(q + 1):
-                    k = j if dual else j + 1
-                    tab = [index[p][q - 1][(a_idx, _tuple_face(D, u, k))]
-                           for a_idx, u in elems]
-                    tables.append(tuple(tab))
-                dv_row.append(tuple(tables))
-        dh.append(dh_row)
-        dv.append(dv_row)
+    def vface(p, q, j, elem):
+        return elem[0], d_face(q + 1, j if dual else j + 1, elem[1])
 
-    bisset = BiSemiSimplicialSet(sizes, tuple(tuple(r) for r in dh),
-                                 tuple(tuple(r) for r in dv),
-                                 trunc_p=N, trunc_q=N)
+    bisset, index = listed_bisset(elements, hface, vface, N, N)
     eps = tuple(tuple(tuple(a_idx for a_idx, u in elements[p][q])
                       for q in range(N + 1)) for p in range(N + 1))
     eta = []
@@ -626,9 +564,7 @@ def comma_resolution(F: FunctorData, N: int, dual: bool = False) -> CommaResolut
                     tab.append(dn.index[q][core])
             row.append(tuple(tab))
         eta.append(tuple(row))
-    return CommaResolution(F, dual, bisset, eps, tuple(eta),
-                           tuple(tuple(r) for r in elements),
-                           tuple(tuple(r) for r in index), cn, dn)
+    return CommaResolution(F, dual, bisset, eps, tuple(eta), elements, index, cn, dn)
 
 
 def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:
@@ -674,14 +610,7 @@ def eta_fiber(res: CommaResolution, q: int, b: int) -> SemiSimplicialSet:
     P = B.p_levels
     members = [[s for s in range(B.sizes[p][q]) if res.eta[p][q][s] == b]
                for p in range(P)]
-    pos = [{s: i for i, s in enumerate(members[p])} for p in range(P)]
-    sizes = tuple(len(members[p]) for p in range(P))
-    faces: list[tuple] = [()]
-    for p in range(1, P):
-        faces.append(tuple(
-            tuple(pos[p - 1][B.dh[p][q][i][s]] for s in members[p])
-            for i in range(p + 1)))
-    return SemiSimplicialSet(sizes, tuple(faces), truncated_at=P - 1)
+    return listed_sset(members, lambda p, i, s: B.dh[p][q][i][s], P - 1)[0]
 
 
 def nat_trans_homotopy(eta: NatTransData, N: int) -> PrismHomotopy:
@@ -718,7 +647,9 @@ def nat_trans_homotopy(eta: NatTransData, N: int) -> PrismHomotopy:
 
 
 def bar_construction(Y: MonoidAction, M: FinMonoid, X: MonoidAction, N: int) -> SemiSimplicialSet:
-    """Two-sided bar construction: level p is Y x M^p x X, lexicographically.
+    """Two-sided bar construction: level p lists (y, m_1, .., m_p, x) in Y x
+    M^p x X lexicographically, so the tuple has position
+    ((y * |M| + m_1) * |M| + .. + m_p) * |X| + x.
 
     d_0 absorbs m_1 into y, d_p absorbs m_p into x, inner faces multiply
     adjacent letters.
@@ -727,43 +658,14 @@ def bar_construction(Y: MonoidAction, M: FinMonoid, X: MonoidAction, N: int) -> 
         raise ValueError("actions must be over the given monoid")
     if Y.side != "right" or X.side != "left":
         raise ValueError("expected a right action and a left action")
-    n = M.size
-    ny, nx = Y.size, X.size
+    levels = [tuple(itertools.product(range(Y.size), *[range(M.size)] * p, range(X.size)))
+              for p in range(N + 1)]
 
-    def decode(p, s):
-        x = s % nx
-        s //= nx
-        ms = []
-        for _ in range(p):
-            ms.append(s % n)
-            s //= n
-        ms.reverse()
-        return s, tuple(ms), x
+    def face(p, i, t):
+        merge = Y.act_right if i == 0 else X.act_left if i == p else M.mult
+        return t[:i] + (merge(t[i], t[i + 1]),) + t[i + 2:]
 
-    def encode(y, ms, x):
-        s = y
-        for m in ms:
-            s = s * n + m
-        return s * nx + x
-
-    sizes = tuple(ny * n ** p * nx for p in range(N + 1))
-    faces: list[tuple] = [()]
-    for p in range(1, N + 1):
-        tables = []
-        for i in range(p + 1):
-            tab = []
-            for s in range(sizes[p]):
-                y, ms, x = decode(p, s)
-                if i == 0:
-                    tab.append(encode(Y.act_right(y, ms[0]), ms[1:], x))
-                elif i == p:
-                    tab.append(encode(y, ms[:-1], X.act_left(ms[-1], x)))
-                else:
-                    composed = ms[:i - 1] + (M.mult(ms[i - 1], ms[i]),) + ms[i + 1:]
-                    tab.append(encode(y, composed, x))
-            tables.append(tuple(tab))
-        faces.append(tuple(tables))
-    return SemiSimplicialSet(sizes, tuple(faces), truncated_at=N)
+    return listed_sset(levels, face, N)[0]
 
 
 def bar_extra_degeneracy(M: FinMonoid, N: int) -> ExtraDegeneracy:

@@ -7,8 +7,12 @@ the nondegenerate simplices are listed, and every simplex is named by a
 canonical pair (degeneracy word, generator).  A degeneracy word is a strictly
 decreasing tuple (j_1 > ... > j_k) standing for s_{j_1} ... s_{j_k}.
 
-Every table law is checked by comparing two whole tables.  A certificate is an
-``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by ``check_certificate``.
+Every listed object (a standard simplex, an enumeration, a product, and in
+``cat`` the nerves, bar constructions and comma resolutions) is built by
+``listed_sset`` or ``listed_bisset`` from its levels in order and a face
+function.  Every table law is checked by comparing two whole tables.  A
+certificate is an ``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by
+``check_certificate``.
 """
 
 from __future__ import annotations
@@ -122,6 +126,11 @@ def _identity_problems(identities, limit: int) -> list[str]:
     return problems
 
 
+def _nested_problems(**reports: ValidationReport) -> list[str]:
+    """The problems of nested documents, each prefixed with its field."""
+    return [f"{name}: {p}" for name, rep in reports.items() for p in rep.problems]
+
+
 @dataclass(frozen=True)
 class SSetMap:
     """Levelwise map of semi-simplicial sets; tables[p][s] is the image index."""
@@ -162,6 +171,38 @@ def identity_map(X: SemiSimplicialSet) -> SSetMap:
     return SSetMap(X, X, tuple(tuple(range(n)) for n in X.sizes))
 
 
+# -- listings ----------------------------------------------------------------
+
+
+def listed_sset(levels, face, truncated_at: int | None = None
+                ) -> tuple[SemiSimplicialSet, tuple[dict, ...]]:
+    """The semi-simplicial set whose level p lists ``levels[p]`` in order, with
+    d_i x at the position of ``face(p, i, x)`` in level p - 1, and each
+    level's ``{simplex: position}`` index."""
+    index = tuple({x: s for s, x in enumerate(level)} for level in levels)
+    faces = tuple(tuple(tuple(index[p - 1][face(p, i, x)] for x in levels[p])
+                        for i in range(p + 1)) if p else ()
+                  for p in range(len(levels)))
+    return SemiSimplicialSet(tuple(map(len, levels)), faces, truncated_at), index
+
+
+def listed_bisset(levels, hface, vface, trunc_p: int | None, trunc_q: int | None
+                  ) -> tuple[BiSemiSimplicialSet, tuple[tuple[dict, ...], ...]]:
+    """The bi-semi-simplicial set whose (p, q) level lists ``levels[p][q]`` in
+    order, with dh_i x at the position of ``hface(p, q, i, x)`` in level
+    (p - 1, q) and dv_j x at that of ``vface(p, q, j, x)`` in level (p, q - 1),
+    and each level's ``{bisimplex: position}`` index."""
+    index = tuple(tuple({x: s for s, x in enumerate(level)} for level in row) for row in levels)
+    dh = tuple(tuple(tuple(tuple(index[p - 1][q][hface(p, q, i, x)] for x in level)
+                           for i in range(p + 1)) if p else ()
+                     for q, level in enumerate(row)) for p, row in enumerate(levels))
+    dv = tuple(tuple(tuple(tuple(index[p][q - 1][vface(p, q, j, x)] for x in level)
+                           for j in range(q + 1)) if q else ()
+                     for q, level in enumerate(row)) for p, row in enumerate(levels))
+    sizes = tuple(tuple(map(len, row)) for row in levels)
+    return BiSemiSimplicialSet(sizes, dh, dv, trunc_p, trunc_q), index
+
+
 # -- standard complexes ------------------------------------------------------
 
 
@@ -172,21 +213,8 @@ def _vertex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
 
 def standard_semi_simplex(n: int) -> SemiSimplicialSet:
     """The semi-simplicial n-simplex: level q lists the (q+1)-subsets of {0..n}."""
-    sizes = []
-    faces = []
-    prev_index: dict[tuple[int, ...], int] = {}
-    for q in range(n + 1):
-        subs = _vertex_subsets(n, q)
-        sizes.append(len(subs))
-        if q == 0:
-            faces.append(())
-        else:
-            level_faces = []
-            for i in range(q + 1):
-                level_faces.append(tuple(prev_index[t[:i] + t[i + 1:]] for t in subs))
-            faces.append(tuple(level_faces))
-        prev_index = {t: s for s, t in enumerate(subs)}
-    return SemiSimplicialSet(tuple(sizes), tuple(faces))
+    levels = [_vertex_subsets(n, q) for q in range(n + 1)]
+    return listed_sset(levels, lambda q, i, t: t[:i] + t[i + 1:])[0]
 
 
 def boundary_semi_simplex(n: int) -> SemiSimplicialSet:
@@ -285,32 +313,10 @@ def exterior_product(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> BiSemiSimpli
 
     The pair (x, y) gets index x * |Y_q| + y.
     """
-    P, Q = len(X.sizes), len(Y.sizes)
-    sizes = tuple(tuple(X.sizes[p] * Y.sizes[q] for q in range(Q)) for p in range(P))
-    dh = []
-    dv = []
-    for p in range(P):
-        dh_row = []
-        dv_row = []
-        for q in range(Q):
-            nx, ny = X.sizes[p], Y.sizes[q]
-            if p == 0:
-                dh_row.append(())
-            else:
-                dh_row.append(tuple(
-                    tuple(X.face(p, i, s // ny) * ny + (s % ny) for s in range(nx * ny))
-                    for i in range(p + 1)))
-            if q == 0:
-                dv_row.append(())
-            else:
-                nym = Y.sizes[q - 1]
-                dv_row.append(tuple(
-                    tuple((s // ny) * nym + Y.face(q, j, s % ny) for s in range(nx * ny))
-                    for j in range(q + 1)))
-        dh.append(tuple(dh_row))
-        dv.append(tuple(dv_row))
-    return BiSemiSimplicialSet(sizes, tuple(dh), tuple(dv),
-                               trunc_p=X.truncated_at, trunc_q=Y.truncated_at)
+    levels = [[tuple(itertools.product(range(nx), range(ny))) for ny in Y.sizes] for nx in X.sizes]
+    return listed_bisset(levels, lambda p, q, i, xy: (X.faces[p][i][xy[0]], xy[1]),
+                         lambda p, q, j, xy: (xy[0], Y.faces[q][j][xy[1]]),
+                         X.truncated_at, Y.truncated_at)[0]
 
 
 def diagonal(B: BiSemiSimplicialSet) -> SemiSimplicialSet:
@@ -599,20 +605,9 @@ class Enumeration:
 def enumerate_simplicial(Y: SimplicialSet, n: int) -> Enumeration:
     if Y.truncated_at is not None and n > Y.truncated_at:
         raise ValueError(f"cannot enumerate through {n}: presentation truncated at {Y.truncated_at}")
-    refs = []
-    index = []
-    for p in range(n + 1):
-        level = tuple(iter_simplices(Y, p))
-        refs.append(level)
-        index.append({ref: s for s, ref in enumerate(level)})
-    sizes = tuple(len(level) for level in refs)
-    faces = [()]
-    for p in range(1, n + 1):
-        faces.append(tuple(
-            tuple(index[p - 1][normalize_face(Y, i, ref)] for ref in refs[p])
-            for i in range(p + 1)))
-    sset = SemiSimplicialSet(sizes, tuple(faces), truncated_at=n)
-    return Enumeration(Y, sset, tuple(refs), tuple(index))
+    refs = tuple(tuple(iter_simplices(Y, p)) for p in range(n + 1))
+    sset, index = listed_sset(refs, lambda p, i, ref: normalize_face(Y, i, ref), n)
+    return Enumeration(Y, sset, refs, index)
 
 
 def free_degeneracies(X: SemiSimplicialSet) -> SimplicialSet:
@@ -708,8 +703,9 @@ class PrismHomotopy:
 
 
 def check_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ValidationReport:
-    """Verify a certificate: table shapes and ranges first, then each defining
-    identity on whole tables, naming at most 21 failing simplices."""
+    """Verify a certificate: the space of an extra degeneracy, then table
+    shapes and ranges, then each defining identity on whole tables, naming
+    at most 21 failing simplices."""
     problems = (_extra_degeneracy_problems if isinstance(cert, ExtraDegeneracy)
                 else _prism_problems)(cert)
     return ValidationReport(not problems, tuple(problems))
@@ -724,6 +720,9 @@ def _table_problems(name: str, tab, length: int, high: int) -> list[str]:
 
 def _extra_degeneracy_problems(cert: ExtraDegeneracy) -> list[str]:
     X, aug, h0, up = cert.space, cert.aug, cert.h0, cert.up
+    problems = _nested_problems(space=validate_sset(X))
+    if problems:
+        return problems[:21]
     if len(up) >= len(X.sizes):
         return ["certificate tables run past the listed levels"]
     problems = _table_problems("augmentation", aug, X.sizes[0], cert.aug_size)
@@ -764,6 +763,8 @@ def _prism_problems(cert: PrismHomotopy) -> list[str]:
         return ["f and g have different endpoints"]
     if len(tri) >= len(Y.sizes):
         return ["tables run past the listed levels of the target"]
+    if len(tri) > len(X.sizes):
+        return ["tables run past the listed levels of the source"]
     problems = []
     for p, level in enumerate(tri):
         if len(level) != p + 1:

@@ -517,6 +517,11 @@ def test_action_is_valid_only_when_its_monoid_is():
                                            "monoid: unit law fails at element 1")
 
 
+def test_action_over_a_presentation_is_reported_not_raised():
+    A = MonoidAction(free_rank_one_presentation(), 1, ((0,),), "left")
+    assert validate_action(A).problems == ("an action needs a table-form monoid",)
+
+
 def test_bar_of_trivial_actions_is_the_nerve():
     M = cyclic_group_monoid(2)
     B = bar_construction(trivial_action(M, "right"), M, trivial_action(M, "left"), 3)

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import importlib.util
 import json
 import os
@@ -501,6 +502,44 @@ def test_document_bytes_are_stable(capsys):
     _, out1, _ = run(capsys, "skeleton", fixture("sphere2.ss.json"), "--degree", "1")
     _, out2, _ = run(capsys, "skeleton", fixture("sphere2.ss.json"), "--degree", "1")
     assert out1 == out2
+
+
+# stdout sha256 of the writers that build nerves, bar constructions and comma
+# resolutions; run from the repository root, as ``resolve`` echoes the path
+PINNED_STDOUT = [
+    (("nerve", "c2.mon.json", "--cutoff", "3"),
+     "92fa26ca9ec97784b87ae6c6d50a98ba903dbee30c33fca966f20f764eac2a2a"),
+    (("nerve", "pair.cat.json", "--cutoff", "3"),
+     "8de05ae43fd7dc9b5e959d068bef6711630f781aa1840de0c262178a7eeffa05"),
+    (("nerve", "idempotent.cat.json", "--cutoff", "3"),
+     "777d29c23674bcdfeac207efef5b3999246bd3b2de313f1d6ce2b8cb0d5f6c2b"),
+    (("bar", "c2.mon.json", "--left", "trivial", "--right", "trivial", "--cutoff", "3"),
+     "92fa26ca9ec97784b87ae6c6d50a98ba903dbee30c33fca966f20f764eac2a2a"),
+    (("bar", "c2.mon.json", "--left", "trivial", "--right", "regular", "--cutoff", "3"),
+     "8fe56207824a2e745348673ddfebbfdc630648427c23ef8d99231fd44fb5b734"),
+    (("bar", "c2.mon.json", "--left", "regular", "--right", "trivial", "--cutoff", "3"),
+     "794e0fd6b068507eec5b54a0e537f612ea65a3f223ae99b35c51e12d4a350a66"),
+    (("bar", "c2.mon.json", "--left", "regular", "--right", "regular", "--cutoff", "3"),
+     "8f21820735b08f76bc09dce9bb38065529f89cbbbc98ca44135ccf4792efab27"),
+    (("resolve", "endpoint.fun.json", "--cutoff", "2"),
+     "259eac698f32cda065dfbb2bd03884f6331d88559dc07791508715274425a110"),
+    (("resolve", "endpoint.fun.json", "--cutoff", "2", "--dual"),
+     "ceb0a5be4bfd3963c01017bbaf8447ab62c5ec174aebaf9741bee576ee96502e"),
+    (("resolve", "id1.fun.json", "--cutoff", "2"),
+     "11c75a28bb9b3cf1407e16252862bca294aa1577d0ef038801a7c4b660a60708"),
+    (("resolve", "id1.fun.json", "--cutoff", "2", "--dual"),
+     "58c470e52a958878a55c36003584106e3967bac0fcc35cc1d309e3c7c4d494df"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [pytest.param(*case, id=" ".join(case[0]))
+                                         for case in PINNED_STDOUT])
+def test_built_space_bytes_are_pinned(argv, digest, capsys, monkeypatch):
+    monkeypatch.chdir(os.path.join(FIXTURES, ".."))
+    command, name, *rest = argv
+    code, out, _ = run(capsys, command, os.path.join("fixtures", name), *rest)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # -- batches -----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it."""
+"""Every imported name is used by the module that imports it, and every
+private module-level name of the package is used somewhere."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "ssethom").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +47,52 @@ def test_unused_import_is_caught():
               "__all__ = ['cat']\n"
               "check_certificate(os)\n")
     assert unused_imports(source) == ["line 3: HomotopyCertificate"]
+
+
+def unreferenced_privates(package: dict[str, str], sources: list[str]) -> list[str]:
+    """The module-level private functions, classes and constants of each
+    ``package`` module (name to source) that no source in ``sources`` reads,
+    calls or imports; dunder names are exempt."""
+    refs = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in refs]
+    return found
+
+
+def test_no_unreferenced_private_names():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert unreferenced_privates(package, [p.read_text() for p in MODULES]) == []
+
+
+def test_unreferenced_private_is_caught():
+    module = ("_LIMIT = 20\n"
+              "_USED: int = 1\n"
+              "def _helper():\n"
+              "    return _USED\n"
+              "def _left_over():\n"
+              "    return 0\n"
+              "class _Gone:\n"
+              "    pass\n"
+              "def public():\n"
+              "    return _helper()\n")
+    user = "from m import _LIMIT\n"
+    assert unreferenced_privates({"m.py": module}, [module, user]) == [
+        "m.py:5: _left_over", "m.py:7: _Gone"]

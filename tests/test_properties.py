@@ -8,11 +8,13 @@ examples.
 import json
 
 from ssethom.cat import (
+    FinMonoid,
     FunctorData,
     NatTransData,
     bar_construction,
     bar_extra_degeneracy,
     comma_resolution,
+    eta_fiber,
     identity_functor,
     monoid_as_category,
     nat_trans_homotopy,
@@ -29,6 +31,7 @@ from ssethom.fixtures import (
     cyclic_group_monoid,
     grid_poset_category,
     klein_four_monoid,
+    nonunital_category_corpus,
     parallel_edges,
     poset_category,
     quillen_functor_corpus,
@@ -59,8 +62,10 @@ from ssethom.sset import (
     monotone_to_simplex_ref,
     normalize_face,
     simplex_ref_to_monotone,
+    standard_semi_simplex,
     standard_simplicial_simplex,
     unit_map,
+    validate_bisset,
     validate_simplicial,
     validate_sset,
 )
@@ -176,6 +181,53 @@ def test_chain_homotopy_identity_for_every_certificate():
         assert check_certificate(cert).ok
         h = chain_homotopy_from_certificate(cert)
         assert check_chain_homotopy(h).ok
+
+
+def _inverts(listing, index):
+    return list(index.items()) == [(x, s) for s, x in enumerate(listing)]
+
+
+def _self_maps_of_two_points():
+    """The four self-maps of {0, 1} under "f then g": a noncommutative monoid."""
+    maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
+    return FinMonoid(table=tuple(tuple(maps.index((g[f[0]], g[f[1]])) for g in maps)
+                                 for f in maps), unit=0)
+
+
+def test_listed_spaces_index_their_listing_and_validate():
+    monoids = (trivial_monoid(), cyclic_group_monoid(2), cyclic_group_monoid(3),
+               klein_four_monoid(), absorbing_pair_monoid(), _self_maps_of_two_points())
+    categories = list(nonunital_category_corpus().values()) + [
+        grid_poset_category(), unitalize(composable_pair_category())] + [
+        monoid_as_category(M) for M in monoids]
+    for C in categories:
+        nd = nerve(C, 4)
+        assert validate_sset(nd.sset).ok
+        assert all(_inverts(*level) for level in zip(nd.chains, nd.index))
+    for Y in [standard_simplicial_simplex(3)] + [random_simplicial(seed) for seed in range(6)]:
+        en = enumerate_simplicial(Y, 3)
+        assert validate_sset(en.sset).ok
+        assert all(_inverts(*level) for level in zip(en.refs, en.index))
+    for F in quillen_functor_corpus().values():
+        for dual in (False, True):
+            res = comma_resolution(F, 3, dual)
+            assert validate_bisset(res.bisset).ok
+            assert all(_inverts(*level) for rows in zip(res.elements, res.index)
+                       for level in zip(*rows))
+            for q in range(4):
+                for b in {b for row in res.eta for b in row[q]}:
+                    assert validate_sset(eta_fiber(res, q, b)).ok
+    for M in monoids:
+        for left in (trivial_action, regular_action):
+            for right in (trivial_action, regular_action):
+                B = bar_construction(left(M, "right"), M, right(M, "left"), 4)
+                assert validate_sset(B).ok
+    spaces = list(sset_corpus().values())
+    for n in range(6):
+        assert validate_sset(standard_semi_simplex(n)).ok
+    for X in spaces:
+        for Y in spaces[:5]:
+            assert validate_bisset(exterior_product(X, Y)).ok
 
 
 def test_report_determinism():

@@ -474,6 +474,20 @@ def test_certificate_tables_out_of_range_are_reported_not_read():
     assert check_certificate(no_section).problems == ("h0 table length mismatch",)
 
 
+def test_prism_levels_past_the_source_are_reported_not_read():
+    pt, tri = standard_semi_simplex(0), standard_semi_simplex(2)
+    f = g = SSetMap(pt, tri, ((0,),))
+    cert = PrismHomotopy(f=f, g=g, tri=(((3,),), ((0,), (0,))))
+    assert check_certificate(cert).problems == ("tables run past the listed levels of the source",)
+
+
+def test_extra_degeneracy_on_a_broken_space_reports_the_space():
+    X = SemiSimplicialSet((1, 1), ((), ((0,), (3,))))
+    cert = ExtraDegeneracy(X, aug_size=1, aug=(0,), h0=(0,), up=((0,),))
+    assert check_certificate(cert).problems == (
+        "space: level 1 face 1 simplex 0: target 3 out of range",)
+
+
 def test_certificate_detects_broken_table():
     X = constant_sset(2, 2)
     cert = ExtraDegeneracy(X, aug_size=1, aug=(0, 0), h0=(0,), up=((0, 0), (0, 0)))
