@@ -6,6 +6,9 @@ augmentations, two-sided bar constructions, and Grothendieck groups.
 
 Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
+Every category built here (over and comma categories, the one-object
+category of a monoid) comes from ``listed_category``, which lists its objects
+and morphisms in order and returns their position indexes with it.
 
 Validators check shapes and ranges before any law, and a document is valid
 only when the documents nested in it (categories, functors, monoid) are.
@@ -50,12 +53,31 @@ class FinNonUnitalCategory:
     def is_unital(self) -> bool:
         return self.units is not None
 
-    def compose(self, f: int, g: int) -> int:
-        """The composite of f then g."""
-        try:
-            return self.comp[(f, g)]
-        except KeyError:
-            raise ValueError(f"morphisms {f} then {g} are not composable") from None
+
+def listed_category(objects, morphisms, ends, compose, unit=None
+                    ) -> tuple[FinNonUnitalCategory, dict, dict]:
+    """The category whose objects list ``objects`` and whose morphisms list
+    ``morphisms`` in order, with the category's ``{object: position}`` and
+    ``{morphism: position}`` indexes.
+
+    ``ends(m)`` is the (source, target) pair of objects of morphism m, and
+    ``compose(f, g)`` the morphism "f then g", asked only of the arrows g
+    leaving the target of f; ``unit(x)``, when given, is the unit at x.
+    """
+    obj_index = {x: i for i, x in enumerate(objects)}
+    mor_index = {m: i for i, m in enumerate(morphisms)}
+    src, tgt = [], []
+    leaving = [[] for _ in obj_index]
+    for j, m in enumerate(morphisms):
+        a, b = ends(m)
+        src.append(obj_index[a])
+        tgt.append(obj_index[b])
+        leaving[src[-1]].append((j, m))
+    comp = {(i, j): mor_index[compose(f, g)]
+            for i, f in enumerate(morphisms) for j, g in leaving[tgt[i]]}
+    units = None if unit is None else tuple(mor_index[unit(x)] for x in objects)
+    C = FinNonUnitalCategory(len(obj_index), tuple(src), tuple(tgt), comp, units=units)
+    return C, obj_index, mor_index
 
 
 def _at(labels, template):
@@ -247,9 +269,8 @@ def is_group(M: FinMonoid) -> bool:
 def monoid_as_category(M: FinMonoid) -> FinNonUnitalCategory:
     """One object; composing f then g multiplies f<dot>g, so nerve chains read
     left to right like bar construction strings."""
-    n = M.size
-    comp = {(a, b): M.table[a][b] for a in range(n) for b in range(n)}
-    return FinNonUnitalCategory(1, (0,) * n, (0,) * n, comp, units=(M.unit,))
+    return listed_category((0,), range(M.size), lambda a: (0, 0), M.mult,
+                           lambda x: M.unit)[0]
 
 
 def monoid_presentation(M: FinMonoid) -> FinMonoid:
@@ -453,21 +474,11 @@ def over_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
     if not (0 <= c < C.n_objects):
         raise ValueError(f"object {c} out of range")
     objects = [f for f in range(C.n_morphisms) if C.tgt[f] == c]
-    obj_index = {f: i for i, f in enumerate(objects)}
     mors = [(h, f) for h in range(C.n_morphisms) for f in objects
             if C.tgt[h] == C.src[f]]
-    mor_index = {hf: i for i, hf in enumerate(mors)}
-    src = tuple(obj_index[C.comp[(h, f)]] for h, f in mors)
-    tgt = tuple(obj_index[f] for h, f in mors)
-    comp = {}
-    for i, (h2, g) in enumerate(mors):
-        for j, (h1, f) in enumerate(mors):
-            if g == C.comp[(h1, f)]:
-                comp[(i, j)] = mor_index[(C.comp[(h2, h1)], f)]
-    units = None
-    if C.units is not None:
-        units = tuple(mor_index[(C.units[C.src[f]], f)] for f in objects)
-    return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
+    unit = None if C.units is None else lambda f: (C.units[C.src[f]], f)
+    return listed_category(objects, mors, lambda hf: (C.comp[hf], hf[1]),
+                           lambda hg, hf: (C.comp[(hg[0], hf[0])], hf[1]), unit)[0]
 
 
 def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
@@ -479,21 +490,15 @@ def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
         raise ValueError(f"object {d} out of range")
     objects = [(a, u) for u in range(D.n_morphisms) for a in range(C.n_objects)
                if D.src[u] == d and D.tgt[u] == F.obj_map[a]]
-    obj_index = {x: i for i, x in enumerate(objects)}
     mors = [(h, u) for a, u in objects for h in range(C.n_morphisms) if C.src[h] == a]
-    mor_index = {x: i for i, x in enumerate(mors)}
-    src = tuple(obj_index[(C.src[h], u)] for h, u in mors)
-    tgt = tuple(obj_index[(C.tgt[h], D.comp[(u, F.mor_map[h])])] for h, u in mors)
-    comp = {}
-    for i, (h1, u1) in enumerate(mors):
-        for j, (h2, u2) in enumerate(mors):
-            if (C.src[h2], u2) == (C.tgt[h1], D.comp[(u1, F.mor_map[h1])]):
-                comp[(i, j)] = mor_index[(C.comp[(h1, h2)], u1)]
-    units = None
+    unit = None
     if C.units is not None and D.units is not None and \
             all(F.mor_map[C.units[a]] == D.units[F.obj_map[a]] for a in range(C.n_objects)):
-        units = tuple(mor_index[(C.units[a], u)] for a, u in objects)
-    return FinNonUnitalCategory(len(objects), src, tgt, comp, units=units)
+        unit = lambda x: (C.units[x[0]], x[1])
+    return listed_category(
+        objects, mors,
+        lambda hu: ((C.src[hu[0]], hu[1]), (C.tgt[hu[0]], D.comp[(hu[1], F.mor_map[hu[0]])])),
+        lambda hu, hv: (C.comp[(hu[0], hv[0])], hu[1]), unit)[0]
 
 
 # -- the comma resolution -----------------------------------------------------------
@@ -551,20 +556,15 @@ def comma_resolution(F: FunctorData, N: int, dual: bool = False) -> CommaResolut
     bisset, index = listed_bisset(elements, hface, vface, N, N)
     eps = tuple(tuple(tuple(a_idx for a_idx, u in elements[p][q])
                       for q in range(N + 1)) for p in range(N + 1))
-    eta = []
-    for p in range(N + 1):
-        row = []
-        for q in range(N + 1):
-            tab = []
-            for a_idx, u in elements[p][q]:
-                core = u[:-1] if dual else u[1:]
-                if q == 0:
-                    tab.append(D.src[u[0]] if dual else D.tgt[u[0]])
-                else:
-                    tab.append(dn.index[q][core])
-            row.append(tuple(tab))
-        eta.append(tuple(row))
-    return CommaResolution(F, dual, bisset, eps, tuple(eta), elements, index, cn, dn)
+
+    def eta_of(q, u):  # the target q-chain with the connecting arrow dropped
+        if q == 0:
+            return D.src[u[0]] if dual else D.tgt[u[0]]
+        return dn.index[q][u[:-1] if dual else u[1:]]
+
+    eta = tuple(tuple(tuple(eta_of(q, u) for _, u in elements[p][q])
+                      for q in range(N + 1)) for p in range(N + 1))
+    return CommaResolution(F, dual, bisset, eps, eta, elements, index, cn, dn)
 
 
 def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:

@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from concurrent import futures
+from dataclasses import replace
 
 from . import formats, theorems
 from .cat import (
@@ -41,6 +42,7 @@ from .cat import (
     validate_monoid,
     validate_nat_trans,
 )
+from .fixtures import random_semi_simplicial, random_simplicial
 from .homalg import bicomplex, homology, parse_ring, total_complex, unnormalized_chains, normalized_chains
 from .snf import SparseIntMatrix
 from .specseq import check_convergence, spectral_sequence
@@ -195,16 +197,10 @@ def _cmd_homology(args) -> int:
 def _cmd_euler(args) -> int:
     obj = _load_checked(args.file, (SemiSimplicialSet, SimplicialSet),
                         "a semi-simplicial or simplicial document")
-    if isinstance(obj, SemiSimplicialSet):
-        try:
-            value = euler_characteristic(obj)
-        except ValueError as e:
-            raise UsageError(f"{args.file}: {e}") from None
-    else:
-        if obj.truncated_at is not None:
-            raise UsageError(f"{args.file}: Euler characteristic of a truncated "
-                             "complex is not determined")
-        value = sum((-1) ** q * n for q, n in enumerate(obj.gen_sizes))
+    try:
+        value = euler_characteristic(obj)
+    except ValueError as e:
+        raise UsageError(f"{args.file}: {e}") from None
     _emit({"command": "euler", "file": args.file, "value": value})
     _say(f"euler characteristic: {value}")
     return 0
@@ -325,15 +321,14 @@ def _cmd_group_complete(args) -> int:
     if M.is_table and args.cutoff is None:
         raise UsageError("--cutoff is required for a table-form monoid "
                          "(it bounds the classifying-space comparison)")
-    t0 = time.perf_counter()
-    try:
-        rep = theorems.group_completion_report(M, args.cutoff if args.cutoff is not None else 0)
-    except ValueError as e:
-        raise UsageError(f"{args.file}: {e}") from None
-    seconds = time.perf_counter() - t0
-    _emit(rep.to_dict())
-    _render_report(rep.to_dict(), seconds)
-    return 0 if rep.verdict == "pass" else 1
+
+    def run():
+        try:
+            return theorems.group_completion_report(M, args.cutoff or 0)
+        except ValueError as e:
+            raise UsageError(f"{args.file}: {e}") from None
+
+    return _timed_report(run)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +336,16 @@ def _cmd_group_complete(args) -> int:
 
 
 # One row per named check: (id, input kinds, what the inputs are, the extra
-# parameter it reads or None, the check, its seeded variant or None).  The
-# check is called as check(*inputs, extra, cutoff), without extra when it
-# reads none, and the seeded variant as variant(seed, cutoff).
+# parameter it reads or None, the check, how a seed makes the inputs or None).
+# The check is called as check(*inputs, extra, cutoff), without extra when it
+# reads none; with --seed s the inputs are make(s).
 _CHECKS = (
     ("adj-units", (SemiSimplicialSet,), "a semi-simplicial document", None,
-     theorems.check_adj_units, theorems.check_adj_units_random),
+     theorems.check_adj_units, lambda s: (random_semi_simplicial(s),)),
     ("fat-thin", (SimplicialSet,), "a simplicial document", None,
-     theorems.check_fat_thin, theorems.check_fat_thin_random),
+     theorems.check_fat_thin, lambda s: (random_simplicial(s),)),
     ("ez-diagonal", (SimplicialSet, SimplicialSet), "two simplicial documents", None,
-     theorems.check_ez_diagonal, theorems.check_ez_diagonal_random),
+     theorems.check_ez_diagonal, lambda s: (random_simplicial(2 * s), random_simplicial(2 * s + 1))),
     ("products", (SimplicialSet, SimplicialSet), "two simplicial documents", None,
      theorems.check_products, None),
     ("krannich", (FinNonUnitalCategory,), "a category document", None,
@@ -412,7 +407,8 @@ def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
     """Run a request that ``_check_request`` accepted."""
     _, kinds, what, param, check, seeded = _check_row(check_id)
     if seed is not None:
-        return seeded(seed, cutoff)
+        rep = check(*seeded(seed), cutoff)
+        return replace(rep, notes=rep.notes + (f"seed={seed}",))
     args = [_load_checked(f, (k,), what) for f, k in zip(files, kinds)]
     if param is not None:
         args.append({"degree": degree, "size": size}[param])
@@ -420,6 +416,17 @@ def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
         return check(*args, cutoff)
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _timed_report(run) -> int:
+    """Time ``run()``, emit the report it returns, render it with the time
+    taken, and return the exit status of its verdict."""
+    t0 = time.perf_counter()
+    rep = run()
+    seconds = time.perf_counter() - t0
+    _emit(rep.to_dict())
+    _render_report(rep.to_dict(), seconds)
+    return 0 if rep.verdict == "pass" else 1
 
 
 def _render_report(d: dict, seconds: float | None = None) -> None:
@@ -517,12 +524,7 @@ def _cmd_check(args) -> int:
         raise UsageError("--jobs only applies to --batch runs")
     request = (args.check_id, args.files, args.cutoff, args.seed, args.degree, args.size)
     _check_request(*request)
-    t0 = time.perf_counter()
-    rep = _run_check(*request)
-    seconds = time.perf_counter() - t0
-    _emit(rep.to_dict())
-    _render_report(rep.to_dict(), seconds)
-    return 0 if rep.verdict == "pass" else 1
+    return _timed_report(lambda: _run_check(*request))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .cat import (
     FinNonUnitalCategory,
     FunctorData,
     identity_functor,
+    listed_category,
 )
 from .sset import (
     SemiSimplicialSet,
@@ -96,17 +97,9 @@ def random_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SimplicialSet:
 def _order_category(elements, relation, unital: bool) -> FinNonUnitalCategory:
     """One morphism (a, b) per related pair of elements, listed
     lexicographically by element position; (a, b) then (b, c) is (a, c)."""
-    pos = {e: i for i, e in enumerate(elements)}
     mors = [(a, b) for a in elements for b in elements if relation(a, b)]
-    index = {m: k for k, m in enumerate(mors)}
-    comp = {}
-    for x, (a, b) in enumerate(mors):
-        for y, (b2, c) in enumerate(mors):
-            if b == b2:
-                comp[(x, y)] = index[(a, c)]
-    units = tuple(index[(e, e)] for e in elements) if unital else None
-    return FinNonUnitalCategory(len(elements), tuple(pos[a] for a, b in mors),
-                                tuple(pos[b] for a, b in mors), comp, units=units)
+    return listed_category(elements, mors, lambda m: m, lambda ab, bc: (ab[0], bc[1]),
+                           (lambda e: (e, e)) if unital else None)[0]
 
 
 def poset_category(n: int) -> FinNonUnitalCategory:

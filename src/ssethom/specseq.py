@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homalg import DoubleComplex, TotalComplex, parse_ring, ring_prime, total_complex
+from .homalg import DoubleComplex, TotalComplex, homology, parse_ring, ring_prime, total_complex
 
 
 # -- sparse linear algebra over Q or F_p ----------------------------------------
@@ -379,8 +379,7 @@ def check_convergence(pages: list[SSPage], T: TotalComplex, ring: str) -> Conver
     degrees = []
     for n in range(T.complex.trusted_through + 1):
         total = sum(d for (p, q), d in last.dims.items() if p + q == n)
-        dim_h = (T.complex.dim(n) - T.complex.boundary_rank(n, ring)
-                 - T.complex.boundary_rank(n + 1, ring))
+        dim_h = homology(T.complex, n, ring).rank
         degrees.append((n, total, dim_h))
         if total != dim_h:
             problems.append(f"degree {n}: E-infinity total {total} != dim H {dim_h}")

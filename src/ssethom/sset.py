@@ -70,33 +70,38 @@ class ValidationReport:
 
 
 def validate_sset(X: SemiSimplicialSet) -> ValidationReport:
-    problems = []
     L = len(X.sizes)
     if len(X.faces) != L:
-        problems.append(f"faces has {len(X.faces)} levels, sizes has {L}")
-        return ValidationReport(False, tuple(problems))
+        return ValidationReport(False, (f"faces has {len(X.faces)} levels, sizes has {L}",))
+    problems = []
     if X.truncated_at is not None and X.truncated_at != L - 1:
         problems.append(f"truncated_at={X.truncated_at} but levels run 0..{L - 1}")
-    if L and len(X.faces[0]) != 0:
-        problems.append("level 0 must have an empty face table")
-    for p in range(1, L):
-        if len(X.faces[p]) != p + 1:
-            problems.append(f"level {p}: expected {p + 1} face maps, got {len(X.faces[p])}")
-            continue
-        for i in range(p + 1):
-            tab = X.faces[p][i]
-            if len(tab) != X.sizes[p]:
-                problems.append(f"level {p} face {i}: table length {len(tab)} != {X.sizes[p]}")
-                continue
-            if tab and not (0 <= min(tab) and max(tab) < X.sizes[p - 1]):
-                s = next(s for s, v in enumerate(tab) if not (0 <= v < X.sizes[p - 1]))
-                problems.append(f"level {p} face {i} simplex {s}: target {tab[s]} out of range")
+    problems += _shape_problems(X.sizes, X.faces)
     if problems:
         return ValidationReport(False, tuple(problems))
     problems = _identity_problems(_level_identities(
         X.faces, lambda p, i, j: f"face identity fails at level {p}, simplex {{s}}: "
                                  f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"), 21)
     return ValidationReport(not problems, tuple(problems))
+
+
+def _shape_problems(sizes, faces) -> list[str]:
+    """The shape pass of ``validate_sset``: face counts, table lengths and
+    face targets of the levels ``sizes``, whose face tables are ``faces``."""
+    problems = []
+    if sizes and len(faces[0]) != 0:
+        problems.append("level 0 must have an empty face table")
+    for p in range(1, len(sizes)):
+        if len(faces[p]) != p + 1:
+            problems.append(f"level {p}: expected {p + 1} face maps, got {len(faces[p])}")
+            continue
+        for i, tab in enumerate(faces[p]):
+            if len(tab) != sizes[p]:
+                problems.append(f"level {p} face {i}: table length {len(tab)} != {sizes[p]}")
+            elif tab and not (0 <= min(tab) and max(tab) < sizes[p - 1]):
+                s = next(s for s, v in enumerate(tab) if not (0 <= v < sizes[p - 1]))
+                problems.append(f"level {p} face {i} simplex {s}: target {tab[s]} out of range")
+    return problems
 
 
 def _level_identities(levels, template):
@@ -144,8 +149,10 @@ class SSetMap:
 
 
 def check_sset_map(f: SSetMap) -> ValidationReport:
-    problems = []
     src, tgt = f.source, f.target
+    problems = _nested_problems(source=validate_sset(src), target=validate_sset(tgt))
+    if problems:
+        return ValidationReport(False, tuple(problems[:21]))
     if len(f.tables) != len(src.sizes):
         return ValidationReport(False, (f"map covers {len(f.tables)} levels, source has {len(src.sizes)}",))
     if len(tgt.sizes) < len(src.sizes):
@@ -244,11 +251,17 @@ def skeleton_inclusion(X: SemiSimplicialSet, n: int) -> SSetMap:
     return SSetMap(sk, X, tuple(tuple(range(sz)) for sz in sk.sizes))
 
 
-def euler_characteristic(X: SemiSimplicialSet) -> int:
-    top = X.top_dim
+def euler_characteristic(X: SemiSimplicialSet | SimplicialSet) -> int:
+    """The alternating count of the simplices of a semi-simplicial set, or of
+    the generators (the nondegenerate simplices) of a simplicial set."""
+    if isinstance(X, SimplicialSet):
+        sizes = X.gen_sizes
+        top = len(sizes) - 1 if X.truncated_at is None else None
+    else:
+        sizes, top = X.sizes, X.top_dim
     if top is None:
         raise ValueError("Euler characteristic of a truncated complex is not determined")
-    return sum((-1) ** p * X.sizes[p] for p in range(top + 1))
+    return sum((-1) ** p * sizes[p] for p in range(top + 1))
 
 
 # -- products ----------------------------------------------------------------
@@ -286,6 +299,14 @@ def validate_bisset(B: BiSemiSimplicialSet) -> ValidationReport:
     for p in range(P):
         if len(B.sizes[p]) != Q:
             return ValidationReport(False, (f"ragged size grid at row {p}",))
+    for name, tables in (("dh", B.dh), ("dv", B.dv)):
+        if len(tables) != P or any(len(row) != Q for row in tables):
+            return ValidationReport(False, (f"{name} tables do not match the {P}x{Q} size grid",))
+    problems = [f"column {q}: {m}" for q in range(Q) for m in _shape_problems(
+        [row[q] for row in B.sizes], [row[q] for row in B.dh])]
+    problems += [f"row {p}: {m}" for p in range(P) for m in _shape_problems(B.sizes[p], B.dv[p])]
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
 
     def identities():
         # horizontal identity in each fixed q, vertical in each fixed p

@@ -445,11 +445,13 @@ def test_check_wrong_document_kind(capsys):
     assert "expected" in err
 
 
-def test_check_seed_records_the_seed(capsys):
-    code, doc, err = run_json(capsys, "check", "ez-diagonal", "--seed", "7",
-                              "--cutoff", "3")
-    assert code == 0
-    assert "seed=7" in doc["notes"]
+@pytest.mark.parametrize("check_id", ["adj-units", "fat-thin", "ez-diagonal"])
+def test_check_seed_records_the_seed(check_id, capsys):
+    for seed in range(20):
+        code, doc, err = run_json(capsys, "check", check_id, "--seed", str(seed),
+                                  "--cutoff", "3")
+        assert code == 0, seed
+        assert f"seed={seed}" in doc["notes"]
 
 
 def test_check_seed_is_reproducible(capsys):

@@ -1,5 +1,6 @@
-"""Every imported name is used by the module that imports it, and every
-private module-level name of the package is used somewhere."""
+"""Every imported name is used by the module that imports it, every private
+module-level name of the package is used somewhere, and so is every public
+function, class and method of the package."""
 
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "ssethom").glob("*.py"))
+# the public names may also be used by the benchmark, which drives the package
+# from outside
+USERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,19 +53,26 @@ def test_unused_import_is_caught():
     assert unused_imports(source) == ["line 3: HomotopyCertificate"]
 
 
+def references(sources: list[str]) -> tuple[set[str], set[str]]:
+    """The names the sources read, call or import as ``name``, and those
+    they read or call as ``.name``."""
+    names, attrs = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names, attrs
+
+
 def unreferenced_privates(package: dict[str, str], sources: list[str]) -> list[str]:
     """The module-level private functions, classes and constants of each
     ``package`` module (name to source) that no source in ``sources`` reads,
     calls or imports; dunder names are exempt."""
-    refs = set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                refs.update(alias.name for alias in node.names)
+    refs = set.union(*references(sources))
     found = []
     for module, source in package.items():
         for node in ast.parse(source).body:
@@ -96,3 +107,51 @@ def test_unreferenced_private_is_caught():
     user = "from m import _LIMIT\n"
     assert unreferenced_privates({"m.py": module}, [module, user]) == [
         "m.py:5: _left_over", "m.py:7: _Gone"]
+
+
+def unreferenced_publics(package: dict[str, str], sources: list[str]) -> list[str]:
+    """The public module-level functions and classes of each ``package``
+    module (name to source) that no source in ``sources`` reads, calls or
+    imports, and its non-dunder methods that no source reads or calls as
+    ``.name``."""
+    names, attrs = references(sources)
+    refs = names | attrs
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_") \
+                    and node.name not in refs:
+                found.append(f"{module}:{node.lineno}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}:{m.lineno}: {node.name}.{m.name}" for m in node.body
+                          if isinstance(m, functions) and not m.name.startswith("__")
+                          and m.name not in attrs]
+    return found
+
+
+def test_no_unreferenced_public_names():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert unreferenced_publics(package, [p.read_text() for p in USERS]) == []
+
+
+def test_unreferenced_public_is_caught():
+    module = ("def used():\n"
+              "    return Kept().size\n"
+              "def unused():\n"
+              "    return 0\n"
+              "class Kept:\n"
+              "    def __init__(self):\n"
+              "        self.n = 1\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return self.n\n"
+              "    def _grow(self):\n"
+              "        return self.n + 1\n"
+              "    def shrink(self):\n"
+              "        return self.n - 1\n"
+              "class Gone:\n"
+              "    pass\n")
+    user = "from m import used\nshrink = 0\nprint(shrink)\n"
+    assert unreferenced_publics({"m.py": module}, [module, user]) == [
+        "m.py:3: unused", "m.py:11: Kept._grow", "m.py:13: Kept.shrink", "m.py:15: Gone"]

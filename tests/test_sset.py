@@ -73,6 +73,13 @@ def test_empty_boundary_of_point():
     assert euler_characteristic(b) == 0
 
 
+def test_euler_characteristic_of_a_simplicial_set_counts_generators():
+    assert euler_characteristic(standard_simplicial_simplex(2)) == 1
+    assert euler_characteristic(free_degeneracies(boundary_semi_simplex(3))) == 2
+    with pytest.raises(ValueError, match="truncated complex is not determined"):
+        euler_characteristic(free_degeneracies(constant_sset(2, 3)))
+
+
 def test_constant_sset():
     c = constant_sset(2, 4)
     assert validate_sset(c).ok
@@ -138,6 +145,27 @@ def test_validate_lists_the_first_21_identity_failures():
         "face identity fails at level 3, simplex 1: d_1 d_3 = 2 but d_2 d_1 = 1",
         "face identity fails at level 3, simplex 2: d_1 d_3 = 3 but d_2 d_1 = 2",
     )
+
+
+def test_validate_bisset_reports_a_face_out_of_range():
+    # dh entry 5 points outside a level of size 1
+    B = BiSemiSimplicialSet(((1,), (1,)), (((),), (((5,), (0,)),)), (((),), ((),)))
+    assert validate_bisset(B).problems == (
+        "column 0: level 1 face 0 simplex 0: target 5 out of range",)
+
+
+def test_validate_bisset_reports_short_tables():
+    B = BiSemiSimplicialSet(((1,), (2,)), (((),), (((0,), (0,)),)), (((),), ((),)))
+    assert validate_bisset(B).problems == (
+        "column 0: level 1 face 0: table length 1 != 2",
+        "column 0: level 1 face 1: table length 1 != 2")
+    B = BiSemiSimplicialSet(((1, 2),), (((), ()),), (((), ((0,),)),))
+    assert validate_bisset(B).problems == ("row 0: level 1: expected 2 face maps, got 1",)
+
+
+def test_validate_bisset_reports_a_grid_mismatch():
+    B = BiSemiSimplicialSet(((1,), (1,), (1,)), (((),), (((0,), (0,)),)), (((),), ((),)))
+    assert validate_bisset(B).problems == ("dh tables do not match the 3x1 size grid",)
 
 
 def test_validate_bisset_lists_the_first_20_failures():
@@ -216,6 +244,24 @@ def test_check_sset_map_lists_the_first_21_failures():
             (2, 1, 1), (2, 1, 2),
             (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3),
             (3, 0, 0), (3, 1, 0), (3, 2, 0)))
+
+
+def test_check_sset_map_reports_a_malformed_space():
+    Y = SemiSimplicialSet((2, 1), ((), ((0,), (5,))))
+    assert check_sset_map(SSetMap(Y, Y, ((0, 1), (0,)))).problems == (
+        "source: level 1 face 1 simplex 0: target 5 out of range",
+        "target: level 1 face 1 simplex 0: target 5 out of range")
+    X = standard_semi_simplex(0)
+    assert check_sset_map(SSetMap(X, Y, ((0,),))).problems == (
+        "target: level 1 face 1 simplex 0: target 5 out of range",)
+
+
+def test_prism_on_a_malformed_space_reports_the_map():
+    Y = SemiSimplicialSet((2, 1), ((), ((0,), (5,))))
+    f = SSetMap(Y, Y, ((0, 1), (0,)))
+    cert = PrismHomotopy(f=f, g=f, tri=(((0, 0),),))
+    assert check_certificate(cert).problems == (
+        "f is not a map: source: level 1 face 1 simplex 0: target 5 out of range",)
 
 
 # -- products ----------------------------------------------------------------

@@ -39,11 +39,10 @@ def test_adj_units_point_small_cutoff():
     assert rep.trusted_through == 2
 
 
-def test_adj_units_random_seeds_record_seed():
+def test_adj_units_random_seeds():
     for seed in range(20):
-        rep = th.check_adj_units_random(seed, 5)
+        rep = th.check_adj_units(fx.random_semi_simplicial(seed), 5)
         assert rep.verdict == "pass", seed
-        assert f"seed={seed}" in rep.notes
 
 
 def test_adj_units_zero_cutoff_is_untrusted():
@@ -67,7 +66,7 @@ def test_fat_thin_free_circle_and_rp2():
 
 def test_fat_thin_random_seeds():
     for seed in range(20):
-        rep = th.check_fat_thin_random(seed, 5)
+        rep = th.check_fat_thin(fx.random_simplicial(seed), 5)
         assert rep.verdict == "pass", seed
 
 
@@ -100,9 +99,8 @@ def test_ez_diagonal_point_factor():
 
 def test_ez_diagonal_random_seeds():
     for seed in range(20):
-        rep = th.check_ez_diagonal_random(seed, 5)
+        rep = th.check_ez_diagonal(fx.random_simplicial(2 * seed), fx.random_simplicial(2 * seed + 1), 5)
         assert rep.verdict == "pass", seed
-        assert f"seed={seed}" in rep.notes
 
 
 # -- Kunneth -----------------------------------------------------------------
@@ -339,13 +337,13 @@ def test_reports_are_deterministic():
     reps_a = [
         th.check_quillen_a(fx.point_into_interval(), 5),
         th.group_completion_report(fx.cyclic_group_monoid(2), 5),
-        th.check_ez_diagonal_random(3, 5),
+        th.check_ez_diagonal(fx.random_simplicial(6), fx.random_simplicial(7), 5),
         th.check_segal_nerve(fx.cyclic_group_monoid(2), 4),
     ]
     reps_b = [
         th.check_quillen_a(fx.point_into_interval(), 5),
         th.group_completion_report(fx.cyclic_group_monoid(2), 5),
-        th.check_ez_diagonal_random(3, 5),
+        th.check_ez_diagonal(fx.random_simplicial(6), fx.random_simplicial(7), 5),
         th.check_segal_nerve(fx.cyclic_group_monoid(2), 4),
     ]
     for a, b in zip(reps_a, reps_b):
