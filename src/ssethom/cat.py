@@ -7,11 +7,13 @@ augmentations, two-sided bar constructions, and Grothendieck groups.
 Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
 Every category built here (over and comma categories, the one-object
-category of a monoid) comes from ``listed_category``, which lists its objects
-and morphisms in order and returns their position indexes with it.
+category of a monoid, the unitalization) comes from ``listed_category``,
+which lists its objects and morphisms in order and returns their position
+indexes with it.
 
-Validators check shapes and ranges before any law, and a document is valid
-only when the documents nested in it (categories, functors, monoid) are.
+Validators check shapes and ranges through ``sset._table_problems`` before
+any law, and a document is valid only when the documents nested in it
+(categories, functors, monoid) are.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .sset import (
     ValidationReport,
     _identity_problems,
     _nested_problems,
+    _table_problems,
     listed_bisset,
     listed_sset,
     path_space,
@@ -86,22 +89,22 @@ def _at(labels, template):
 
 
 def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
+    """Entry s of the ``comp`` table is the composite of its s-th pair in sorted order."""
     m = C.n_morphisms
+    problems = _table_problems("src", C.src, m, C.n_objects) + \
+        _table_problems("tgt", C.tgt, m, C.n_objects)
     if len(C.tgt) != m:
-        return ValidationReport(False, ("src and tgt tables differ in length",))
-    problems = [f"morphism {f} has an endpoint out of range" for f in range(m)
-                if not (0 <= C.src[f] < C.n_objects and 0 <= C.tgt[f] < C.n_objects)]
+        return ValidationReport(False, tuple(problems))
     composable = {(f, g) for f in range(m) for g in range(m) if C.tgt[f] == C.src[g]}
     missing, extra = composable - C.comp.keys(), C.comp.keys() - composable
     if missing:
         problems.append(f"composition missing on {sorted(missing)[:5]}")
     if extra:
         problems.append(f"composition defined on non-composable {sorted(extra)[:5]}")
-    for (f, g), h in C.comp.items():
-        if not (0 <= h < m):
-            problems.append(f"composite of ({f},{g}) out of range")
-        elif (f, g) in composable and (C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]):
-            problems.append(f"composite of ({f},{g}) has wrong endpoints")
+    problems += _table_problems("comp", [C.comp[fg] for fg in sorted(C.comp)], len(C.comp), m)
+    problems += [f"composite of ({f},{g}) has wrong endpoints" for (f, g), h in C.comp.items()
+                 if (f, g) in composable and 0 <= h < m
+                 and (C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g])]
     if problems:
         return ValidationReport(False, tuple(problems[:20]))
     comp = C.comp
@@ -114,10 +117,9 @@ def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
     if problems or C.units is None:
         return ValidationReport(not problems, tuple(problems))
     units = C.units
-    if len(units) != C.n_objects:
-        return ValidationReport(False, ("one unit per object required",))
-    problems = [f"unit of object {c} is not an endomorphism of it" for c, u in enumerate(units)
-                if not (0 <= u < m) or C.src[u] != c or C.tgt[u] != c]
+    problems = _table_problems("units", units, C.n_objects, m) + [
+        f"unit of object {c} is not an endomorphism of it" for c, u in zip(range(C.n_objects), units)
+        if 0 <= u < m and (C.src[u] != c or C.tgt[u] != c)]
     if problems:
         return ValidationReport(False, tuple(problems[:20]))
     # only the first failing unit law is named, the left one before the right
@@ -142,12 +144,8 @@ def validate_functor(F: FunctorData) -> ValidationReport:
     problems = _nested_problems(source=validate_category(C), target=validate_category(D))
     if problems:
         return ValidationReport(False, tuple(problems[:20]))
-    if len(F.obj_map) != C.n_objects or len(F.mor_map) != C.n_morphisms:
-        return ValidationReport(False, ("object or morphism map has wrong length",))
-    if any(not (0 <= x < D.n_objects) for x in F.obj_map):
-        problems.append("object map out of range")
-    if any(not (0 <= x < D.n_morphisms) for x in F.mor_map):
-        problems.append("morphism map out of range")
+    problems = _table_problems("obj_map", F.obj_map, C.n_objects, D.n_objects) + \
+        _table_problems("mor_map", F.mor_map, C.n_morphisms, D.n_morphisms)
     if problems:
         return ValidationReport(False, tuple(problems))
     ob, mor = F.obj_map, F.mor_map
@@ -180,11 +178,9 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
     if F.source != G.source or F.target != G.target:
         return ValidationReport(False, ("the two functors do not share source and target",))
     C, D, k = F.source, F.target, eta.components
-    if len(k) != C.n_objects:
-        return ValidationReport(False, ("one component per source object required",))
-    problems = [f"component at object {c} does not run F(c) -> G(c)" for c, u in enumerate(k)
-                if not (0 <= u < D.n_morphisms) or D.src[u] != F.obj_map[c]
-                or D.tgt[u] != G.obj_map[c]]
+    problems = _table_problems("components", k, C.n_objects, D.n_morphisms) + [
+        f"component at object {c} does not run F(c) -> G(c)" for c, u in zip(range(C.n_objects), k)
+        if 0 <= u < D.n_morphisms and (D.src[u] != F.obj_map[c] or D.tgt[u] != G.obj_map[c])]
     if problems:
         return ValidationReport(False, tuple(problems[:20]))
     problems = _identity_problems(((
@@ -224,11 +220,13 @@ class FinMonoid:
 def validate_monoid(M: FinMonoid) -> ValidationReport:
     problems: list[str] = []
     if M.is_table:
+        if M.gens is not None or M.relations:
+            return ValidationReport(False, ("a monoid is a table or a presentation, not both",))
         n = len(M.table)
-        if any(len(row) != n for row in M.table):
-            return ValidationReport(False, ("multiplication table is not square",))
-        if any(not (0 <= v < n) for row in M.table for v in row):
-            return ValidationReport(False, ("table entry out of range",))
+        problems = [m for a, row in enumerate(M.table)
+                    for m in _table_problems(f"row {a}", row, n, n)]
+        if problems:
+            return ValidationReport(False, tuple(problems[:20]))
         if M.unit is None or not (0 <= M.unit < n):
             return ValidationReport(False, ("table form needs a unit index",))
         e, t = M.unit, M.table
@@ -319,10 +317,12 @@ def validate_action(A: MonoidAction) -> ValidationReport:
         return ValidationReport(False, (f"unknown side {A.side!r}",))
     n, k = M.size, A.size
     shape = (n, k) if A.side == "left" else (k, n)
-    if len(A.table) != shape[0] or any(len(row) != shape[1] for row in A.table):
+    if len(A.table) != shape[0]:
         return ValidationReport(False, ("action table has wrong shape",))
-    if any(not (0 <= v < k) for row in A.table for v in row):
-        return ValidationReport(False, ("action value out of range",))
+    problems = [m for r, row in enumerate(A.table)
+                for m in _table_problems(f"row {r}", row, shape[1], k)]
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
     left = A.side == "left"
     t = A.table if left else tuple(zip(*A.table))  # t[m][x] is m.x or x.m
     triples = list(itertools.product(range(n), range(n), range(k)))
@@ -447,18 +447,14 @@ def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:
 
 
 def unitalize(C: FinNonUnitalCategory) -> FinNonUnitalCategory:
-    """Adjoin one fresh unit per object (even if C already had units)."""
-    m = C.n_morphisms
-    src = C.src + tuple(range(C.n_objects))
-    tgt = C.tgt + tuple(range(C.n_objects))
-    comp = dict(C.comp)
-    for f in range(m):
-        comp[(m + C.src[f], f)] = f
-        comp[(f, m + C.tgt[f])] = f
-    for c in range(C.n_objects):
-        comp[(m + c, m + c)] = m + c
-    units = tuple(m + c for c in range(C.n_objects))
-    return FinNonUnitalCategory(C.n_objects, src, tgt, comp, units=units)
+    """Adjoin one fresh unit per object (even if C already had units): the
+    morphisms of C, then the unit of object c at n_morphisms + c, listed by
+    ``listed_category``."""
+    m, objects = C.n_morphisms, range(C.n_objects)
+    src, tgt = C.src + tuple(objects), C.tgt + tuple(objects)
+    return listed_category(objects, range(m + C.n_objects), lambda f: (src[f], tgt[f]),
+                           lambda f, g: g if f >= m else f if g >= m else C.comp[(f, g)],
+                           lambda c: m + c)[0]
 
 
 def nerve_unitalize_inclusion(C: FinNonUnitalCategory, N: int) -> SSetMap:
@@ -568,13 +564,10 @@ def comma_resolution(F: FunctorData, N: int, dual: bool = False) -> CommaResolut
 
 
 def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:
-    """The fixed-p row as a semi-simplicial set in the q direction."""
+    """The fixed-p row as a semi-simplicial set in the q direction: its face
+    tables are the row's vertical ones."""
     B = res.bisset
-    sizes = tuple(B.sizes[p])
-    faces: list[tuple] = [()]
-    for q in range(1, B.q_levels):
-        faces.append(B.dv[p][q])
-    return SemiSimplicialSet(sizes, tuple(faces), truncated_at=B.q_levels - 1)
+    return SemiSimplicialSet(tuple(B.sizes[p]), B.dv[p], truncated_at=B.q_levels - 1)
 
 
 def row_contraction(res: CommaResolution, p: int) -> ExtraDegeneracy:

@@ -10,9 +10,9 @@ decreasing tuple (j_1 > ... > j_k) standing for s_{j_1} ... s_{j_k}.
 Every listed object (a standard simplex, an enumeration, a product, and in
 ``cat`` the nerves, bar constructions and comma resolutions) is built by
 ``listed_sset`` or ``listed_bisset`` from its levels in order and a face
-function.  Every table law is checked by comparing two whole tables.  A
-certificate is an ``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by
-``check_certificate``.
+function.  Every table's length and range is checked by ``_table_problems``,
+and every table law by comparing two whole tables.  A certificate is an
+``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by ``check_certificate``.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def validate_sset(X: SemiSimplicialSet) -> ValidationReport:
 
 
 def _shape_problems(sizes, faces) -> list[str]:
-    """The shape pass of ``validate_sset``: face counts, table lengths and
-    face targets of the levels ``sizes``, whose face tables are ``faces``."""
+    """The shape pass of ``validate_sset``: face counts, then each table of
+    ``faces`` through ``_table_problems``, named ``level p face i``."""
     problems = []
     if sizes and len(faces[0]) != 0:
         problems.append("level 0 must have an empty face table")
@@ -96,12 +96,21 @@ def _shape_problems(sizes, faces) -> list[str]:
             problems.append(f"level {p}: expected {p + 1} face maps, got {len(faces[p])}")
             continue
         for i, tab in enumerate(faces[p]):
-            if len(tab) != sizes[p]:
-                problems.append(f"level {p} face {i}: table length {len(tab)} != {sizes[p]}")
-            elif tab and not (0 <= min(tab) and max(tab) < sizes[p - 1]):
-                s = next(s for s, v in enumerate(tab) if not (0 <= v < sizes[p - 1]))
-                problems.append(f"level {p} face {i} simplex {s}: target {tab[s]} out of range")
+            problems += _table_problems(f"level {p} face {i}", tab, sizes[p], sizes[p - 1])
     return problems
+
+
+def _table_problems(name: str, tab, length: int, high: int) -> list[str]:
+    """The one shape and range check of every validator: ``tab`` must have
+    ``length`` entries, each in 0..high-1.  A whole-table ``min``/``max``
+    comes before any walk, and only the first bad entry is named, by its
+    position in ``tab``."""
+    if len(tab) != length:
+        return [f"{name}: table length {len(tab)} != {length}"]
+    if tab and not (0 <= min(tab) and max(tab) < high):
+        s = next(s for s, v in enumerate(tab) if not 0 <= v < high)
+        return [f"{name}: entry {s} = {tab[s]} out of range [0, {high})"]
+    return []
 
 
 def _level_identities(levels, template):
@@ -157,14 +166,8 @@ def check_sset_map(f: SSetMap) -> ValidationReport:
         return ValidationReport(False, (f"map covers {len(f.tables)} levels, source has {len(src.sizes)}",))
     if len(tgt.sizes) < len(src.sizes):
         return ValidationReport(False, ("target has fewer listed levels than source",))
-    for p, tab in enumerate(f.tables):
-        if len(tab) != src.sizes[p]:
-            problems.append(f"level {p}: table length {len(tab)} != {src.sizes[p]}")
-            continue
-        for s, v in enumerate(tab):
-            if not (0 <= v < tgt.sizes[p]):
-                problems.append(f"level {p} simplex {s}: image {v} out of range")
-                break
+    problems = [m for p, tab in enumerate(f.tables)
+                for m in _table_problems(f"level {p}", tab, src.sizes[p], tgt.sizes[p])]
     if problems:
         return ValidationReport(False, tuple(problems))
     problems = _identity_problems((
@@ -226,16 +229,12 @@ def standard_semi_simplex(n: int) -> SemiSimplicialSet:
 
 def boundary_semi_simplex(n: int) -> SemiSimplicialSet:
     """The boundary of the semi-simplicial n-simplex (drop the top cell)."""
-    full = standard_semi_simplex(n)
-    return SemiSimplicialSet(full.sizes[:n], full.faces[:n])
+    return skeleton(standard_semi_simplex(n), n - 1)
 
 
 def constant_sset(size: int, n: int) -> SemiSimplicialSet:
     """``size`` simplices at every level through n, all faces the identity."""
-    ident = tuple(range(size))
-    faces = [()] + [tuple(ident for _ in range(p + 1)) for p in range(1, n + 1)]
-    return SemiSimplicialSet((size,) * (n + 1), tuple(faces),
-                             truncated_at=n if size else None)
+    return listed_sset([range(size)] * (n + 1), lambda p, i, s: s, n if size else None)[0]
 
 
 def skeleton(X: SemiSimplicialSet, n: int) -> SemiSimplicialSet:
@@ -552,7 +551,7 @@ def apply_word(word: tuple[int, ...], ref: SimplexRef) -> SimplexRef:
     return ref
 
 
-def validate_simplicial(Y: SimplicialSet, through: int | None = None) -> ValidationReport:
+def validate_simplicial(Y: SimplicialSet) -> ValidationReport:
     problems = []
     L = len(Y.gen_sizes)
     if len(Y.gen_faces) != L:
@@ -577,9 +576,8 @@ def validate_simplicial(Y: SimplicialSet, through: int | None = None) -> Validat
                     problems.append(f"degree {q} face {i} generator {g}: generator out of range")
     if problems:
         return ValidationReport(False, tuple(problems))
-    if through is None:
-        through = Y.truncated_at if Y.truncated_at is not None else Y.top_generator_degree + 2
-    # the face-face identity on every simplex through the requested level;
+    through = Y.truncated_at if Y.truncated_at is not None else Y.top_generator_degree + 2
+    # the face-face identity on every simplex through that level;
     # the mixed and degeneracy-only identities hold by construction of the
     # canonical form, so this is the only content to verify
     for p in range(2, through + 1):
@@ -644,28 +642,17 @@ def free_degeneracies(X: SemiSimplicialSet) -> SimplicialSet:
 def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
     """X -> (underlying semi-simplicial set of the free simplicial set on X).
 
-    Each simplex goes to itself as a generator (empty word).
+    Each simplex goes to itself as a generator (empty word).  The source is X
+    itself, which may list fewer levels than the enumeration through n.
     """
     if len(X.sizes) - 1 > n:
         raise ValueError("enumerate at least through the top listed level of X")
     if X.truncated_at is not None and X.truncated_at != n:
         raise ValueError("a truncated X must be enumerated exactly at its truncation level")
     enum = enumerate_simplicial(free_degeneracies(X), n)
-    tables = []
-    for p in range(len(X.sizes)):
-        tables.append(tuple(enum.locate(p, SimplexRef((), p, s)) for s in range(X.sizes[p])))
-    # levels of the enumeration above X's top: nothing to map from
-    src = X
-    if len(X.sizes) - 1 < n:
-        # pad X with empty levels so the map covers the same range
-        pad = n + 1 - len(X.sizes)
-        sizes = X.sizes + (0,) * pad
-        faces = list(X.faces)
-        for p in range(len(X.sizes), n + 1):
-            faces.append(tuple(() for _ in range(p + 1)))
-        src = SemiSimplicialSet(sizes, tuple(faces))
-        tables.extend(() for _ in range(pad))
-    return SSetMap(src, enum.sset, tuple(tables)), enum
+    tables = tuple(tuple(enum.locate(p, SimplexRef((), p, s)) for s in range(size))
+                   for p, size in enumerate(X.sizes))
+    return SSetMap(X, enum.sset, tables), enum
 
 
 def standard_simplicial_simplex(n: int) -> SimplicialSet:
@@ -730,13 +717,6 @@ def check_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ValidationReport
     problems = (_extra_degeneracy_problems if isinstance(cert, ExtraDegeneracy)
                 else _prism_problems)(cert)
     return ValidationReport(not problems, tuple(problems))
-
-
-def _table_problems(name: str, tab, length: int, high: int) -> list[str]:
-    """A length mismatch, or a message per entry of ``tab`` outside 0..high-1."""
-    if len(tab) != length:
-        return [f"{name} table length mismatch"]
-    return [f"{name}[{s}] out of range" for s, v in enumerate(tab) if not (0 <= v < high)]
 
 
 def _extra_degeneracy_problems(cert: ExtraDegeneracy) -> list[str]:

@@ -47,6 +47,7 @@ from ssethom.fixtures import (
     grid_poset_category,
     idempotent_category,
     klein_four_monoid,
+    nonunital_category_corpus,
     parallel_arrows_category,
     point_into_interval,
     poset_category,
@@ -206,6 +207,21 @@ def test_unitalize_always_adds_fresh_units():
     plus = unitalize(poset_category(0))
     assert plus.n_morphisms == 2
     assert validate_category(plus).ok
+
+
+@pytest.mark.parametrize("name", sorted(nonunital_category_corpus()))
+def test_unitalize_adds_exactly_the_unit_laws(name):
+    C = nonunital_category_corpus()[name]
+    m, n = C.n_morphisms, C.n_objects
+    plus = unitalize(C)
+    units = tuple(m + c for c in range(n))
+    assert plus.units == units
+    assert (plus.src, plus.tgt) == (C.src + tuple(range(n)), C.tgt + tuple(range(n)))
+    want = dict(C.comp)
+    for f in range(m):
+        want[(units[C.src[f]], f)] = want[(f, units[C.tgt[f]])] = f
+    want.update({(u, u): u for u in units})
+    assert plus.comp == want
 
 
 def test_over_category_of_poset():
@@ -376,6 +392,12 @@ def test_monoid_validation_and_forms():
     assert not free_rank_one_presentation().is_table
     bad = FinMonoid(table=((0, 1), (1, 0)), unit=1)
     assert not validate_monoid(bad).ok
+
+
+def test_a_monoid_with_a_table_and_a_presentation_is_refused():
+    for M in (FinMonoid(table=((0,),), unit=0, gens=1),
+              FinMonoid(table=((0,),), unit=0, relations=(((1,), (0,)),))):
+        assert validate_monoid(M).problems == ("a monoid is a table or a presentation, not both",)
 
 
 def test_monoid_as_category_round_trip():

@@ -1,8 +1,22 @@
 import itertools
 import math
 
+import dataclasses
+
 import pytest
 
+from ssethom import fixtures as fx
+from ssethom.cat import (
+    FinMonoid,
+    NatTransData,
+    identity_functor,
+    regular_action,
+    validate_action,
+    validate_category,
+    validate_functor,
+    validate_monoid,
+    validate_nat_trans,
+)
 from ssethom.sset import (
     BiSemiSimplicialSet,
     ExtraDegeneracy,
@@ -102,19 +116,6 @@ def test_validate_catches_bad_identity():
     assert "face identity" in rep.first()
 
 
-def test_validate_catches_range_error():
-    X = SemiSimplicialSet((1, 1), ((), ((0,), (5,))))
-    rep = validate_sset(X)
-    assert not rep.ok
-    assert "out of range" in rep.first()
-    # one problem per table, at its first bad simplex, for either end of the range
-    X = SemiSimplicialSet((2, 3), ((), ((0, 1, 2), (1, -1, 0))))
-    assert validate_sset(X).problems == (
-        "level 1 face 0 simplex 2: target 2 out of range",
-        "level 1 face 1 simplex 1: target -1 out of range",
-    )
-
-
 def test_validate_lists_the_first_21_identity_failures():
     # d_1 on the 2-simplices of the standard 4-simplex, rotated by one
     X = standard_semi_simplex(4)
@@ -145,13 +146,6 @@ def test_validate_lists_the_first_21_identity_failures():
         "face identity fails at level 3, simplex 1: d_1 d_3 = 2 but d_2 d_1 = 1",
         "face identity fails at level 3, simplex 2: d_1 d_3 = 3 but d_2 d_1 = 2",
     )
-
-
-def test_validate_bisset_reports_a_face_out_of_range():
-    # dh entry 5 points outside a level of size 1
-    B = BiSemiSimplicialSet(((1,), (1,)), (((),), (((5,), (0,)),)), (((),), ((),)))
-    assert validate_bisset(B).problems == (
-        "column 0: level 1 face 0 simplex 0: target 5 out of range",)
 
 
 def test_validate_bisset_reports_short_tables():
@@ -244,24 +238,6 @@ def test_check_sset_map_lists_the_first_21_failures():
             (2, 1, 1), (2, 1, 2),
             (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3),
             (3, 0, 0), (3, 1, 0), (3, 2, 0)))
-
-
-def test_check_sset_map_reports_a_malformed_space():
-    Y = SemiSimplicialSet((2, 1), ((), ((0,), (5,))))
-    assert check_sset_map(SSetMap(Y, Y, ((0, 1), (0,)))).problems == (
-        "source: level 1 face 1 simplex 0: target 5 out of range",
-        "target: level 1 face 1 simplex 0: target 5 out of range")
-    X = standard_semi_simplex(0)
-    assert check_sset_map(SSetMap(X, Y, ((0,),))).problems == (
-        "target: level 1 face 1 simplex 0: target 5 out of range",)
-
-
-def test_prism_on_a_malformed_space_reports_the_map():
-    Y = SemiSimplicialSet((2, 1), ((), ((0,), (5,))))
-    f = SSetMap(Y, Y, ((0, 1), (0,)))
-    cert = PrismHomotopy(f=f, g=f, tri=(((0, 0),),))
-    assert check_certificate(cert).problems == (
-        "f is not a map: source: level 1 face 1 simplex 0: target 5 out of range",)
 
 
 # -- products ----------------------------------------------------------------
@@ -460,7 +436,7 @@ def test_validate_simplicial_standard():
 def test_free_degeneracies_enumeration_sizes():
     X = boundary_semi_simplex(2)
     E = free_degeneracies(X)
-    assert validate_simplicial(E, through=4).ok
+    assert validate_simplicial(E).ok
     enum = enumerate_simplicial(E, 4)
     assert validate_sset(enum.sset).ok
     for p in range(5):
@@ -476,6 +452,14 @@ def test_unit_map_commutes():
     # the unit is injective: distinct simplices stay distinct generators
     for p in range(len(X.sizes)):
         assert len(set(u.tables[p])) == X.sizes[p]
+
+
+def test_unit_map_source_is_x_itself():
+    # X is complete and listed through level 1, below the enumeration's 4
+    X = boundary_semi_simplex(2)
+    u, _ = unit_map(X, 4)
+    assert u.source is X
+    assert check_sset_map(u).ok
 
 
 def test_enumeration_order_is_by_degree_then_word():
@@ -511,27 +495,11 @@ def test_homotopy_certificate_on_interval():
     assert not check_certificate(bad).ok
 
 
-def test_certificate_tables_out_of_range_are_reported_not_read():
-    X = constant_sset(2, 2)
-    up = ((0, 1), (0, 1))
-    aug_out_of_range = ExtraDegeneracy(X, aug_size=1, aug=(0, 1), h0=(0,), up=up)
-    assert check_certificate(aug_out_of_range).problems == ("augmentation[1] out of range",)
-    no_section = ExtraDegeneracy(X, aug_size=1, aug=(0, 0), h0=(), up=up)
-    assert check_certificate(no_section).problems == ("h0 table length mismatch",)
-
-
 def test_prism_levels_past_the_source_are_reported_not_read():
     pt, tri = standard_semi_simplex(0), standard_semi_simplex(2)
     f = g = SSetMap(pt, tri, ((0,),))
     cert = PrismHomotopy(f=f, g=g, tri=(((3,),), ((0,), (0,))))
     assert check_certificate(cert).problems == ("tables run past the listed levels of the source",)
-
-
-def test_extra_degeneracy_on_a_broken_space_reports_the_space():
-    X = SemiSimplicialSet((1, 1), ((), ((0,), (3,))))
-    cert = ExtraDegeneracy(X, aug_size=1, aug=(0,), h0=(0,), up=((0,),))
-    assert check_certificate(cert).problems == (
-        "space: level 1 face 1 simplex 0: target 3 out of range",)
 
 
 def test_certificate_detects_broken_table():
@@ -540,3 +508,89 @@ def test_certificate_detects_broken_table():
     rep = check_certificate(cert)
     # d_{p+1} h != id on simplex 1 since everything maps to 0
     assert not rep.ok
+
+
+# -- the one table checker -----------------------------------------------------
+
+
+def _table_cases():
+    """(validator, input, problems): a short table and an out-of-range entry
+    for every validator, each named by ``_table_problems`` by its position."""
+    broken = SemiSimplicialSet((2, 1), ((), ((0,), (5,))))
+    interval, pt = standard_semi_simplex(1), standard_semi_simplex(0)
+    X2 = constant_sset(2, 2)
+    ends = SSetMap(pt, interval, ((0,),))
+    C = fx.poset_category(1)  # morphisms 0 = id_0, 1: 0 -> 1, 2 = id_1
+    F = identity_functor(C)
+    eta = NatTransData(F, F, C.units)
+    M = fx.cyclic_group_monoid(3)
+    A = regular_action(M, "left")
+    B = BiSemiSimplicialSet
+    r = dataclasses.replace
+    return {
+        "sset-short": (validate_sset, SemiSimplicialSet((2, 3), ((), ((0, 1), (0, 1, 0)))),
+                       ("level 1 face 0: table length 2 != 3",)),
+        "sset-range": (validate_sset, SemiSimplicialSet((2, 3), ((), ((0, 1, 2), (1, -1, 0)))),
+                       ("level 1 face 0: entry 2 = 2 out of range [0, 2)",
+                        "level 1 face 1: entry 1 = -1 out of range [0, 2)")),
+        "bisset-short": (validate_bisset, B(((1,), (2,)), (((),), (((0,), (0,)),)), (((),), ((),))),
+                         ("column 0: level 1 face 0: table length 1 != 2",
+                          "column 0: level 1 face 1: table length 1 != 2")),
+        "bisset-range": (validate_bisset, B(((1,), (1,)), (((),), (((5,), (0,)),)), (((),), ((),))),
+                         ("column 0: level 1 face 0: entry 0 = 5 out of range [0, 1)",)),
+        "map-short": (check_sset_map, SSetMap(interval, interval, ((0,), (0,))),
+                      ("level 0: table length 1 != 2",)),
+        "map-range": (check_sset_map, SSetMap(interval, interval, ((0, 2), (0,))),
+                      ("level 0: entry 1 = 2 out of range [0, 2)",)),
+        "map-space": (check_sset_map, SSetMap(broken, broken, ((0, 1), (0,))),
+                      ("source: level 1 face 1: entry 0 = 5 out of range [0, 2)",
+                       "target: level 1 face 1: entry 0 = 5 out of range [0, 2)")),
+        "map-target-space": (check_sset_map, SSetMap(pt, broken, ((0,),)),
+                             ("target: level 1 face 1: entry 0 = 5 out of range [0, 2)",)),
+        "extra-degeneracy-short": (
+            check_certificate, ExtraDegeneracy(X2, 1, (0, 0), (), ((0, 1), (0, 1))),
+            ("h0: table length 0 != 1",)),
+        "extra-degeneracy-range": (
+            check_certificate, ExtraDegeneracy(X2, 1, (0, 1), (0,), ((0, 1), (0, 1))),
+            ("augmentation: entry 1 = 1 out of range [0, 1)",)),
+        "extra-degeneracy-space": (
+            check_certificate,
+            ExtraDegeneracy(SemiSimplicialSet((1, 1), ((), ((0,), (3,)))), 1, (0,), (0,), ((0,),)),
+            ("space: level 1 face 1: entry 0 = 3 out of range [0, 1)",)),
+        "prism-short": (check_certificate, PrismHomotopy(ends, ends, (((),),)),
+                        ("H[0][0]: table length 0 != 1",)),
+        "prism-range": (check_certificate, PrismHomotopy(ends, ends, (((2,),),)),
+                        ("H[0][0]: entry 0 = 2 out of range [0, 1)",)),
+        "prism-map": (check_certificate,
+                      PrismHomotopy(*[SSetMap(broken, broken, ((0, 1), (0,)))] * 2, (((0, 0),),)),
+                      ("f is not a map: source: level 1 face 1: entry 0 = 5 out of range [0, 2)",)),
+        "category-short": (validate_category, r(C, tgt=C.tgt[:2]), ("tgt: table length 2 != 3",)),
+        "category-range": (validate_category, r(C, comp={**C.comp, (0, 1): 7}),
+                           ("comp: entry 1 = 7 out of range [0, 3)",)),
+        "units-short": (validate_category, r(C, units=(0,)), ("units: table length 1 != 2",)),
+        "units-range": (validate_category, r(C, units=(0, 9)),
+                        ("units: entry 1 = 9 out of range [0, 3)",)),
+        "functor-short": (validate_functor, r(F, obj_map=(0,)), ("obj_map: table length 1 != 2",)),
+        "functor-range": (validate_functor, r(F, mor_map=(0, 1, 3)),
+                          ("mor_map: entry 2 = 3 out of range [0, 3)",)),
+        "nat-trans-short": (validate_nat_trans, r(eta, components=(0,)),
+                            ("components: table length 1 != 2",)),
+        "nat-trans-range": (validate_nat_trans, r(eta, components=(0, -1)),
+                            ("components: entry 1 = -1 out of range [0, 3)",)),
+        "monoid-short": (validate_monoid, FinMonoid(table=((0, 1, 2), (1, 2), (2, 0, 1)), unit=0),
+                         ("row 1: table length 2 != 3",)),
+        "monoid-range": (validate_monoid, FinMonoid(table=((0, 1, 2), (1, 2, 0), (2, 0, 3)), unit=0),
+                         ("row 2: entry 2 = 3 out of range [0, 3)",)),
+        "action-short": (validate_action, r(A, table=((0, 1, 2), (1, 2, 0), (2, 0))),
+                         ("row 2: table length 2 != 3",)),
+        "action-range": (validate_action, r(A, table=((0, 1, 2), (1, 2, -1), (2, 0, 1))),
+                         ("row 1: entry 2 = -1 out of range [0, 3)",)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_table_cases()))
+def test_one_table_checker_names_the_first_bad_entry(case):
+    validate, x, problems = _table_cases()[case]
+    rep = validate(x)
+    assert not rep.ok
+    assert rep.problems == problems
