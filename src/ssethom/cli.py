@@ -266,10 +266,7 @@ def _cmd_bar(args) -> int:
 
 def _cmd_resolve(args) -> int:
     F = _load_checked(args.file, (FunctorData,), "a functor document")
-    try:
-        res = comma_resolution(F, args.cutoff, dual=args.dual)
-    except ValueError as e:
-        raise UsageError(f"{args.file}: {e}") from None
+    res = comma_resolution(F, args.cutoff, dual=args.dual)
     doc = {
         "command": "resolve",
         "file": args.file,

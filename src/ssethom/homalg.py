@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .snf import SmithForm, SparseIntMatrix, smith_normal_form
+from .snf import SparseIntMatrix, smith_normal_form
 from .sset import (
     BiSemiSimplicialSet,
     Enumeration,
@@ -330,7 +330,7 @@ class ChainComplex:
     def _free_pairs(self) -> tuple[tuple[bytearray, ...], tuple[int, ...]]:
         return _free_pair_reduction(self.diffs)
 
-    def _smith(self, k: int) -> SmithForm:
+    def _factors(self, k: int) -> tuple[int, ...]:
         """Invariant factors of d_k: (1,) per free pair, then the residual's.
 
         Each free pair splits off a ``Z --1--> Z`` summand of the complex, so
@@ -347,7 +347,7 @@ class ChainComplex:
                 if i is not None:
                     data[i] = {cols[c]: v for c, v in row.items() if c in cols}
             s = smith_normal_form(SparseIntMatrix(len(rows), len(cols), data))
-            self._cache[k] = SmithForm((1,) * pairs[k] + s.factors, pairs[k] + s.rank, None, None)
+            self._cache[k] = (1,) * pairs[k] + s.factors
         return self._cache[k]
 
     def boundary_rank(self, k: int, ring: str = "Z") -> int:
@@ -359,7 +359,7 @@ class ChainComplex:
         p = ring_prime(parse_ring(ring))
         if k <= 0 or k > self.top_degree:
             return 0
-        factors = self._smith(k).factors
+        factors = self._factors(k)
         return len(factors) if p is None else sum(1 for d in factors if d % p)
 
     def euler_characteristic(self) -> int:
@@ -386,7 +386,7 @@ def homology(C: ChainComplex, k: int, ring: str = "Z") -> FPAbelianGroup:
         # truncated one is unknown; report the cycle count, callers gate on
         # trusted_through
         return FPAbelianGroup(cycles)
-    torsion = tuple(d for d in C._smith(k + 1).factors if d > 1) if ring == "Z" else ()
+    torsion = tuple(d for d in C._factors(k + 1) if d > 1) if ring == "Z" else ()
     return FPAbelianGroup(cycles - C.boundary_rank(k + 1, ring), torsion)
 
 
@@ -424,8 +424,8 @@ def _table_matrix(rows: int, cols: int, tables, signs=None) -> SparseIntMatrix:
         rows, cols, ((tab[s], s, sign) for tab, sign in zip(tables, signs) for s in range(cols)))
 
 
-def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> ChainComplex:
-    """One generator per simplex, d = sum of signed faces."""
+def _unnormalized_parts(X: SemiSimplicialSet, through: int | None):
+    """(dims, boundaries, complete) of the unnormalized chains of X."""
     listed = len(X.sizes) - 1
     if through is None:
         through = listed
@@ -440,7 +440,12 @@ def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> Cha
     boundaries = [_table_matrix(dims[k - 1], dims[k], X.faces[k] if k <= listed else ())
                   for k in range(1, len(dims))]
     complete = X.is_complete and through >= (X.top_dim if X.top_dim is not None else -1)
-    return make_chain_complex(dims, boundaries, complete)
+    return dims, boundaries, complete
+
+
+def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> ChainComplex:
+    """One generator per simplex, d = sum of signed faces."""
+    return make_chain_complex(*_unnormalized_parts(X, through))
 
 
 def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComplex:
@@ -477,11 +482,12 @@ def augmented_complex(X: SemiSimplicialSet, aug_size: int, aug,
     """Shift degrees up by one and glue the augmentation at the bottom.
 
     Degree 0 is the augmentation set, degree k+1 is X_k, and d_1 is the
-    augmentation table.
+    augmentation table.  X's boundaries are built and checked once, by the
+    augmented complex's own d o d check.
     """
-    base = unnormalized_chains(X, through)
-    d1 = _table_matrix(aug_size, base.dims[0], [aug], [1])
-    return make_chain_complex((aug_size,) + base.dims, (d1,) + base.diffs[1:], base.complete)
+    dims, boundaries, complete = _unnormalized_parts(X, through)
+    d1 = _table_matrix(aug_size, dims[0], [aug], [1])
+    return make_chain_complex((aug_size, *dims), [d1, *boundaries], complete)
 
 
 # -- chain maps ----------------------------------------------------------------

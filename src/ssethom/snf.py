@@ -2,9 +2,12 @@
 
 Everything here runs on Python ints, so coefficients never overflow silently.
 Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value).
-The Smith normal form routine prefers unit pivots with a low fill score and
-falls back to gcd pivoting only on the residue where no +-1 entry survives.
-Fill still grows: on the 1024x4096 top boundary of the B Z/4 nerve at level 6
+The Smith normal form routine has one pivot rule: the next pivot is an entry
+of least |value|, least fill score first, so it takes unit pivots while a
++-1 entry survives and gcd pivots only on the residue.  Row steps clear the
+pivot column first; each column step then changes only the pivot row's
+entry, and with transforms one column of V and one row of V^-1.  Fill still
+grows: on the 1024x4096 top boundary of the B Z/4 nerve at level 6
 (18,511 nonzeros) the working matrix reaches about 50,000 nonzeros and row
 operations dominate the time.  ``homalg`` therefore removes free unit pairs
 from a chain complex before it calls this routine.
@@ -210,9 +213,12 @@ class SmithForm(NamedTuple):
     """
 
     factors: tuple[int, ...]
-    rank: int
     V: SparseIntMatrix | None
     V_inv: SparseIntMatrix | None
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
 
 
 def _fill_score(rows, colrows, r, c):
@@ -238,11 +244,8 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
 
     def row_axpy(i: int, r: int, coef: int):
         """row_i += coef * row_r on the working matrix."""
-        src = rows.get(r)
-        if not src or coef == 0:
-            return
-        dst = rows.setdefault(i, {})
-        for c, v in src.items():
+        dst = rows[i]
+        for c, v in rows[r].items():
             nv = dst.get(c, 0) + coef * v
             if nv:
                 if c not in dst:
@@ -255,60 +258,18 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         if not dst:
             del rows[i]
 
-    def col_axpy(j: int, c: int, coef: int):
-        """col_j += coef * col_c on the working matrix and V; on V_inv that
-        is row_c -= coef * row_j."""
-        if coef == 0:
-            return
-        src_rows = list(colrows.get(c, ()))
-        for r in src_rows:
-            v = rows[r].get(c)
-            if v is None:
-                continue
-            dst = rows[r]
-            nv = dst.get(j, 0) + coef * v
-            if nv:
-                if j not in dst:
-                    colrows.setdefault(j, set()).add(r)
-                dst[j] = nv
-            else:
-                if j in dst:
-                    del dst[j]
-                    colrows[j].discard(r)
-        if V_cols is not None:
-            _axpy(V_cols[j], V_cols[c], coef)
-            _axpy(Vinv_rows[c], Vinv_rows[j], -coef)
-
     diag: list[int] = []
-    pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
+    pivot_cols: list[int] = []  # in elimination order
     heap: list[tuple[int, int, int]] = []
-    heap_is_unit_mode = True
+    heap_abs = 0
 
     def rebuild_heap():
-        nonlocal heap, heap_is_unit_mode
-        heap = []
-        units = []
-        best_abs = None
-        for r in rows:
-            for c, v in rows[r].items():
-                a = -v if v < 0 else v
-                if a == 1:
-                    units.append((_fill_score(rows, colrows, r, c), r, c))
-                elif best_abs is None or a < best_abs:
-                    best_abs = a
-        if units:
-            heap = units
-            heapq.heapify(heap)
-            heap_is_unit_mode = True
-        elif best_abs is not None:
-            cand = []
-            for r in rows:
-                for c, v in rows[r].items():
-                    if abs(v) == best_abs:
-                        cand.append((_fill_score(rows, colrows, r, c), r, c))
-            heap = cand
-            heapq.heapify(heap)
-            heap_is_unit_mode = False
+        """Fill the heap with the entries of least |value|, least fill first."""
+        nonlocal heap, heap_abs
+        heap_abs = min((abs(v) for row in rows.values() for v in row.values()), default=0)
+        heap = [(_fill_score(rows, colrows, r, c), r, c)
+                for r, row in rows.items() for c, v in row.items() if abs(v) == heap_abs]
+        heapq.heapify(heap)
 
     def pick_pivot():
         while True:
@@ -320,7 +281,7 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
             row = rows.get(r)
             if row is None or c not in row:
                 continue
-            if heap_is_unit_mode and abs(row[c]) != 1:
+            if heap_abs == 1 and abs(row[c]) != 1:
                 continue
             fresh = _fill_score(rows, colrows, r, c)
             if fresh > score and heap and heap[0][0] < fresh:
@@ -336,35 +297,37 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         either finishes or strictly shrinks |pivot|, so this terminates.
         """
         while True:
-            # clear the column via row operations
+            # clear the column via row operations; a remainder smaller than
+            # |d| that survives becomes the pivot row
             while True:
                 d = rows[r][c]
-                others = sorted(colrows[c] - {r})
-                if not others:
-                    break
-                for i in others:
-                    v = rows[i].get(c)
-                    if v is None:
-                        continue
-                    q = v // d
+                for i in sorted(colrows[c] - {r}):
+                    q = rows[i][c] // d
                     if q:
                         row_axpy(i, r, -q)
-                rem = sorted((abs(rows[i][c]), i) for i in sorted(colrows[c] - {r}))
-                if not rem:
+                rem = min(((abs(rows[i][c]), i) for i in colrows[c] - {r}), default=None)
+                if rem is None:
                     break
-                # a remainder smaller than |d| survives: make it the pivot row
-                r = rem[0][1]
-            # clear the row via column operations (column c is now a
-            # singleton, so these only touch row r)
-            d = rows[r][c]
-            for j in sorted(j for j in rows[r] if j != c):
-                q = rows[r][j] // d
+                r = rem[1]
+            # clear the row via column operations: column c is now {r}, so
+            # col_j -= q * col_c changes only the entry (r, j)
+            row = rows[r]
+            d = row[c]
+            for j in sorted(j for j in row if j != c):
+                q, m = divmod(row[j], d)
                 if q:
-                    col_axpy(j, c, -q)
-            leftovers = sorted((abs(v), j) for j, v in rows[r].items() if j != c)
-            if not leftovers:
+                    if m:
+                        row[j] = m
+                    else:
+                        del row[j]
+                        colrows[j].discard(r)
+                    if transforms:
+                        _axpy(V_cols[j], V_cols[c], -q)
+                        _axpy(Vinv_rows[c], Vinv_rows[j], q)
+            left = min(((abs(v), j) for j, v in row.items() if j != c), default=None)
+            if left is None:
                 return r, c
-            c = leftovers[0][1]
+            c = left[1]
 
     while True:
         picked = pick_pivot()
@@ -378,13 +341,8 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
             # strictly shrinks each round, so this terminates)
             while True:
                 d = rows[r][c]
-                offender = None
-                for i in sorted(rows):
-                    if i == r or not rows[i]:
-                        continue
-                    if any(v % d for v in rows[i].values()):
-                        offender = i
-                        break
+                offender = next((i for i in sorted(rows)
+                                 if i != r and any(v % d for v in rows[i].values())), None)
                 if offender is None:
                     break
                 row_axpy(r, offender, 1)
@@ -398,12 +356,10 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
                     vec[k] = -vec[k]
 
         diag.append(abs(d))
-        pivots.append((r, c))
+        pivot_cols.append(c)
         del rows[r]
-        colrows[c].discard(r)
-        if colrows.get(c):
+        if colrows.pop(c) != {r}:
             raise AssertionError("pivot column not clean at removal")
-        colrows.pop(c, None)
 
     # Divisibility chain should hold by construction.
     for a, b in zip(diag, diag[1:]):
@@ -411,13 +367,13 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
             raise AssertionError(f"invariant factor chain violated: {diag}")
 
     if not transforms:
-        return SmithForm(tuple(diag), len(diag), None, None)
+        return SmithForm(tuple(diag), None, None)
 
     # Move pivot k to position (k, k): column k of V and row k of V_inv.
-    col_perm = [c for _, c in pivots] + sorted(set(range(A.cols)) - {c for _, c in pivots})
+    col_perm = pivot_cols + sorted(set(range(A.cols)) - set(pivot_cols))
     Vt = SparseIntMatrix(A.cols, A.cols, {k: V_cols[c] for k, c in enumerate(col_perm)})
     Vinv = SparseIntMatrix(A.cols, A.cols, {k: Vinv_rows[c] for k, c in enumerate(col_perm)})
-    return SmithForm(tuple(diag), len(diag), Vt.transpose(), Vinv)
+    return SmithForm(tuple(diag), Vt.transpose(), Vinv)
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], coef: int):

@@ -266,10 +266,7 @@ class _Filtration:
     def vertical_cycles(self, p: int, q: int) -> list[dict]:
         """Vertical cycles of column p as pure block (p,q) vectors; they span
         H_q(column p), and _page drops the boundaries."""
-        got = self.offsets.get((p, q))
-        if got is None:
-            return []
-        n, off, size = got
+        n, off, size = self.offsets[(p, q)]
         lower = self.offsets.get((p, q - 1))
         lo, hi = (lower[1], lower[1] + lower[2]) if lower is not None else (0, 0)
         imgs = self.boundary_images(n)

@@ -540,17 +540,6 @@ def normalize_face(Y: SimplicialSet, i: int, ref: SimplexRef) -> SimplexRef:
     return SimplexRef((j,) + inner.word, inner.deg, inner.gen)
 
 
-def apply_degeneracy(j: int, ref: SimplexRef) -> SimplexRef:
-    return SimplexRef(insert_letter(j, ref.word), ref.deg, ref.gen)
-
-
-def apply_word(word: tuple[int, ...], ref: SimplexRef) -> SimplexRef:
-    """s_word applied to ref (rightmost letter acts first)."""
-    for a in reversed(word):
-        ref = apply_degeneracy(a, ref)
-    return ref
-
-
 def validate_simplicial(Y: SimplicialSet) -> ValidationReport:
     problems = []
     L = len(Y.gen_sizes)

@@ -685,6 +685,66 @@ def test_check_file_count_error_is_exact(check_id, what, capsys):
     assert err == f"error: check {check_id} takes {what}, got 3 file(s)\n"
 
 
+_NON_COMMUTATIVE = {"type": "monoid", "unit": 0, "table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
+_TRUNCATED_POINT = {"type": "sset", "levels": [{"size": 1}], "truncated_at": 0}
+
+
+def _delta2(truncated_at=None, word=()):
+    """The simplicial 2-simplex, truncated, or with a degeneracy word on the
+    first face of its 2-simplex."""
+    with open(fixture("delta2.simp.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if truncated_at is not None:
+        doc["truncated_at"] = truncated_at
+    doc["generators"][2]["faces"][0][0]["word"] = list(word)
+    return doc
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    (_TRUNCATED_POINT, ("skeleton", "{f}", "--degree", "1"),
+     "{f}: cannot take the 1-skeleton of a complex truncated at 0"),
+    (_NON_COMMUTATIVE, ("group-complete", "{f}", "--cutoff", "2"),
+     "{f}: group completion report needs a commutative monoid"),
+    (None, ("check", "--batch", "{f}"), "cannot read {f}: No such file or directory"),
+    ("{", ("check", "--batch", "{f}"),
+     "{f} is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ({"check": "constant"}, ("check", "--batch", "{f}"),
+     "{f}: a batch file holds an array of check entries"),
+    ([{"cutoff": 2}], ("check", "--batch", "{f}"),
+     "{f}[0]: each entry is an object with a 'check' field"),
+    ([{"check": "constant", "files": "a.json", "size": 2, "cutoff": 2}],
+     ("check", "--batch", "{f}"), "{f}[0]: 'files' must be an array of paths"),
+    ([{"check": "constant", "size": 2, "cutoff": True}], ("check", "--batch", "{f}"),
+     "{f}[0]: cutoff must be an integer"),
+    ([], ("check", "constant", "--batch", "{f}"), "--batch replaces the check id and files"),
+    (None, ("check",), "pass a check id or --batch FILE"),
+    (None, ("homology", fixture("rp2.ss.json"), "--coeff", "fx"), "bad ring 'FX'"),
+    (_delta2(word=(0, 1)), ("homology", "{f}"),
+     "{f}: generators[2].faces[0][0].word: degeneracy word [0, 1] must be strictly decreasing"),
+], ids=["skeleton-above-truncation", "group-complete-non-commutative", "batch-unreadable",
+        "batch-not-json", "batch-not-array", "batch-no-check", "batch-files", "batch-bool",
+        "batch-and-check", "check-neither", "coeff-fx", "word-not-decreasing"])
+def test_command_errors_are_exact(content, argv, message, capsys, tmp_path):
+    f = str(tmp_path / "input.json")
+    if content is not None:
+        with open(f, "w", encoding="utf-8") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(f=f)}\n")
+
+
+def test_truncated_simplicial_document(capsys, tmp_path):
+    f = tmp_path / "trunc.simp.json"
+    f.write_text(json.dumps(_delta2(truncated_at=2)))
+    code, report, err = run_json(capsys, "validate", str(f))
+    assert (code, report["ok"], report["type"]) == (0, True, "simplicial")
+    assert "truncated at 2: ok" in err
+    code, report, err = run_json(capsys, "homology", str(f))
+    assert (code, report["complete"]) == (0, False)
+    assert [g["pretty"] for g in report["groups"]] == ["Z", "0"]
+
+
 _CHECK_HELP = """\
 usage: ssethom check [-h] [--cutoff CUTOFF] [--seed SEED] [--degree DEGREE]
                      [--size SIZE] [--batch FILE] [--jobs JOBS]

@@ -1,6 +1,7 @@
 """Every imported name is used by the module that imports it, every private
 module-level name of the package is used somewhere, and so is every public
-function, class and method of the package."""
+function, class and method of the package; a public function or method that
+only tests call is a named oracle."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ PACKAGE = sorted((ROOT / "src" / "ssethom").glob("*.py"))
 # the public names may also be used by the benchmark, which drives the package
 # from outside
 USERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
+PROGRAM = [p for p in USERS if p.relative_to(ROOT).parts[0] != "tests"]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,12 +56,12 @@ def test_unused_import_is_caught():
     assert unused_imports(source) == ["line 3: HomotopyCertificate"]
 
 
-def references(sources: list[str]) -> tuple[set[str], set[str]]:
-    """The names the sources read, call or import as ``name``, and those
+def references(trees) -> tuple[set[str], set[str]]:
+    """The names the syntax trees read, call or import as ``name``, and those
     they read or call as ``.name``."""
     names, attrs = set(), set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -72,7 +75,7 @@ def unreferenced_privates(package: dict[str, str], sources: list[str]) -> list[s
     """The module-level private functions, classes and constants of each
     ``package`` module (name to source) that no source in ``sources`` reads,
     calls or imports; dunder names are exempt."""
-    refs = set.union(*references(sources))
+    refs = set.union(*references(ast.parse(source) for source in sources))
     found = []
     for module, source in package.items():
         for node in ast.parse(source).body:
@@ -114,18 +117,17 @@ def unreferenced_publics(package: dict[str, str], sources: list[str]) -> list[st
     module (name to source) that no source in ``sources`` reads, calls or
     imports, and its non-dunder methods that no source reads or calls as
     ``.name``."""
-    names, attrs = references(sources)
+    names, attrs = references(ast.parse(source) for source in sources)
     refs = names | attrs
     found = []
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, source in package.items():
         for node in ast.parse(source).body:
-            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_") \
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and not node.name.startswith("_") \
                     and node.name not in refs:
                 found.append(f"{module}:{node.lineno}: {node.name}")
             if isinstance(node, ast.ClassDef):
                 found += [f"{module}:{m.lineno}: {node.name}.{m.name}" for m in node.body
-                          if isinstance(m, functions) and not m.name.startswith("__")
+                          if isinstance(m, FUNCTIONS) and not m.name.startswith("__")
                           and m.name not in attrs]
     return found
 
@@ -155,3 +157,88 @@ def test_unreferenced_public_is_caught():
     user = "from m import used\nshrink = 0\nprint(shrink)\n"
     assert unreferenced_publics({"m.py": module}, [module, user]) == [
         "m.py:3: unused", "m.py:11: Kept._grow", "m.py:13: Kept.shrink", "m.py:15: Gone"]
+
+
+# The public functions and methods that only tests call, each with the reason
+# the package keeps it.
+TEST_ONLY = {
+    "insert_unit_chain": "builds the unit-inserted nerve chains the face-identity tests read",
+    "identity_map": "the identity map the map-checker and induced-map tests start from",
+    "truncate_complex": "oracle for total complexes built only through a degree",
+    "simplex_ref_to_monotone": "oracle: simplices of the simplicial n-simplex as monotone maps",
+    "monotone_to_simplex_ref": "the inverse of simplex_ref_to_monotone, for the same oracle",
+    "insert_letter": "helper of the degeneracy-word rewrite oracle",
+    "FPAbelianGroup.order": "counts group elements for the group-order oracles",
+    "ChainComplex.euler_characteristic": "oracle against the Euler characteristic of a space",
+    "SparseIntMatrix.from_dense": "builds the dense test matrices the reference SNF reads",
+    "SparseIntMatrix.to_dense": "the dense view the reference SNF and echelon oracles read",
+}
+
+
+def owned_references(tree) -> list[tuple[str | None, set[str], set[str]]]:
+    """(owner, names, attrs) as ``references`` reads them, for each top-level
+    function and each method (owner ``f`` or ``Class.m``) and, with owner
+    None, for the rest of the module."""
+    out, rest = [], []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            out.append((node.name, *references([node])))
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, FUNCTIONS):
+                    out.append((f"{node.name}.{m.name}", *references([m])))
+                else:
+                    rest.append(m)
+            rest += node.decorator_list + node.bases
+        else:
+            rest.append(node)
+    return out + [(None, *references(rest))]
+
+
+def publics_only_tests_call(package: dict[str, str], program: dict[str, str]) -> list[str]:
+    """The public functions and methods of each ``package`` module that no
+    ``program`` source reads, calls or imports outside their own body.  Both
+    map a path to its source, and the package modules are program modules."""
+    owned = [(path, owner, names, attrs) for path, source in program.items()
+             for owner, names, attrs in owned_references(ast.parse(source))]
+
+    def called(path, owner, name, as_name):
+        return any(name in attrs or (as_name and name in names)
+                   for p, o, names, attrs in owned if (p, o) != (path, owner))
+
+    found = []
+    for path, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_") \
+                    and not called(path, node.name, node.name, True):
+                found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, FUNCTIONS) and not m.name.startswith("_")
+                          and not called(path, f"{node.name}.{m.name}", m.name, False)]
+    return found
+
+
+def test_public_names_only_tests_call_are_named_oracles():
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "fixtures.py"}
+    program = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
+    assert sorted(publics_only_tests_call(package, program)) == sorted(TEST_ONLY)
+
+
+def test_test_only_public_is_caught():
+    module = ("def called():\n"
+              "    return Box().size() + helper()\n"
+              "def helper():\n"
+              "    return 1\n"
+              "def recursive(n):\n"
+              "    return recursive(n - 1) if n else 0\n"
+              "class Box:\n"
+              "    def size(self):\n"
+              "        return 0\n"
+              "    def grow(self):\n"
+              "        return self.grow()\n"
+              "def _private():\n"
+              "    return 0\n")
+    user = "from m import called\ncalled()\n"
+    assert publics_only_tests_call({"m.py": module}, {"m.py": module, "run.py": user}) == [
+        "recursive", "Box.grow"]

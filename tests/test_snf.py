@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -306,3 +307,52 @@ def test_block_assembly():
     assert m.to_dense() == [[1, 2, 0], [0, 0, 3]]
     t = m.transpose()
     assert t.to_dense() == [[1, 0], [2, 0], [0, 3]]
+
+
+def test_smith_forms_are_pinned(monkeypatch):
+    """Pins the exact factors, V and V_inv of a fixed seeded set.
+
+    The set: the free-pair residuals of the level-5 nerves of Z/4 and
+    Z/2 x Z/2 (factors only, as ``ChainComplex`` factors them), the transform
+    forms of the level-4 nerve boundaries of Z/3, and 20 seeded random
+    matrices without unit entries, with and without transforms, so that the
+    gcd pivot and the divisibility fold run.  The invariant factors are
+    unique, but V and V_inv are not: they follow the pivot order.  Any change
+    of pivot choice, pivot order or column step moves this pin even when
+    every factor stays right, so a deliberate change must pass the oracles
+    above and take the pin again.
+    """
+    from ssethom import homalg
+    from ssethom.cat import monoid_as_category, nerve
+    from ssethom.fixtures import cyclic_group_monoid, klein_four_monoid
+    from ssethom.homalg import unnormalized_chains
+
+    lines = []
+
+    def record(s):
+        lines.append(repr((s.factors,
+                           None if s.V is None else tuple(s.V.entries()),
+                           None if s.V_inv is None else tuple(s.V_inv.entries()))))
+        return s
+
+    with monkeypatch.context() as m:
+        m.setattr(homalg, "smith_normal_form",
+                  lambda A, transforms=False: record(smith_normal_form(A, transforms)))
+        for M in (cyclic_group_monoid(4), klein_four_monoid()):
+            C = unnormalized_chains(nerve(monoid_as_category(M), 5).sset)
+            for k in range(1, C.top_degree + 1):
+                C.boundary_rank(k)
+    C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(3)), 4).sset)
+    for k in range(1, C.top_degree + 1):
+        record(smith_normal_form(C.boundary(k), transforms=True))
+    rng = random.Random(1717)
+    for _ in range(20):
+        rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+        dense = [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(cols)]
+                 for _ in range(rows)]
+        a = SparseIntMatrix.from_dense(dense, cols)
+        record(smith_normal_form(a))
+        record(smith_normal_form(a, transforms=True))
+    assert len(lines) == 54
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == "ddddf80223ee0bf67463cd59a4e0d4413921bc7097bc345c083d945308f2fdc1"
