@@ -59,9 +59,15 @@ def _int(x, path: str, low: int | None = None, high: int | None = None) -> int:
 
 def _int_list(x, path: str, length: int | None = None,
               low: int | None = None, high: int | None = None) -> tuple:
+    """A list of ``_int`` entries.  The whole table is scanned for type and
+    by ``min``/``max`` first; only a table that fails the scan is walked
+    entry by entry, so that ``_int`` names its first bad entry."""
     xs = _list(x, path)
     if length is not None and len(xs) != length:
         raise FormatError(path, f"expected {length} entries, got {len(xs)}")
+    if set(map(type, xs)) <= {int} and (
+            not xs or (low is None or low <= min(xs)) and (high is None or max(xs) < high)):
+        return tuple(xs)
     return tuple(_int(v, f"{path}[{i}]", low, high) for i, v in enumerate(xs))
 
 

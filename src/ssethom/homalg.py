@@ -36,6 +36,7 @@ from .sset import (
     SSetMap,
     ValidationReport,
     levelwise_product,
+    validate_sset,
 )
 
 
@@ -309,6 +310,17 @@ class ChainComplex:
             if not self.diffs[k - 1].mul(self.diffs[k]).is_zero():
                 raise ValueError(f"boundary squared is nonzero in degree {k}")
 
+    @classmethod
+    def _certified(cls, dims: tuple, boundaries, complete: bool) -> ChainComplex:
+        """``make_chain_complex`` without ``__post_init__``, for
+        ``unnormalized_chains`` alone: it sizes every boundary by ``dims`` and
+        proves d o d = 0 on the face tables."""
+        C = object.__new__(cls)
+        for name, value in zip(("dims", "diffs", "complete", "_cache"), (
+                dims, (SparseIntMatrix.zero(0, dims[0]), *boundaries), complete, {})):
+            object.__setattr__(C, name, value)
+        return C
+
     @property
     def top_degree(self) -> int:
         return len(self.dims) - 1
@@ -444,8 +456,13 @@ def _unnormalized_parts(X: SemiSimplicialSet, through: int | None):
 
 
 def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> ChainComplex:
-    """One generator per simplex, d = sum of signed faces."""
-    return make_chain_complex(*_unnormalized_parts(X, through))
+    """One generator per simplex, d = sum of signed faces.  The face
+    identities certify d o d = 0: ``validate_sset(X)`` must pass, or
+    ``ValueError`` names its first problem."""
+    rep = validate_sset(X)
+    if not rep.ok:
+        raise ValueError(rep.first())
+    return ChainComplex._certified(*_unnormalized_parts(X, through))
 
 
 def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComplex:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -59,6 +60,24 @@ class SemiSimplicialSet:
     def is_complete(self) -> bool:
         return self.top_dim is not None
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """``validate_sset``'s report, kept on the object: it is frozen and
+        its tables are tuples, so the report cannot go stale."""
+        L = len(self.sizes)
+        if len(self.faces) != L:
+            return ValidationReport(False, (f"faces has {len(self.faces)} levels, sizes has {L}",))
+        problems = []
+        if self.truncated_at is not None and self.truncated_at != L - 1:
+            problems.append(f"truncated_at={self.truncated_at} but levels run 0..{L - 1}")
+        problems += _shape_problems(self.sizes, self.faces)
+        if problems:
+            return ValidationReport(False, tuple(problems))
+        problems = _identity_problems(_level_identities(
+            self.faces, lambda p, i, j: f"face identity fails at level {p}, simplex {{s}}: "
+                                        f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"), 21)
+        return ValidationReport(not problems, tuple(problems))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -70,19 +89,9 @@ class ValidationReport:
 
 
 def validate_sset(X: SemiSimplicialSet) -> ValidationReport:
-    L = len(X.sizes)
-    if len(X.faces) != L:
-        return ValidationReport(False, (f"faces has {len(X.faces)} levels, sizes has {L}",))
-    problems = []
-    if X.truncated_at is not None and X.truncated_at != L - 1:
-        problems.append(f"truncated_at={X.truncated_at} but levels run 0..{L - 1}")
-    problems += _shape_problems(X.sizes, X.faces)
-    if problems:
-        return ValidationReport(False, tuple(problems))
-    problems = _identity_problems(_level_identities(
-        X.faces, lambda p, i, j: f"face identity fails at level {p}, simplex {{s}}: "
-                                 f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"), 21)
-    return ValidationReport(not problems, tuple(problems))
+    """Shapes and ranges, then d_i d_j = d_{j-1} d_i on whole tables for
+    p >= 2 and i < j; once per space object, which keeps the report."""
+    return X._report
 
 
 def _shape_problems(sizes, faces) -> list[str]:

@@ -734,6 +734,50 @@ def test_command_errors_are_exact(content, argv, message, capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: {message.format(f=f)}\n")
 
 
+# (fixture, path to one integer table, the table's exclusive bound): an sset
+# face table, a bisset face table, a category's units and a monoid row
+_TABLES = {
+    "sset-face": ("rp2.ss.json", ("levels", 1, "faces", 0), 2),
+    "bisset-dh": ("torus.bis.json", ("dh", 1, 0, 1), 9),
+    "category-units": ("poset2.cat.json", ("units",), 6),
+    "monoid-row": ("c3.mon.json", ("table", 1), 3),
+}
+# how entry 1 (or the table's length) is broken, and the loader's message
+_BAD_ENTRIES = {
+    "bool": (lambda tab, high: tab.__setitem__(1, True), "[1]: expected an integer, got True"),
+    "float": (lambda tab, high: tab.__setitem__(1, 1.0), "[1]: expected an integer, got 1.0"),
+    "string": (lambda tab, high: tab.__setitem__(1, "1"), "[1]: expected an integer, got '1'"),
+    "null": (lambda tab, high: tab.__setitem__(1, None), "[1]: expected an integer, got None"),
+    "negative": (lambda tab, high: tab.__setitem__(1, -1), "[1]: value -1 below minimum 0"),
+    "at-bound": (lambda tab, high: tab.__setitem__(1, high),
+                 "[1]: value {high} out of range (must be < {high})"),
+    "short": (lambda tab, high: tab.pop(), ": expected {n} entries, got {short}"),
+    "long": (lambda tab, high: tab.append(0), ": expected {n} entries, got {long}"),
+}
+
+
+@pytest.mark.parametrize("kind", _BAD_ENTRIES)
+@pytest.mark.parametrize("table", _TABLES)
+def test_bad_table_entries_are_exact(table, kind, capsys, tmp_path):
+    """The exit-2 message of each kind of bad entry, wherever an integer
+    table is read: the first bad entry, or the length, is named exactly."""
+    name, path, high = _TABLES[table]
+    break_entry, message = _BAD_ENTRIES[kind]
+    with open(fixture(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    tab = doc
+    for key in path:
+        tab = tab[key]
+    n = len(tab)
+    break_entry(tab, high)
+    f = str(tmp_path / name)
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    want = field + message.format(high=high, n=n, short=n - 1, long=n + 1)
+    assert run(capsys, "validate", f) == (2, "", f"error: {f}: {want}\n")
+
+
 def test_truncated_simplicial_document(capsys, tmp_path):
     f = tmp_path / "trunc.simp.json"
     f.write_text(json.dumps(_delta2(truncated_at=2)))

@@ -28,6 +28,7 @@ from ssethom.fixtures import (
 )
 from ssethom.homalg import (
     _table_matrix,
+    _unnormalized_parts,
     ChainMap,
     DoubleComplex,
     FPAbelianGroup,
@@ -73,6 +74,7 @@ from ssethom.sset import (
     free_degeneracies,
     skeleton_inclusion,
     standard_semi_simplex,
+    validate_sset,
 )
 
 Z = FPAbelianGroup(1)
@@ -544,10 +546,48 @@ def test_table_matrix_matches_from_entries(name):
 
 def test_complex_validation():
     bad = SparseIntMatrix.from_dense([[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary squared is nonzero in degree 2"):
         make_chain_complex((1, 1, 1), [bad, bad])  # d*d = 1 != 0
     with pytest.raises(ValueError):
         make_chain_complex((2, 1), [SparseIntMatrix.zero(1, 1)])
+
+
+def test_unnormalized_chains_are_certified_by_the_face_identities():
+    # tables in range, but d_0 d_1 != d_0 d_0 on the 2-simplex, and so
+    # d_1 d_2 = 3 v_0 - 3 v_1 != 0: only the face identities refuse the
+    # chains, since no boundary product is taken
+    X = SemiSimplicialSet((2, 2, 1), ((), ((0, 1), (1, 0)), ((0,), (1,), (0,))))
+    first = validate_sset(X).first()
+    assert first == "face identity fails at level 2, simplex 0: d_0 d_1 = 1 but d_0 d_0 = 0"
+    with pytest.raises(ValueError) as refused:
+        unnormalized_chains(X)
+    assert str(refused.value) == first
+    with pytest.raises(ValueError, match="boundary squared is nonzero in degree 2"):
+        make_chain_complex(*_unnormalized_parts(X, None))
+
+
+def test_homology_of_a_nerve_document_checks_its_identities_once(monkeypatch, capsys, tmp_path):
+    # the loader's validate_sset certifies the chains too: one identity pass
+    # and no boundary product per homology call
+    from ssethom import cli, sset
+
+    doc = tmp_path / "c3.nerve.json"
+    assert cli.main(["nerve", os.path.join(FIXTURES, "c3.mon.json"), "--cutoff", "4"]) == 0
+    doc.write_text(capsys.readouterr().out)
+    calls = {"identity passes": 0, "products": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(sset, "_level_identities",
+                        counted("identity passes", sset._level_identities))
+    monkeypatch.setattr(SparseIntMatrix, "mul", counted("products", SparseIntMatrix.mul))
+    assert cli.main(["homology", str(doc)]) == 0
+    assert "H_1 = Z/3" in capsys.readouterr().err
+    assert calls == {"identity passes": 1, "products": 0}
 
 
 # -- products ---------------------------------------------------------------------

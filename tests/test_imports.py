@@ -242,3 +242,35 @@ def test_test_only_public_is_caught():
     user = "from m import called\ncalled()\n"
     assert publics_only_tests_call({"m.py": module}, {"m.py": module, "run.py": user}) == [
         "recursive", "Box.grow"]
+
+
+def route_users(sources: dict[str, str], route: str) -> list[str]:
+    """``path: owner`` for each top-level function and method (``f`` or
+    ``Class.m``, ``<module>`` for the rest) of the ``sources`` that reads or
+    calls ``route`` as a name or as ``.route``; each maps a path to its source."""
+    return [f"{path}: {owner or '<module>'}" for path, source in sources.items()
+            for owner, names, attrs in owned_references(ast.parse(source))
+            if route in names or route in attrs]
+
+
+def test_unchecked_complex_route_has_one_user():
+    # ChainComplex._certified skips the d o d products; unnormalized_chains
+    # alone may take it, after validate_sset has checked the face identities
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in USERS}
+    assert route_users(sources, "_certified") == ["src/ssethom/homalg.py: unnormalized_chains"]
+
+
+def test_second_route_user_is_caught():
+    module = ("class Complex:\n"
+              "    @classmethod\n"
+              "    def _certified(cls):\n"
+              "        return object.__new__(cls)\n"
+              "    def copy(self):\n"
+              "        return self._certified()\n"
+              "def chains():\n"
+              "    return Complex._certified()\n"
+              "def other():\n"
+              "    return Complex()\n")
+    user = "from m import Complex, _certified\nmake = Complex._certified\n"
+    assert route_users({"m.py": module, "run.py": user}, "_certified") == [
+        "m.py: Complex.copy", "m.py: chains", "run.py: <module>"]
