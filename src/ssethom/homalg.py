@@ -35,6 +35,7 @@ from .sset import (
     SimplicialSet,
     SSetMap,
     ValidationReport,
+    _restriction_tables,
     levelwise_product,
     validate_sset,
 )
@@ -436,19 +437,21 @@ def _table_matrix(rows: int, cols: int, tables, signs=None) -> SparseIntMatrix:
         rows, cols, ((tab[s], s, sign) for tab, sign in zip(tables, signs) for s in range(cols)))
 
 
+def _sizes_through(sizes: tuple[int, ...], through: int) -> tuple[int, ...]:
+    """The listed sizes through degree ``through``, padded with zeros; at
+    least one degree."""
+    dims = sizes[:through + 1] + (0,) * (through + 1 - len(sizes))
+    return dims or (0,)
+
+
 def _unnormalized_parts(X: SemiSimplicialSet, through: int | None):
     """(dims, boundaries, complete) of the unnormalized chains of X."""
     listed = len(X.sizes) - 1
     if through is None:
         through = listed
-    if through > listed:
-        if not X.is_complete:
-            raise ValueError(f"levels above {listed} are unknown (truncated)")
-        dims = X.sizes + (0,) * (through - listed)
-    else:
-        dims = X.sizes[:through + 1]
-    if not dims:
-        dims = (0,)
+    if through > listed and not X.is_complete:
+        raise ValueError(f"levels above {listed} are unknown (truncated)")
+    dims = _sizes_through(X.sizes, through)
     boundaries = [_table_matrix(dims[k - 1], dims[k], X.faces[k] if k <= listed else ())
                   for k in range(1, len(dims))]
     complete = X.is_complete and through >= (X.top_dim if X.top_dim is not None else -1)
@@ -472,12 +475,7 @@ def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComp
         through = listed if Y.truncated_at is None else Y.truncated_at
     if Y.truncated_at is not None and through > Y.truncated_at:
         raise ValueError("cannot extend past the truncation")
-    if through > listed:
-        dims = Y.gen_sizes + (0,) * (through - listed)
-    else:
-        dims = Y.gen_sizes[:through + 1]
-    if not dims:
-        dims = (0,)
+    dims = _sizes_through(Y.gen_sizes, through)
     boundaries = []
     for k in range(1, len(dims)):
         entries = []
@@ -862,17 +860,6 @@ def total_complex(D: DoubleComplex, through: int | None = None) -> TotalComplex:
 
 
 # -- Alexander-Whitney ------------------------------------------------------------
-
-
-def _restriction_tables(X: SemiSimplicialSet, top: int, face) -> list:
-    """tabs[n][k][s]: simplex s of X_n cut down to a k-simplex one vertex at a
-    time, deleting vertex face(n, k) of the n-simplex first; tabs[n][n] is the
-    identity."""
-    tabs = []
-    for n in range(top + 1):
-        tabs.append([tuple(tabs[n - 1][k][t] for t in X.faces[n][face(n, k)]) for k in range(n)]
-                    + [range(X.sizes[n])])
-    return tabs
 
 
 def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> tuple[ChainMap, TotalComplex]:

@@ -1,7 +1,8 @@
 """Exact sparse integer linear algebra.
 
 Everything here runs on Python ints, so coefficients never overflow silently.
-Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value).
+Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value);
+only the constructor drops zero entries and empty rows, from raw sums.
 The Smith normal form routine has one pivot rule: the next pivot is an entry
 of least |value|, least fill score first, so it takes unit pivots while a
 +-1 entry survives and gcd pivots only on the residue.  Row steps clear the
@@ -69,8 +70,6 @@ class SparseIntMatrix:
     def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "SparseIntMatrix":
         data: dict[int, dict[int, int]] = {}
         for r, c, v in entries:
-            if v == 0:
-                continue
             row = data.setdefault(r, {})
             row[c] = row.get(c, 0) + v
         return SparseIntMatrix(rows, cols, data)
@@ -80,7 +79,7 @@ class SparseIntMatrix:
         rows = len(dense)
         if cols is None:
             cols = len(dense[0]) if dense else 0
-        data = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(dense)}
+        data = {r: dict(enumerate(row)) for r, row in enumerate(dense)}
         return SparseIntMatrix(rows, cols, data)
 
     # -- access ------------------------------------------------------------
@@ -127,8 +126,6 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.cols, self.rows, data)
 
     def scale(self, k: int) -> "SparseIntMatrix":
-        if k == 0:
-            return SparseIntMatrix.zero(self.rows, self.cols)
         return SparseIntMatrix(self.rows, self.cols,
                                {r: {c: k * v for c, v in row.items()} for r, row in self.data.items()})
 
@@ -139,11 +136,7 @@ class SparseIntMatrix:
         for r, row in other.data.items():
             dst = data.setdefault(r, {})
             for c, v in row.items():
-                nv = dst.get(c, 0) + v
-                if nv:
-                    dst[c] = nv
-                elif c in dst:
-                    del dst[c]
+                dst[c] = dst.get(c, 0) + v
         return SparseIntMatrix(self.rows, self.cols, data)
 
     def sub(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
@@ -160,13 +153,8 @@ class SparseIntMatrix:
                 if not brow:
                     continue
                 for c, w in brow.items():
-                    nv = acc.get(c, 0) + v * w
-                    if nv:
-                        acc[c] = nv
-                    elif c in acc:
-                        del acc[c]
-            if acc:
-                data[r] = acc
+                    acc[c] = acc.get(c, 0) + v * w
+            data[r] = acc
         return SparseIntMatrix(self.rows, other.cols, data)
 
     def apply(self, vec: dict[int, int]) -> dict[int, int]:

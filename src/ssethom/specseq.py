@@ -322,7 +322,9 @@ def _page(filt: _Filtration, r: int, orientation: str,
             below = filt.filt_end(n + 1, p - 1)
             for z in filt.z_space(r - 1, p + r - 1, q - r + 2):
                 if max(z) >= below:
-                    ech.add(_tail(filt.apply_d(n + 1, z), block))
+                    tail = _tail(filt.apply_d(n + 1, z), block)
+                    if tail:
+                        ech.add(tail)
             low = filt.filt_end(n - 1, p - r)
             preferred = filt.vertical_cycles(p, q) if r == 1 else prev_reps.get((p, q), [])
             # a preferred vector is kept when it lies in Z^r(p,q): D lands in F_{p-r}

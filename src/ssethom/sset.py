@@ -401,26 +401,28 @@ def path_space_augmentation(X: SemiSimplicialSet) -> tuple[int, tuple[int, ...]]
     return X.sizes[0], X.faces[1][0]
 
 
+def _restriction_tables(X: SemiSimplicialSet, top: int, face) -> list:
+    """tabs[n][k][s]: simplex s of X_n cut down to a k-simplex one vertex at a
+    time, deleting vertex face(n, k) of the n-simplex first; tabs[n][n] is the
+    identity."""
+    tabs = []
+    for n in range(top + 1):
+        tabs.append([tuple(tabs[n - 1][k][t] for t in X.faces[n][face(n, k)]) for k in range(n)]
+                    + [range(X.sizes[n])])
+    return tabs
+
+
 def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
     """kappa_p: X_p -> X_1^p by restricting to the edges {j-1, j}.
 
-    Edge j is extracted by deleting the other vertices in decreasing order.
+    Edge j is the back 1-face of the front j-face, cut as Alexander-Whitney cuts.
     """
     if p < 1 or p >= len(X.sizes):
         raise ValueError("segal map needs 1 <= p <= top listed level")
-    out = []
-    for s in range(X.sizes[p]):
-        comps = []
-        for j in range(1, p + 1):
-            cur = s
-            lvl = p
-            for v in range(p, -1, -1):
-                if v != j - 1 and v != j:
-                    cur = X.face(lvl, v, cur)
-                    lvl -= 1
-            comps.append(cur)
-        out.append(tuple(comps))
-    return out
+    front = _restriction_tables(X, p, lambda n, k: n)[p]
+    back = _restriction_tables(X, p, lambda n, k: n - k - 1)
+    edges = [[back[j][1][t] for t in front[j]] for j in range(1, p + 1)]
+    return list(zip(*edges))
 
 
 @dataclass(frozen=True)

@@ -521,7 +521,7 @@ def _induced_is_onto(cols, tgt_co) -> bool:
     entries = []
     c = 0
     for col in cols:
-        entries.extend((r, c, v) for r, v in enumerate(col) if v)
+        entries.extend((r, c, v) for r, v in enumerate(col))
         c += 1
     for r, i in enumerate(tgt_co.positions):
         if tgt_co.orders[i]:

@@ -356,3 +356,83 @@ def test_smith_forms_are_pinned(monkeypatch):
     assert len(lines) == 54
     got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert got == "ddddf80223ee0bf67463cd59a4e0d4413921bc7097bc345c083d945308f2fdc1"
+
+
+def stores_no_zero(m):
+    """No stored row is empty and no stored entry is zero."""
+    return all(row and all(row.values()) for row in m.data.values())
+
+
+def cancelling_entries(rng, rows, cols):
+    """Seeded entries: some are zero, about half are followed by their
+    negative, and every position of row 0 also gets a 2 and a -2."""
+    entries = []
+    for _ in range(rows * cols):
+        r, c, v = rng.randrange(rows), rng.randrange(cols), rng.randint(-3, 3)
+        entries.append((r, c, v))
+        if rng.random() < 0.5:
+            entries.append((r, c, -v))
+    if rows:
+        entries += [(0, c, k) for c in range(cols) for k in (2, -2)]
+    rng.shuffle(entries)
+    return entries
+
+
+def dense_of(rows, cols, entries):
+    out = [[0] * cols for _ in range(rows)]
+    for r, c, v in entries:
+        out[r][c] += v
+    return out
+
+
+def test_constructor_is_the_only_zero_filter():
+    """Every builder and every operation hands its raw sums to the constructor,
+    which drops the zero entries and the empty rows; the results still equal
+    a dense oracle."""
+    rng = random.Random(1905)
+    for _ in range(60):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        ea, eb = cancelling_entries(rng, n, k), cancelling_entries(rng, k, m)
+        a, b = SparseIntMatrix.from_entries(n, k, ea), SparseIntMatrix.from_entries(k, m, eb)
+        da, db = dense_of(n, k, ea), dense_of(k, m, eb)
+        # a row that is the sum of two others makes a sign-alternating row of
+        # the left factor cancel in the product
+        if n and k >= 3:
+            db[2] = [x + y for x, y in zip(db[0], db[1])]
+            b = SparseIntMatrix.from_dense(db, m)
+            da[0][:3] = [1, 1, -1]
+            a = SparseIntMatrix.from_dense(da, k)
+        c = SparseIntMatrix.from_entries(n, k, [(r, j, -v) for r, j, v in ea[::2]])
+        dc = dense_of(n, k, [(r, j, -v) for r, j, v in ea[::2]])
+        results = [
+            (a, da),
+            (b, db),
+            (a.mul(b), dense_mul(da, db) if k else [[0] * m for _ in range(n)]),
+            (a.add(c), [[x + y for x, y in zip(p, q)] for p, q in zip(da, dc)]),
+            (a.add(a.scale(-1)), [[0] * k for _ in range(n)]),
+            (a.sub(a), [[0] * k for _ in range(n)]),
+            (a.scale(0), [[0] * k for _ in range(n)]),
+            (a.scale(-2), [[-2 * x for x in row] for row in da]),
+            (a.transpose(), [list(col) for col in zip(*da)] if n else [[] for _ in range(k)]),
+            (SparseIntMatrix.block({(0, 0): a, (1, 1): a.scale(0), (1, 0): c}, [n, n], [k, k]),
+             [p + [0] * k for p in da] + [q + [0] * k for q in dc]),
+        ]
+        for got, want in results:
+            assert stores_no_zero(got), got.data
+            assert got.to_dense() == want
+    assert SparseIntMatrix.from_dense([[0, 0], [0, 3]]).data == {1: {1: 3}}
+
+
+def test_constructor_range_checks_are_pinned():
+    with pytest.raises(ValueError, match=r"^row index 2 out of range$"):
+        SparseIntMatrix(2, 3, {2: {0: 1}})
+    with pytest.raises(ValueError, match=r"^row index -1 out of range$"):
+        SparseIntMatrix.from_entries(2, 3, [(-1, 0, 5)])
+    with pytest.raises(ValueError, match=r"^col index 3 out of range$"):
+        SparseIntMatrix(2, 3, {0: {1: 1, 3: 1}})
+    with pytest.raises(ValueError, match=r"^col index -4 out of range$"):
+        SparseIntMatrix.from_entries(2, 3, [(1, -4, 1)])
+    # a zero entry is dropped before its position is checked
+    assert SparseIntMatrix(2, 3, {7: {0: 0}, 0: {9: 0, 1: 4}}).data == {0: {1: 4}}
+    assert SparseIntMatrix.from_entries(2, 3, [(5, 0, 1), (5, 0, -1), (0, 8, 0)]).is_zero()
+    assert SparseIntMatrix.from_dense([[1, 0, 0]], 1).data == {0: {0: 1}}

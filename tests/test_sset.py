@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import dataclasses
 
@@ -10,6 +11,8 @@ from ssethom.cat import (
     FinMonoid,
     NatTransData,
     identity_functor,
+    monoid_as_category,
+    nerve,
     regular_action,
     validate_action,
     validate_category,
@@ -313,6 +316,65 @@ def test_segal_on_standard_simplex():
     subs = list(itertools.combinations(range(3), 2))
     assert subs[e1] == (0, 1)
     assert subs[e2] == (1, 2)
+
+
+def segal_walk(X, p):
+    """Reference: edge j of each p-simplex, deleting the other vertices one at
+    a time in decreasing order."""
+    out = []
+    for s in range(X.sizes[p]):
+        comps = []
+        for j in range(1, p + 1):
+            cur = s
+            lvl = p
+            for v in range(p, -1, -1):
+                if v != j - 1 and v != j:
+                    cur = X.face(lvl, v, cur)
+                    lvl -= 1
+            comps.append(cur)
+        out.append(tuple(comps))
+    return out
+
+
+SEGAL_CATEGORIES = {**fx.nonunital_category_corpus(),
+                    "C3": monoid_as_category(fx.cyclic_group_monoid(3))}
+
+
+@pytest.mark.parametrize("name", sorted(SEGAL_CATEGORIES))
+def test_segal_map_of_a_nerve_lists_the_arrows_of_each_chain(name):
+    nd = nerve(SEGAL_CATEGORIES[name], 4)
+    for p in range(1, 5):
+        want = [tuple(nd.index[1][(f,)] for f in chain) for chain in nd.chains[p]]
+        assert segal_map(nd.sset, p) == want, p
+
+
+def test_segal_map_of_the_standard_simplex_takes_consecutive_vertices():
+    X = standard_semi_simplex(4)
+    edges = list(itertools.combinations(range(5), 2))
+    for p in range(1, 5):
+        want = [tuple(edges.index(t[j - 1:j + 1]) for j in range(1, p + 1))
+                for t in itertools.combinations(range(5), p + 1)]
+        assert segal_map(X, p) == want, p
+    assert [edges[e] for e in segal_map(X, 4)[0]] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_segal_map_matches_the_vertex_walk_on_random_tables():
+    """Seeded face tables, valid and invalid (entries in range, identities
+    not checked), against the walk that deletes vertices one at a time."""
+    rng = random.Random(404)
+    cases = invalid = 0
+    for seed in range(120):
+        Xs = [fx.random_semi_simplicial(seed, dim=4, cap=4)]
+        sizes = [rng.randint(1, 4) for _ in range(6)]
+        Xs.append(SemiSimplicialSet(tuple(sizes), ((),) + tuple(
+            tuple(tuple(rng.randrange(sizes[p - 1]) for _ in range(sizes[p]))
+                  for _ in range(p + 1)) for p in range(1, 6))))
+        for X in Xs:
+            invalid += not validate_sset(X).ok
+            for p in range(1, len(X.sizes)):
+                assert segal_map(X, p) == segal_walk(X, p), (seed, p)
+                cases += 1
+    assert cases == 1080 and invalid >= 100
 
 
 # -- degeneracy words --------------------------------------------------------
