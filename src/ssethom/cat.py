@@ -36,7 +36,6 @@ from .sset import (
     listed_bisset,
     listed_sset,
     path_space,
-    path_space_augmentation,
 )
 
 
@@ -431,7 +430,6 @@ def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:
         raise ValueError("need at least nerve level 1")
     nd = nerve(C, N)
     px = path_space(nd.sset)
-    aug_size, aug = path_space_augmentation(nd.sset)
     h0 = tuple(nd.index[1][(C.units[c],)] for c in range(C.n_objects))
     up = []
     for p in range(N - 1):
@@ -440,7 +438,7 @@ def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:
             longer = chain + (C.units[C.tgt[chain[-1]]],)
             table.append(nd.index[p + 2][longer])
         up.append(tuple(table))
-    return ExtraDegeneracy(px, aug_size, aug, h0, tuple(up))
+    return ExtraDegeneracy(px, nd.sset.sizes[0], nd.sset.faces[1][0], h0, tuple(up))
 
 
 # -- unitalization and slice categories ------------------------------------------
@@ -455,13 +453,6 @@ def unitalize(C: FinNonUnitalCategory) -> FinNonUnitalCategory:
     return listed_category(objects, range(m + C.n_objects), lambda f: (src[f], tgt[f]),
                            lambda f, g: g if f >= m else f if g >= m else C.comp[(f, g)],
                            lambda c: m + c)[0]
-
-
-def nerve_unitalize_inclusion(C: FinNonUnitalCategory, N: int) -> SSetMap:
-    """The nerve of the inclusion C -> unitalize(C)."""
-    plus = unitalize(C)
-    F = FunctorData(C, plus, tuple(range(C.n_objects)), tuple(range(C.n_morphisms)))
-    return nerve_map(F, N)
 
 
 def over_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
@@ -563,25 +554,20 @@ def comma_resolution(F: FunctorData, N: int, dual: bool = False) -> CommaResolut
     return CommaResolution(F, dual, bisset, eps, eta, elements, index, cn, dn)
 
 
-def resolution_row(res: CommaResolution, p: int) -> SemiSimplicialSet:
-    """The fixed-p row as a semi-simplicial set in the q direction: its face
-    tables are the row's vertical ones."""
-    B = res.bisset
-    return SemiSimplicialSet(tuple(B.sizes[p]), B.dv[p], truncated_at=B.q_levels - 1)
-
-
 def row_contraction(res: CommaResolution, p: int) -> ExtraDegeneracy:
     """Extra degeneracy of a row of the dual resolution over the source
     nerve, appending the unit of the anchor object (needs a unital target
-    category)."""
+    category).  The row is the fixed-p semi-simplicial set in the q
+    direction, built from the bisset's sizes[p] and vertical faces dv[p]."""
     F = res.functor
     C, D = F.source, F.target
     if not res.dual:
         raise ValueError("row contraction needs the dual resolution")
     if D.units is None:
         raise ValueError("row contraction needs a unital target")
-    N = res.bisset.q_levels - 1
-    row = resolution_row(res, p)
+    B = res.bisset
+    N = B.q_levels - 1
+    row = SemiSimplicialSet(tuple(B.sizes[p]), B.dv[p], truncated_at=N)
 
     def unit_of(a_idx):
         return D.units[F.obj_map[chain_object(C, res.c_nerve.chains[p][a_idx], 0)]]

@@ -289,7 +289,7 @@ def _cmd_specseq(args) -> int:
         raise UsageError("spectral sequences need field coefficients; "
                          "pass --coeff q or --coeff f<p>")
     D = bicomplex(B)
-    pages = spectral_sequence(D, ring, orientation=args.orientation, R=args.max_page)
+    pages = spectral_sequence(D, ring, orientation=args.orientation)
     conv = check_convergence(pages, total_complex(D), ring)
     doc = {
         "command": "specseq",
@@ -611,8 +611,6 @@ def _parser() -> argparse.ArgumentParser:
              "convergence tally.", "bisset document")
     sp.add_argument("--coeff", required=True, help="q or f<p> (a field)")
     sp.add_argument("--orientation", choices=("cols", "rows"), default="cols")
-    sp.add_argument("--max-page", type=_nonneg_int, default=12,
-                    help="stop after page r=N (default 12)")
 
     sp = cmd("group-complete", _cmd_group_complete,
              "Grothendieck group of a commutative (or group) monoid, with the "

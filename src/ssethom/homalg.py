@@ -658,19 +658,15 @@ def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
                                from_cycle.mul(t.V_inv.transpose()), orders, positions)
 
 
-def induced_map_on_homology(f: ChainMap, k: int,
-                            src_coords: HomologyCoordinates | None = None,
-                            tgt_coords: HomologyCoordinates | None = None):
-    """Matrix of H_k(f) in canonical coordinates (columns over src positions)."""
-    if src_coords is None:
-        src_coords = homology_coordinates(f.source, k)
-    if tgt_coords is None:
-        tgt_coords = homology_coordinates(f.target, k)
+def induced_map_on_homology(f: ChainMap, k: int, src_coords: HomologyCoordinates,
+                            tgt_coords: HomologyCoordinates) -> list[tuple[int, ...]]:
+    """Matrix of H_k(f) from the caller's coordinates on H_k of f's source
+    and target: one column per source position."""
     cols = []
     for pos in range(len(src_coords.positions)):
         v = src_coords.representative(pos)
         cols.append(tgt_coords.project(f.mats[k].apply(v)))
-    return cols, src_coords, tgt_coords
+    return cols
 
 
 # -- chain homotopies ------------------------------------------------------------

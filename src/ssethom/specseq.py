@@ -283,9 +283,9 @@ def _field_prime(ring: str) -> int | None:
     return ring_prime(ring)
 
 
-def spectral_sequence(D: DoubleComplex, ring: str, orientation: str = "cols",
-                      R: int = 12) -> list[SSPage]:
-    """Pages E^0 .. E^stable (or E^R, whichever comes first) over the field ``ring``."""
+def spectral_sequence(D: DoubleComplex, ring: str, orientation: str = "cols") -> list[SSPage]:
+    """Pages E^0 .. E^stable over the field ``ring``; from the stable page on,
+    every differential leaves the grid."""
     if orientation not in ("cols", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
     work = transpose_double_complex(D) if orientation == "rows" else D
@@ -294,11 +294,9 @@ def spectral_sequence(D: DoubleComplex, ring: str, orientation: str = "cols",
 
     pages = []
     reps: dict = {}
-    for r in range(R + 1):
+    for r in range(stable + 1):
         page, reps = _page(filt, r, orientation, reps)
         pages.append(page)
-        if r >= stable:
-            break
     return pages
 
 

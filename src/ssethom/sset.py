@@ -162,9 +162,6 @@ class SSetMap:
     target: SemiSimplicialSet
     tables: tuple[tuple[int, ...], ...]
 
-    def apply(self, p: int, s: int) -> int:
-        return self.tables[p][s]
-
 
 def check_sset_map(f: SSetMap) -> ValidationReport:
     src, tgt = f.source, f.target
@@ -396,11 +393,6 @@ def path_space(X: SemiSimplicialSet) -> SemiSimplicialSet:
     return SemiSimplicialSet(sizes, tuple(faces), truncated_at=trunc)
 
 
-def path_space_augmentation(X: SemiSimplicialSet) -> tuple[int, tuple[int, ...]]:
-    """The augmentation PX_0 = X_1 -> X_0 given by d_0 (the dropped face end)."""
-    return X.sizes[0], X.faces[1][0]
-
-
 def _restriction_tables(X: SemiSimplicialSet, top: int, face) -> list:
     """tabs[n][k][s]: simplex s of X_n cut down to a k-simplex one vertex at a
     time, deleting vertex face(n, k) of the n-simplex first; tabs[n][n] is the
@@ -423,32 +415,6 @@ def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
     back = _restriction_tables(X, p, lambda n, k: n - k - 1)
     edges = [[back[j][1][t] for t in front[j]] for j in range(1, p + 1)]
     return list(zip(*edges))
-
-
-@dataclass(frozen=True)
-class SegalReport:
-    source_size: int
-    product_size: int
-    injective: bool
-
-    @property
-    def bijective_onto_product(self) -> bool:
-        return self.injective and self.source_size == self.product_size
-
-
-def check_segal(X: SemiSimplicialSet, p: int) -> SegalReport:
-    """How far kappa_p is from a bijection onto the edge tuples X_1^p.
-
-    The image always consists of composable tuples (d_0 e_j = d_1 e_{j+1}),
-    so X_1^p is the right target only where every tuple composes, as in the
-    one-vertex nerve of a monoid that check_segal_nerve reads.
-    """
-    kappa = segal_map(X, p)
-    return SegalReport(
-        source_size=X.sizes[p],
-        product_size=X.sizes[1] ** p,
-        injective=len(set(kappa)) == len(kappa),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +583,6 @@ class Enumeration:
     refs: tuple[tuple[SimplexRef, ...], ...]
     index: tuple[dict, ...] = field(repr=False)
 
-    def locate(self, p: int, ref: SimplexRef) -> int:
-        return self.index[p][ref]
-
 
 def enumerate_simplicial(Y: SimplicialSet, n: int) -> Enumeration:
     if Y.truncated_at is not None and n > Y.truncated_at:
@@ -642,15 +605,16 @@ def free_degeneracies(X: SemiSimplicialSet) -> SimplicialSet:
 def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
     """X -> (underlying semi-simplicial set of the free simplicial set on X).
 
-    Each simplex goes to itself as a generator (empty word).  The source is X
-    itself, which may list fewer levels than the enumeration through n.
+    Each simplex goes to itself as a generator (empty word), read off the
+    enumeration's ``index``.  The source is X itself, which may list fewer
+    levels than the enumeration through n.
     """
     if len(X.sizes) - 1 > n:
         raise ValueError("enumerate at least through the top listed level of X")
     if X.truncated_at is not None and X.truncated_at != n:
         raise ValueError("a truncated X must be enumerated exactly at its truncation level")
     enum = enumerate_simplicial(free_degeneracies(X), n)
-    tables = tuple(tuple(enum.locate(p, SimplexRef((), p, s)) for s in range(size))
+    tables = tuple(tuple(enum.index[p][SimplexRef((), p, s)] for s in range(size))
                    for p, size in enumerate(X.sizes))
     return SSetMap(X, enum.sset, tables), enum
 
@@ -671,14 +635,6 @@ def monotone_to_simplex_ref(n: int, vals: tuple[int, ...]) -> SimplexRef:
     word, image = factor_monotone(vals)
     subs = _vertex_subsets(n, len(image) - 1)
     return SimplexRef(word, len(image) - 1, subs.index(tuple(image)))
-
-
-# -- simplicial products -----------------------------------------------------
-
-
-def interior_product(X: SimplicialSet, Y: SimplicialSet, n: int) -> SemiSimplicialSet:
-    """Levelwise product through level n, as a semi-simplicial set."""
-    return levelwise_product(enumerate_simplicial(X, n).sset, enumerate_simplicial(Y, n).sset)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,8 @@ from ssethom.cat import (
     nerve,
     nerve_map,
     nerve_path_contraction,
-    nerve_unitalize_inclusion,
     over_category,
     regular_action,
-    resolution_row,
     row_contraction,
     trivial_action,
     unitalize,
@@ -199,8 +197,8 @@ def test_unitalize_composable_pair():
     assert plus.n_morphisms == 6
     assert plus.units == (3, 4, 5)
     assert nerve(plus, 2).sset.sizes == (3, 6, 10)
-    f = nerve_unitalize_inclusion(C, 2)
-    assert check_sset_map(f).ok
+    inclusion = FunctorData(C, plus, tuple(range(C.n_objects)), tuple(range(C.n_morphisms)))
+    assert check_sset_map(nerve_map(inclusion, 2)).ok
 
 
 def test_unitalize_always_adds_fresh_units():
@@ -291,9 +289,9 @@ def test_dual_row_contractions_certify():
 
 
 def test_row_is_a_valid_sset():
-    res = comma_resolution(point_into_interval(), 3)
+    res = comma_resolution(point_into_interval(), 3, dual=True)
     for p in range(4):
-        assert validate_sset(resolution_row(res, p)).ok
+        assert validate_sset(row_contraction(res, p).space).ok
 
 
 def test_eta_fibers_of_identity_resolution():
@@ -575,6 +573,27 @@ def test_bar_extra_degeneracy_contracts(M):
     assert check_chain_homotopy(h).ok
     ok, failures = acyclic_through(h.source, 3)
     assert ok, failures
+
+
+HOMOTOPIES = {
+    "bar": lambda: bar_extra_degeneracy(cyclic_group_monoid(2), 3),
+    "prism": lambda: nat_trans_homotopy(NatTransData(
+        identity_functor(poset_category(1)),
+        FunctorData(poset_category(1), poset_category(1), (1, 1), (2, 2, 2)), (1, 2)), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOMOTOPIES))
+def test_scaled_homotopy_matrix_is_refused(kind):
+    # P_k enters dP + Pd in degrees k and k + 1, so doubling it breaks both
+    h = chain_homotopy_from_certificate(HOMOTOPIES[kind]())
+    assert check_chain_homotopy(h).ok
+    for k in range(len(h.P)):
+        P = h.P[:k] + (h.P[k].scale(2),) + h.P[k + 1:]
+        rep = check_chain_homotopy(dataclasses.replace(h, P=P))
+        assert not rep.ok
+        assert rep.problems == tuple(f"dP + Pd != to - from in degree {j}"
+                                     for j in (k, k + 1) if j <= h.through)
 
 
 def test_grothendieck_groups():

@@ -10,7 +10,8 @@ import pytest
 from ssethom import cli, formats
 from ssethom.cat import (FinMonoid, FinNonUnitalCategory, FunctorData, NatTransData,
                          validate_category)
-from ssethom.sset import BiSemiSimplicialSet, SemiSimplicialSet, validate_bisset, validate_sset
+from ssethom.sset import (BiSemiSimplicialSet, SemiSimplicialSet, constant_sset, exterior_product,
+                          validate_bisset, validate_sset)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -333,6 +334,16 @@ def test_specseq_interval_square_collapses(capsys):
     assert code == 0
     assert doc["convergence"]["degrees"][0] == [0, 1, 1]
     assert all(total == dim for _, total, dim in doc["convergence"]["degrees"])
+
+
+def test_specseq_runs_to_a_stable_page_past_twelve(capsys, tmp_path):
+    # 14 x 14 levels: the stable page is r = 14
+    path = str(tmp_path / "b13.bis.json")
+    formats.write_document(path, exterior_product(constant_sset(1, 13), constant_sset(1, 13)))
+    code, doc, err = run_json(capsys, "specseq", path, "--coeff", "q")
+    assert code == 0
+    assert [page["r"] for page in doc["pages"]] == list(range(15))
+    assert doc["convergence"]["ok"] is True
 
 
 def test_specseq_needs_a_field(capsys):
@@ -903,7 +914,6 @@ def test_functor_is_invalid_when_its_categories_are(capsys, tmp_path):
     ("check", "skeletal-shadow", fixture("sphere2.ss.json"), "--cutoff", "2", "--degree", "-1"),
     ("over", fixture("poset2.cat.json"), "--object", "-1"),
     ("check", "constant", "--size", "-1", "--cutoff", "2"),
-    ("specseq", fixture("torus.bis.json"), "--coeff", "q", "--max-page", "-1"),
 ], ids=lambda argv: argv[0] + (" " + argv[1] if argv[0] == "check" else ""))
 def test_negative_levels_rejected_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:

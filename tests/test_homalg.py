@@ -16,8 +16,9 @@ from ssethom.cat import (
     comma_resolution,
     monoid_as_category,
     nerve,
-    nerve_unitalize_inclusion,
+    nerve_map,
     trivial_action,
+    unitalize,
 )
 from ssethom.fixtures import (
     cyclic_group_monoid,
@@ -388,14 +389,19 @@ def _scaled_identity(X, k):
     return ChainMap(C, C, tuple(SparseIntMatrix.identity(n).scale(k) for n in C.dims))
 
 
+def _unitalize_inclusion(C, N):
+    """The nerve of the inclusion C -> unitalize(C), as check_krannich builds it."""
+    F = FunctorData(C, unitalize(C), tuple(range(C.n_objects)), tuple(range(C.n_morphisms)))
+    return nerve_map(F, N)
+
+
 CONE_MAPS = {
     "identity": lambda: _scaled_identity(boundary_semi_simplex(3), 1),
     "times-two": lambda: _scaled_identity(boundary_semi_simplex(3), 2),
     "skeleton": lambda: chain_map_from_sset_map(skeleton_inclusion(standard_semi_simplex(2), 1)),
     "alexander-whitney": lambda: alexander_whitney(
         boundary_semi_simplex(2), boundary_semi_simplex(2))[0],
-    "unitalize": lambda: chain_map_from_sset_map(
-        nerve_unitalize_inclusion(idempotent_category(), 3)),
+    "unitalize": lambda: chain_map_from_sset_map(_unitalize_inclusion(idempotent_category(), 3)),
 }
 
 
@@ -821,8 +827,8 @@ def test_homology_coordinates_torsion():
 def test_induced_identity_map():
     C = unnormalized_chains(boundary_semi_simplex(2))
     ident = ChainMap(C, C, tuple(SparseIntMatrix.identity(n) for n in C.dims))
-    cols, src, tgt = induced_map_on_homology(ident, 1)
-    assert cols == [(1,)]
+    hc = homology_coordinates(C, 1)
+    assert induced_map_on_homology(ident, 1, hc, hc) == [(1,)]
 
 
 def assert_coordinates_are_exact(C, seed=0):

@@ -168,6 +168,9 @@ TEST_ONLY = {
     "simplex_ref_to_monotone": "oracle: simplices of the simplicial n-simplex as monotone maps",
     "monotone_to_simplex_ref": "the inverse of simplex_ref_to_monotone, for the same oracle",
     "insert_letter": "helper of the degeneracy-word rewrite oracle",
+    "word_to_surjection": "the surjection of a degeneracy word, for simplex_ref_to_monotone",
+    "surjection_to_word": "the inverse of word_to_surjection, for factor_monotone",
+    "factor_monotone": "splits a monotone map into word and image, for monotone_to_simplex_ref",
     "FPAbelianGroup.order": "counts group elements for the group-order oracles",
     "ChainComplex.euler_characteristic": "oracle against the Euler characteristic of a space",
     "SparseIntMatrix.from_dense": "builds the dense test matrices the reference SNF reads",
@@ -197,26 +200,31 @@ def owned_references(tree) -> list[tuple[str | None, set[str], set[str]]]:
 
 def publics_only_tests_call(package: dict[str, str], program: dict[str, str]) -> list[str]:
     """The public functions and methods of each ``package`` module that no
-    ``program`` source reads, calls or imports outside their own body.  Both
-    map a path to its source, and the package modules are program modules."""
+    ``program`` source reads, calls or imports outside their own body and
+    the bodies of the others found: a reference from test-only code is a
+    test reference.  Both map a path to its source, and the package modules
+    are program modules."""
     owned = [(path, owner, names, attrs) for path, source in program.items()
              for owner, names, attrs in owned_references(ast.parse(source))]
-
-    def called(path, owner, name, as_name):
-        return any(name in attrs or (as_name and name in names)
-                   for p, o, names, attrs in owned if (p, o) != (path, owner))
-
-    found = []
+    publics = []
     for path, source in package.items():
         for node in ast.parse(source).body:
-            if isinstance(node, FUNCTIONS) and not node.name.startswith("_") \
-                    and not called(path, node.name, node.name, True):
-                found.append(node.name)
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+                publics.append((path, node.name, node.name, True))
             if isinstance(node, ast.ClassDef):
-                found += [f"{node.name}.{m.name}" for m in node.body
-                          if isinstance(m, FUNCTIONS) and not m.name.startswith("_")
-                          and not called(path, f"{node.name}.{m.name}", m.name, False)]
-    return found
+                publics += [(path, f"{node.name}.{m.name}", m.name, False) for m in node.body
+                            if isinstance(m, FUNCTIONS) and not m.name.startswith("_")]
+
+    def called(path, owner, name, as_name, found):
+        return any(name in attrs or (as_name and name in names) for p, o, names, attrs in owned
+                   if (p, o) != (path, owner) and (p, o) not in found)
+
+    found, grown = None, set()
+    while found != grown:
+        found = grown
+        grown = {(path, owner) for path, owner, name, as_name in publics
+                 if not called(path, owner, name, as_name, found)}
+    return [owner for path, owner, _, _ in publics if (path, owner) in found]
 
 
 def test_public_names_only_tests_call_are_named_oracles():
@@ -226,6 +234,8 @@ def test_public_names_only_tests_call_are_named_oracles():
 
 
 def test_test_only_public_is_caught():
+    # oracle is test-only, so inner and Box.shrink, which only it calls, are
+    # too, and so is innermost, which only inner calls
     module = ("def called():\n"
               "    return Box().size() + helper()\n"
               "def helper():\n"
@@ -235,13 +245,21 @@ def test_test_only_public_is_caught():
               "class Box:\n"
               "    def size(self):\n"
               "        return 0\n"
+              "    def shrink(self):\n"
+              "        return 1\n"
               "    def grow(self):\n"
               "        return self.grow()\n"
               "def _private():\n"
+              "    return 0\n"
+              "def oracle():\n"
+              "    return inner() + Box().shrink()\n"
+              "def inner():\n"
+              "    return innermost()\n"
+              "def innermost():\n"
               "    return 0\n")
     user = "from m import called\ncalled()\n"
     assert publics_only_tests_call({"m.py": module}, {"m.py": module, "run.py": user}) == [
-        "recursive", "Box.grow"]
+        "recursive", "Box.shrink", "Box.grow", "oracle", "inner", "innermost"]
 
 
 def route_users(sources: dict[str, str], route: str) -> list[str]:

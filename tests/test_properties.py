@@ -113,7 +113,7 @@ def test_adjunction_triangle_identities():
         f, en = unit_map(X, level)
         for p in range(min(level, len(X.sizes) - 1) + 1):
             for s in range(X.sizes[p]):
-                assert en.refs[p][f.apply(p, s)] == SimplexRef((), p, s)
+                assert en.refs[p][f.tables[p][s]] == SimplexRef((), p, s)
 
 
 def _complex_zoo():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from ssethom.specseq import (
 )
 from ssethom.sset import (
     boundary_semi_simplex,
+    constant_sset,
     exterior_product,
     standard_semi_simplex,
 )
@@ -117,6 +119,36 @@ def test_torus_convergence_is_one_two_one():
     assert report.ok
     assert [dim_h for (_, _, dim_h) in report.degrees] == [1, 2, 1]
     assert [total for (_, total, _) in report.degrees] == [1, 2, 1]
+
+
+# -- the convergence tally names each of its problems ------------------------------
+
+
+def test_convergence_names_pages_cut_before_the_stable_page():
+    D = bicomplex(exterior_product(constant_sset(1, 2), constant_sset(1, 2)))
+    pages = spectral_sequence(D, "Q")
+    assert [page.r for page in pages] == [0, 1, 2, 3]
+    report = check_convergence(pages[:-1], total_complex(D), "Q")
+    assert not report.ok
+    assert report.problems == ("pages stop at r=2, before the stable page r=3",)
+
+
+def test_convergence_names_a_differential_left_on_the_last_page():
+    D = torus()
+    pages = spectral_sequence(D, "Q")
+    last = dataclasses.replace(pages[-1], diff={(1, 0): ((Fraction(1),),)})
+    report = check_convergence(pages[:-1] + [last], total_complex(D), "Q")
+    assert not report.ok
+    assert report.problems == ("the last page still carries a nonzero differential",)
+
+
+def test_convergence_names_a_degree_whose_total_disagrees():
+    D = torus()
+    pages = spectral_sequence(D, "Q")
+    last = dataclasses.replace(pages[-1], dims={**pages[-1].dims, (0, 1): 2})
+    report = check_convergence(pages[:-1] + [last], total_complex(D), "Q")
+    assert not report.ok
+    assert report.problems == ("degree 1: E-infinity total 3 != dim H 2",)
 
 
 # -- d1 against the column-wise induced maps -------------------------------------

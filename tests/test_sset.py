@@ -29,7 +29,6 @@ from ssethom.sset import (
     SSetMap,
     boundary_semi_simplex,
     check_certificate,
-    check_segal,
     check_sset_map,
     constant_sset,
     diagonal,
@@ -40,14 +39,12 @@ from ssethom.sset import (
     free_degeneracies,
     identity_map,
     insert_letter,
-    interior_product,
     is_canonical_word,
     iter_simplices,
     levelwise_product,
     monotone_to_simplex_ref,
     normalize_face,
     path_space,
-    path_space_augmentation,
     segal_map,
     simplex_ref_to_monotone,
     skeleton,
@@ -280,7 +277,7 @@ def test_levelwise_product_is_the_diagonal_of_the_exterior_product(X, Y):
 
 def test_interior_product_of_intervals_is_a_square():
     d1 = standard_simplicial_simplex(1)
-    sq = interior_product(d1, d1, 3)
+    sq = levelwise_product(enumerate_simplicial(d1, 3).sset, enumerate_simplicial(d1, 3).sset)
     assert validate_sset(sq).ok
     # level p counts monotone-map pairs: (p+2)^2
     assert sq.sizes == tuple((p + 2) ** 2 for p in range(4))
@@ -294,9 +291,6 @@ def test_path_space_shifts():
     p = path_space(s)
     assert validate_sset(p).ok
     assert p.sizes == (3, 1)
-    aug_size, aug = path_space_augmentation(s)
-    assert aug_size == 3
-    assert len(aug) == 3
 
 
 def test_path_space_rejects_low_truncation():
@@ -306,12 +300,9 @@ def test_path_space_rejects_low_truncation():
 
 def test_segal_on_standard_simplex():
     s = standard_semi_simplex(2)
-    rep = check_segal(s, 2)
-    assert rep.source_size == 1
-    assert rep.product_size == 9
-    assert rep.injective
-    assert not rep.bijective_onto_product
-    # kappa_2 of the top cell picks out the two short edges
+    # kappa_2 of the top cell picks out the two short edges: injective, but
+    # one simplex cannot cover the 3^2 edge tuples
+    assert s.sizes[2] == 1 and s.sizes[1] ** 2 == 9
     [(e1, e2)] = segal_map(s, 2)
     subs = list(itertools.combinations(range(3), 2))
     assert subs[e1] == (0, 1)
