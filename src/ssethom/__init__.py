@@ -10,7 +10,7 @@ ones that show up in nearly every session.
 """
 
 from . import cat, fixtures, formats, homalg, snf, specseq, sset, theorems
-from .cat import FinMonoid, FinNonUnitalCategory, FunctorData, NatTransData, nerve
+from .cat import FinMonoid, FinNonUnitalCategory, FunctorData, MonoidPresentation, NatTransData, nerve
 from .homalg import (
     ChainComplex,
     FPAbelianGroup,
@@ -31,6 +31,7 @@ __all__ = [
     "FinMonoid",
     "FinNonUnitalCategory",
     "FunctorData",
+    "MonoidPresentation",
     "NatTransData",
     "SemiSimplicialSet",
     "SimplicialSet",

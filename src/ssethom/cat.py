@@ -194,68 +194,64 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
 
 @dataclass(frozen=True)
 class FinMonoid:
-    """Either a full multiplication table with a unit, or a commutative
-    presentation by generators and relation pairs of exponent vectors."""
+    """A full multiplication table with the index of its unit."""
 
-    table: tuple[tuple[int, ...], ...] | None = None
-    unit: int | None = None
-    gens: int | None = None
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
-
-    @property
-    def is_table(self) -> bool:
-        return self.table is not None
+    table: tuple[tuple[int, ...], ...]
+    unit: int
 
     @property
     def size(self) -> int:
-        if self.table is None:
-            raise ValueError("presentation-form monoid has no element list")
         return len(self.table)
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
 
 
+@dataclass(frozen=True)
+class MonoidPresentation:
+    """A commutative monoid presented by generators and relation pairs of
+    exponent vectors."""
+
+    gens: int
+    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+
+
 def validate_monoid(M: FinMonoid) -> ValidationReport:
-    problems: list[str] = []
-    if M.is_table:
-        if M.gens is not None or M.relations:
-            return ValidationReport(False, ("a monoid is a table or a presentation, not both",))
-        n = len(M.table)
-        problems = [m for a, row in enumerate(M.table)
-                    for m in _table_problems(f"row {a}", row, n, n)]
-        if problems:
-            return ValidationReport(False, tuple(problems[:20]))
-        if M.unit is None or not (0 <= M.unit < n):
-            return ValidationReport(False, ("table form needs a unit index",))
-        e, t = M.unit, M.table
-        triples = list(itertools.product(range(n), repeat=3))
-        problems = _identity_problems((
-            ([(t[e][a], t[a][e]) for a in range(n)], [(a, a) for a in range(n)],
-             "unit law fails at element {s}".format),
-            ([t[t[a][b]][c] for a, b, c in triples], [t[a][t[b][c]] for a, b, c in triples],
-             _at(triples, "associativity fails at ({},{},{})"))), 20)
-    else:
-        if M.gens is None or M.gens < 0:
-            return ValidationReport(False, ("presentation form needs a generator count",))
-        for i, (lhs, rhs) in enumerate(M.relations):
-            if len(lhs) != M.gens or len(rhs) != M.gens:
-                problems.append(f"relation {i} has wrong arity")
-            elif any(v < 0 for v in lhs + rhs):
-                problems.append(f"relation {i} has a negative exponent")
+    n = len(M.table)
+    problems = [m for a, row in enumerate(M.table)
+                for m in _table_problems(f"row {a}", row, n, n)]
+    if problems:
+        return ValidationReport(False, tuple(problems[:20]))
+    if not (0 <= M.unit < n):
+        return ValidationReport(False, ("table form needs a unit index",))
+    e, t = M.unit, M.table
+    triples = list(itertools.product(range(n), repeat=3))
+    problems = _identity_problems((
+        ([(t[e][a], t[a][e]) for a in range(n)], [(a, a) for a in range(n)],
+         "unit law fails at element {s}".format),
+        ([t[t[a][b]][c] for a, b, c in triples], [t[a][t[b][c]] for a, b, c in triples],
+         _at(triples, "associativity fails at ({},{},{})"))), 20)
+    return ValidationReport(not problems, tuple(problems))
+
+
+def validate_presentation(P: MonoidPresentation) -> ValidationReport:
+    if P.gens < 0:
+        return ValidationReport(False, ("presentation form needs a generator count",))
+    problems = []
+    for i, (lhs, rhs) in enumerate(P.relations):
+        if len(lhs) != P.gens or len(rhs) != P.gens:
+            problems.append(f"relation {i} has wrong arity")
+        elif any(v < 0 for v in lhs + rhs):
+            problems.append(f"relation {i} has a negative exponent")
     return ValidationReport(not problems, tuple(problems[:20]))
 
 
 def is_commutative_monoid(M: FinMonoid) -> bool:
-    if not M.is_table:
-        return True  # presentation form is commutative by definition
     n = M.size
     return all(M.table[a][b] == M.table[b][a] for a in range(n) for b in range(a))
 
 
 def is_group(M: FinMonoid) -> bool:
-    if not M.is_table:
-        return False
     e = M.unit
     for a in range(M.size):
         if not any(M.table[a][b] == e and M.table[b][a] == e for b in range(M.size)):
@@ -270,23 +266,17 @@ def monoid_as_category(M: FinMonoid) -> FinNonUnitalCategory:
                            lambda x: M.unit)[0]
 
 
-def monoid_presentation(M: FinMonoid) -> FinMonoid:
-    """Present a table-form monoid on one generator per element."""
-    if not M.is_table:
-        return M
+def monoid_presentation(M: FinMonoid) -> MonoidPresentation:
+    """Present a commutative monoid on one generator per element, for its
+    group completion; a non-commutative table has no commutative presentation
+    and is refused."""
+    if not is_commutative_monoid(M):
+        raise ValueError("group completion needs a commutative monoid")
     n = M.size
-
-    def e(i):
-        return tuple(1 if j == i else 0 for j in range(n))
-
-    def plus(u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    rels = []
-    for a in range(n):
-        for b in range(a + 1):
-            rels.append((plus(e(a), e(b)), e(M.table[a][b])))
-    return FinMonoid(gens=n, relations=tuple(rels))
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rels = [(tuple(x + y for x, y in zip(e[a], e[b])), e[M.table[a][b]])
+            for a in range(n) for b in range(a + 1)]
+    return MonoidPresentation(n, tuple(rels))
 
 
 @dataclass(frozen=True)
@@ -307,11 +297,11 @@ class MonoidAction:
 
 def validate_action(A: MonoidAction) -> ValidationReport:
     M = A.monoid
+    if not isinstance(M, FinMonoid):
+        return ValidationReport(False, ("an action needs a table-form monoid",))
     problems = _nested_problems(monoid=validate_monoid(M))
     if problems:
         return ValidationReport(False, tuple(problems))
-    if not M.is_table:
-        return ValidationReport(False, ("an action needs a table-form monoid",))
     if A.side not in ("left", "right"):
         return ValidationReport(False, (f"unknown side {A.side!r}",))
     n, k = M.size, A.size
@@ -660,19 +650,16 @@ def bar_extra_degeneracy(M: FinMonoid, N: int) -> ExtraDegeneracy:
 # -- Grothendieck groups ---------------------------------------------------------------
 
 
-def grothendieck_group(M: FinMonoid) -> FPAbelianGroup:
+def grothendieck_group(M: FinMonoid | MonoidPresentation) -> FPAbelianGroup:
     """Group completion of a commutative monoid, as the cokernel of the
-    relation-difference matrix."""
-    if M.is_table:
-        if not is_commutative_monoid(M):
-            raise ValueError("group completion needs a commutative monoid")
-        M = monoid_presentation(M)
-    k = M.gens
+    relation-difference matrix of its presentation."""
+    P = monoid_presentation(M) if isinstance(M, FinMonoid) else M
+    k = P.gens
     entries = []
-    for j, (lhs, rhs) in enumerate(M.relations):
+    for j, (lhs, rhs) in enumerate(P.relations):
         for i in range(k):
             entries.append((i, j, lhs[i] - rhs[i]))
-    mat = SparseIntMatrix.from_entries(k, len(M.relations), entries)
+    mat = SparseIntMatrix.from_entries(k, len(P.relations), entries)
     s = smith_normal_form(mat)
     torsion = tuple(d for d in s.factors if d > 1)
     return FPAbelianGroup(k - s.rank, torsion)

@@ -25,6 +25,7 @@ from .cat import (
     FinNonUnitalCategory,
     FunctorData,
     MonoidAction,
+    MonoidPresentation,
     NatTransData,
     bar_construction,
     comma_resolution,
@@ -41,6 +42,7 @@ from .cat import (
     validate_functor,
     validate_monoid,
     validate_nat_trans,
+    validate_presentation,
 )
 from .fixtures import random_semi_simplicial, random_simplicial
 from .homalg import bicomplex, homology, parse_ring, total_complex, unnormalized_chains, normalized_chains
@@ -101,10 +103,10 @@ _KINDS = (
     (FinNonUnitalCategory, "category", validate_category,
      lambda C: (f"category with {C.n_objects} objects, {C.n_morphisms} morphisms, "
                 + ("unital" if C.units is not None else "no units"))),
-    (FinMonoid, "monoid", validate_monoid,
-     lambda M: (f"monoid with {M.size} elements" if M.is_table else
-                f"commutative monoid presentation on {M.gens} generators, "
-                f"{len(M.relations)} relations")),
+    (FinMonoid, "monoid", validate_monoid, lambda M: f"monoid with {M.size} elements"),
+    (MonoidPresentation, "monoid presentation", validate_presentation,
+     lambda P: (f"commutative monoid presentation on {P.gens} generators, "
+                f"{len(P.relations)} relations")),
     (MonoidAction, "monoid action", validate_action,
      lambda A: f"{A.side} action of a {A.monoid.size}-element monoid on {A.size} elements"),
     (SparseIntMatrix, "matrix", None, lambda A: f"{A.rows}x{A.cols} integer matrix"),
@@ -129,7 +131,7 @@ def _load_schema(path: str):
         raise UsageError(f"{path}: {e}") from None
 
 
-def _load_checked(path: str, want: tuple, what: str):
+def _load_checked(path: str, want: type | tuple, what: str):
     """Load a document, insist on its kind, and run the owning validator."""
     obj = _load_schema(path)
     _, name, checker, _ = _kind(obj)
@@ -221,8 +223,6 @@ def _cmd_nerve(args) -> int:
     obj = _load_checked(args.file, (FinNonUnitalCategory, FinMonoid),
                         "a category or monoid document")
     if isinstance(obj, FinMonoid):
-        if not obj.is_table:
-            raise UsageError(f"{args.file}: the nerve needs a table-form monoid")
         obj = monoid_as_category(obj)
     X = nerve(obj, args.cutoff).sset
     sys.stdout.write(formats.dumps_document(X))
@@ -252,8 +252,6 @@ def _cmd_over(args) -> int:
 
 def _cmd_bar(args) -> int:
     M = _load_checked(args.file, (FinMonoid,), "a monoid document")
-    if not M.is_table:
-        raise UsageError(f"{args.file}: the bar construction needs a table-form monoid")
     act = {"trivial": trivial_action, "regular": regular_action}
     Y = act[args.left](M, "right")
     X = act[args.right](M, "left")
@@ -314,8 +312,9 @@ def _cmd_specseq(args) -> int:
 
 
 def _cmd_group_complete(args) -> int:
-    M = _load_checked(args.file, (FinMonoid,), "a monoid document")
-    if M.is_table and args.cutoff is None:
+    M = _load_checked(args.file, (FinMonoid, MonoidPresentation),
+                      "a monoid or monoid-presentation document")
+    if isinstance(M, FinMonoid) and args.cutoff is None:
         raise UsageError("--cutoff is required for a table-form monoid "
                          "(it bounds the classifying-space comparison)")
 
@@ -334,6 +333,7 @@ def _cmd_group_complete(args) -> int:
 
 # One row per named check: (id, input kinds, what the inputs are, the extra
 # parameter it reads or None, the check, how a seed makes the inputs or None).
+# An input kind is a class, or a tuple of the classes that input may be.
 # The check is called as check(*inputs, extra, cutoff), without extra when it
 # reads none; with --seed s the inputs are make(s).
 _CHECKS = (
@@ -355,7 +355,8 @@ _CHECKS = (
      theorems.check_resolution_triangle, None),
     ("bar-acyclic", (FinMonoid,), "a table-form monoid document", None,
      theorems.check_bar_acyclic, None),
-    ("group-completion", (FinMonoid,), "a monoid document", None,
+    ("group-completion", ((FinMonoid, MonoidPresentation),),
+     "a monoid or monoid-presentation document", None,
      theorems.group_completion_report, None),
     ("skeletal-shadow", (SemiSimplicialSet,), "a semi-simplicial document", "degree",
      theorems.check_skeletal_shadow, None),
@@ -406,7 +407,7 @@ def _run_check(check_id: str, files: list, cutoff, seed, degree, size):
     if seed is not None:
         rep = check(*seeded(seed), cutoff)
         return replace(rep, notes=rep.notes + (f"seed={seed}",))
-    args = [_load_checked(f, (k,), what) for f, k in zip(files, kinds)]
+    args = [_load_checked(f, k, what) for f, k in zip(files, kinds)]
     if param is not None:
         args.append({"degree": degree, "size": size}[param])
     try:

@@ -13,6 +13,7 @@ from .cat import (
     FinMonoid,
     FinNonUnitalCategory,
     FunctorData,
+    MonoidPresentation,
     identity_functor,
     listed_category,
 )
@@ -171,14 +172,14 @@ def trivial_monoid() -> FinMonoid:
     return FinMonoid(table=((0,),), unit=0)
 
 
-def free_rank_one_presentation() -> FinMonoid:
+def free_rank_one_presentation() -> MonoidPresentation:
     """The natural numbers: one generator, no relations."""
-    return FinMonoid(gens=1, relations=())
+    return MonoidPresentation(gens=1, relations=())
 
 
-def glued_pair_presentation() -> FinMonoid:
+def glued_pair_presentation() -> MonoidPresentation:
     """Two generators identified: (1,0) ~ (0,1)."""
-    return FinMonoid(gens=2, relations=(((1, 0), (0, 1)),))
+    return MonoidPresentation(gens=2, relations=(((1, 0), (0, 1)),))
 
 
 # -- functors ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .cat import FinMonoid, FinNonUnitalCategory, FunctorData, MonoidAction, NatTransData
+from .cat import FinMonoid, FinNonUnitalCategory, FunctorData, MonoidAction, MonoidPresentation, NatTransData
 from .snf import SparseIntMatrix
 from .sset import BiSemiSimplicialSet, SemiSimplicialSet, SimplexRef, SimplicialSet
 
@@ -355,16 +355,10 @@ def _load_monoid(data: dict, path: str) -> FinMonoid:
 
 
 def _save_monoid(M: FinMonoid) -> dict:
-    if M.is_table:
-        return {"type": "monoid", "table": [list(r) for r in M.table], "unit": M.unit}
-    return {
-        "type": "monoid-presentation",
-        "generators": M.gens,
-        "relations": [[list(lhs), list(rhs)] for lhs, rhs in M.relations],
-    }
+    return {"type": "monoid", "table": [list(r) for r in M.table], "unit": M.unit}
 
 
-def _load_presentation(data: dict, path: str) -> FinMonoid:
+def _load_presentation(data: dict, path: str) -> MonoidPresentation:
     k = _int(_field(data, "generators", path), _sub(path, "generators"), low=0)
     rels = []
     for i, rel in enumerate(_list(_field(data, "relations", path), _sub(path, "relations"))):
@@ -375,13 +369,21 @@ def _load_presentation(data: dict, path: str) -> FinMonoid:
         lhs = _int_list(rel[0], f"{rp}[0]", length=k, low=0)
         rhs = _int_list(rel[1], f"{rp}[1]", length=k, low=0)
         rels.append((lhs, rhs))
-    return FinMonoid(gens=k, relations=tuple(rels))
+    return MonoidPresentation(k, tuple(rels))
+
+
+def _save_presentation(P: MonoidPresentation) -> dict:
+    return {
+        "type": "monoid-presentation",
+        "generators": P.gens,
+        "relations": [[list(lhs), list(rhs)] for lhs, rhs in P.relations],
+    }
 
 
 def _load_action(data: dict, path: str) -> MonoidAction:
     mp = _sub(path, "monoid")
     M = load_document(_obj(_field(data, "monoid", path), mp), mp)
-    if not isinstance(M, FinMonoid) or not M.is_table:
+    if not isinstance(M, FinMonoid):
         raise FormatError(mp, "expected a table-form monoid document")
     size = _int(_field(data, "size", path), _sub(path, "size"), low=0)
     side = _field(data, "side", path)
@@ -456,6 +458,7 @@ _SAVERS = {
     FunctorData: _save_functor,
     NatTransData: _save_nat_trans,
     FinMonoid: _save_monoid,
+    MonoidPresentation: _save_presentation,
     MonoidAction: _save_action,
     SparseIntMatrix: _save_matrix,
 }

@@ -285,19 +285,25 @@ def _field_prime(ring: str) -> int | None:
 
 def spectral_sequence(D: DoubleComplex, ring: str, orientation: str = "cols") -> list[SSPage]:
     """Pages E^0 .. E^stable over the field ``ring``; from the stable page on,
-    every differential leaves the grid."""
+    every differential leaves the nonzero spots of E^0 (``_stable_page``)."""
     if orientation not in ("cols", "rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
     work = transpose_double_complex(D) if orientation == "rows" else D
     filt = _Filtration(work, _field_prime(ring))
-    stable = max(1, min(filt.P, filt.Q + 1))
-
-    pages = []
-    reps: dict = {}
-    for r in range(stable + 1):
+    page, reps = _page(filt, 0, orientation, {})
+    pages = [page]
+    for r in range(1, _stable_page(page) + 1):
         page, reps = _page(filt, r, orientation, reps)
         pages.append(page)
     return pages
+
+
+def _stable_page(E0: SSPage) -> int:
+    """The first page r >= 1 from which every d_r, running (p, q) to
+    (p - r, q + r - 1), leaves the nonzero spots of E^0."""
+    maxp = max((p for p, q in E0.dims), default=0)
+    maxq = max((q for p, q in E0.dims), default=0)
+    return min(maxp + 1, maxq + 2)
 
 
 def _page(filt: _Filtration, r: int, orientation: str,
@@ -363,14 +369,9 @@ def check_convergence(pages: list[SSPage], T: TotalComplex, ring: str) -> Conver
     _field_prime(ring)
     last = pages[-1]
     problems = []
-    grid = pages[0].dims
-    if grid:
-        maxp = max(p for (p, q) in grid)
-        maxq = max(q for (p, q) in grid)
-        stable = max(1, min(maxp + 1, maxq + 2))
-        if last.r < stable:
-            problems.append(
-                f"pages stop at r={last.r}, before the stable page r={stable}")
+    stable = _stable_page(pages[0])
+    if last.r < stable:
+        problems.append(f"pages stop at r={last.r}, before the stable page r={stable}")
     if any(any(any(row) for row in m) for m in last.diff.values()):
         problems.append("the last page still carries a nonzero differential")
     degrees = []

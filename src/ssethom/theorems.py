@@ -23,13 +23,13 @@ from .cat import (
     FinMonoid,
     FinNonUnitalCategory,
     FunctorData,
+    MonoidPresentation,
     NatTransData,
     bar_extra_degeneracy,
     comma_resolution,
     comma_under_object,
     grothendieck_group,
     identity_functor,
-    is_commutative_monoid,
     is_group,
     monoid_as_category,
     nerve,
@@ -395,8 +395,6 @@ def check_resolution_triangle(F: FunctorData, N: int) -> CheckReport:
 def check_bar_acyclic(M: FinMonoid, N: int) -> CheckReport:
     """B(*, M, M) augmented over the point is exactly acyclic: the appended
     last-coordinate degeneracy gives a chain contraction."""
-    if not M.is_table:
-        raise ValueError("this check needs a multiplication table")
     items, h = _certified_homotopy(bar_extra_degeneracy(M, N), "extra degeneracy certificate",
                                    "contraction identity dP + Pd = id, matrix-exact")
     ok, failures = acyclic_through(h.source, N - 1)
@@ -429,7 +427,7 @@ def abelian_invariants_from_table(M: FinMonoid) -> tuple[int, ...]:
     Repeatedly split off a cyclic subgroup of maximal order and pass to the
     quotient; independent of the matrix route through presentations.
     """
-    if not M.is_table or not is_group(M):
+    if not is_group(M):
         raise ValueError("order counting needs a finite group table")
     table = [list(row) for row in M.table]
     unit = M.unit
@@ -474,18 +472,16 @@ def _cyclic_product_monoid(torsion: tuple[int, ...]) -> FinMonoid:
     return FinMonoid(table=table, unit=where[tuple(0 for _ in torsion)])
 
 
-def group_completion_report(M: FinMonoid, N: int) -> CheckReport:
+def group_completion_report(M: FinMonoid | MonoidPresentation, N: int) -> CheckReport:
     """Group completion of a commutative monoid: the Grothendieck group, its
     group ring, and (for tables) the homology of BM against B of the
     completion."""
-    if M.is_table and not is_commutative_monoid(M):
-        raise ValueError("group completion report needs a commutative monoid")
     G = grothendieck_group(M)
     items = [CheckItem(f"Grothendieck group is {G}", True),
              CheckItem(f"localized degree-0 ring is {localized_ring_string(G)}", True)]
     comparisons = []
     notes = []
-    if M.is_table:
+    if isinstance(M, FinMonoid):
         # a finite monoid has a finite group completion: m^i = m^j with i < j
         # makes m^(j-i) = 1, so every generator has finite order
         bm = _nerve_homology(monoid_as_category(M), N)
@@ -572,7 +568,7 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
     X_1^p is the right target only where every tuple composes, as in this
     one-vertex nerve of a monoid.
     """
-    if not M.is_table or not is_group(M):
+    if not is_group(M):
         raise ValueError("the Segal certificate is only issued for group tables")
     C = monoid_as_category(M)
     X = nerve(C, N).sset

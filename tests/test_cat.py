@@ -7,6 +7,7 @@ from ssethom.cat import (
     FinNonUnitalCategory,
     FunctorData,
     MonoidAction,
+    MonoidPresentation,
     NatTransData,
     bar_construction,
     bar_extra_degeneracy,
@@ -34,6 +35,7 @@ from ssethom.cat import (
     validate_functor,
     validate_monoid,
     validate_nat_trans,
+    validate_presentation,
 )
 from ssethom.fixtures import (
     absorbing_pair_monoid,
@@ -386,16 +388,16 @@ def test_monoid_validation_and_forms():
         assert is_commutative_monoid(M)
     assert is_group(cyclic_group_monoid(5))
     assert not is_group(absorbing_pair_monoid())
-    assert validate_monoid(free_rank_one_presentation()).ok
-    assert not free_rank_one_presentation().is_table
+    assert validate_presentation(free_rank_one_presentation()).ok
     bad = FinMonoid(table=((0, 1), (1, 0)), unit=1)
     assert not validate_monoid(bad).ok
 
 
 def test_a_monoid_with_a_table_and_a_presentation_is_refused():
-    for M in (FinMonoid(table=((0,),), unit=0, gens=1),
-              FinMonoid(table=((0,),), unit=0, relations=(((1,), (0,)),))):
-        assert validate_monoid(M).problems == ("a monoid is a table or a presentation, not both",)
+    with pytest.raises(TypeError):
+        FinMonoid(table=((0,),), unit=0, gens=1)
+    with pytest.raises(TypeError):
+        MonoidPresentation(gens=1, relations=(), table=((0,),))
 
 
 def test_monoid_as_category_round_trip():
@@ -406,6 +408,15 @@ def test_monoid_as_category_round_trip():
     pres = monoid_presentation(M)
     assert pres.gens == 4
     assert len(pres.relations) == 10
+
+
+def test_monoid_presentation_refuses_a_non_commutative_table():
+    # a presentation of the left-zero table would present a different,
+    # commutative monoid, whose completion is 0
+    left_zero = FinMonoid(table=((0, 1, 2), (1, 1, 1), (2, 2, 2)), unit=0)
+    assert validate_monoid(left_zero).ok
+    with pytest.raises(ValueError, match="needs a commutative monoid"):
+        monoid_presentation(left_zero)
 
 
 def test_actions_validate():

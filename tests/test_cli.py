@@ -69,6 +69,22 @@ def test_validate_all_fixtures(path, capsys):
     assert doc["problems"] == []
 
 
+def test_each_document_tag_has_one_class():
+    """One loader per tag, one saver per class and one ``cli._KINDS`` row per
+    saver class; every fixture loads into its tag's class and saves back to
+    its own tag."""
+    assert len(formats._LOADERS) == len(formats._SAVERS) == len(cli._KINDS)
+    assert [row[0] for row in cli._KINDS if row[0] not in formats._SAVERS] == []
+    classes = {}
+    for path in all_fixture_files():
+        with open(path, encoding="utf-8") as fh:
+            tag = json.load(fh)["type"]
+        obj = formats.read_document(path)
+        assert classes.setdefault(tag, type(obj)) is type(obj), path
+        assert formats.save_document(obj)["type"] == tag, path
+    assert len(set(classes.values())) == len(classes)
+
+
 def writer_cases():
     """Every writer command on every fixture it accepts, with its output kind."""
     cases = []
@@ -83,7 +99,7 @@ def writer_cases():
             for o in range(obj.n_objects):
                 for extra in ((), ("--under",)):
                     cases.append((("over", path, "--object", str(o)) + extra, FinNonUnitalCategory))
-        elif isinstance(obj, FinMonoid) and obj.is_table:
+        elif isinstance(obj, FinMonoid):
             cases.append((("nerve", path, "--cutoff", "3"), SemiSimplicialSet))
             for sides in (("--left", "trivial", "--right", "regular"),
                           ("--left", "regular", "--right", "trivial")):
@@ -297,6 +313,34 @@ def test_bar_classifying_space(capsys):
                               "--cutoff", "3", "--right", "trivial")
     X = formats.load_document(doc)
     assert X.sizes == (1, 2, 4, 8)
+
+
+def _action_over_a_presentation(tmp_path):
+    with open(fixture("regc2.act.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(fixture("free1.pres.json"), encoding="utf-8") as fh:
+        doc["monoid"] = json.load(fh)
+    path = str(tmp_path / "pres.act.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("nerve", "{p}", "--cutoff", "2"),
+     "{p}: expected a category or monoid document, found a monoid presentation document"),
+    (("bar", "{p}", "--cutoff", "2"),
+     "{p}: expected a monoid document, found a monoid presentation document"),
+    (("check", "bar-acyclic", "{p}", "--cutoff", "2"),
+     "{p}: expected a table-form monoid document, found a monoid presentation document"),
+    (("check", "segal-nerve", "{p}", "--cutoff", "2"),
+     "{p}: expected a group multiplication table, found a monoid presentation document"),
+    (("validate", "{a}"), "{a}: monoid: expected a table-form monoid document"),
+], ids=["nerve", "bar", "bar-acyclic", "segal-nerve", "action"])
+def test_table_only_commands_refuse_a_presentation(argv, message, capsys, tmp_path):
+    paths = {"p": fixture("free1.pres.json"), "a": _action_over_a_presentation(tmp_path)}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
 def test_bar_rejects_presentation(capsys):
@@ -683,7 +727,7 @@ def test_check_request_errors_are_exact(argv, message, capsys):
     ("quillen-a", "a functor document"),
     ("resolution-triangle", "a functor document"),
     ("bar-acyclic", "a table-form monoid document"),
-    ("group-completion", "a monoid document"),
+    ("group-completion", "a monoid or monoid-presentation document"),
     ("skeletal-shadow", "a semi-simplicial document"),
     ("segal-nerve", "a group multiplication table"),
     ("constant", "no file (pass --size instead)"),
@@ -715,7 +759,7 @@ def _delta2(truncated_at=None, word=()):
     (_TRUNCATED_POINT, ("skeleton", "{f}", "--degree", "1"),
      "{f}: cannot take the 1-skeleton of a complex truncated at 0"),
     (_NON_COMMUTATIVE, ("group-complete", "{f}", "--cutoff", "2"),
-     "{f}: group completion report needs a commutative monoid"),
+     "{f}: group completion needs a commutative monoid"),
     (None, ("check", "--batch", "{f}"), "cannot read {f}: No such file or directory"),
     ("{", ("check", "--batch", "{f}"),
      "{f} is not valid JSON: Expecting property name enclosed in double quotes: "

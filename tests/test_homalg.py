@@ -12,6 +12,7 @@ from ssethom.cat import (
     FinNonUnitalCategory,
     FunctorData,
     MonoidAction,
+    MonoidPresentation,
     bar_construction,
     comma_resolution,
     monoid_as_category,
@@ -359,8 +360,10 @@ def _corpus_complex(path):
     obj = formats.read_document(path)
     if isinstance(obj, SparseIntMatrix):
         return make_chain_complex((obj.rows, obj.cols), [obj], complete=True)
+    if isinstance(obj, MonoidPresentation):
+        return None
     if isinstance(obj, FinMonoid):
-        return unnormalized_chains(nerve(monoid_as_category(obj), 5).sset) if obj.is_table else None
+        return unnormalized_chains(nerve(monoid_as_category(obj), 5).sset)
     if isinstance(obj, FinNonUnitalCategory):
         return unnormalized_chains(nerve(obj, 4).sset)
     if isinstance(obj, MonoidAction):

@@ -28,6 +28,7 @@ from ssethom.sset import (
     boundary_semi_simplex,
     constant_sset,
     exterior_product,
+    listed_sset,
     standard_semi_simplex,
 )
 
@@ -361,6 +362,16 @@ def test_single_column_stabilizes_on_page_one():
     assert pages[-1].r == 1
     assert pages[-1].dims == {(0, 0): 1, (0, 1): 1}
     assert check_convergence(pages, total_complex(D), "Q").ok
+
+
+def test_pages_stop_at_the_stable_page_of_the_nonzero_spots():
+    # a point listed through level 3 with empty levels 1-3: E^0 lives in
+    # column 0, so d_1 already leaves it, however many columns the grid lists
+    X = listed_sset([[0], [], [], []], lambda p, i, x: x, 3)[0]
+    D = bicomplex(exterior_product(X, constant_sset(1, 1)))
+    pages = spectral_sequence(D, "q")
+    assert [page.r for page in pages] == [0, 1]
+    assert check_convergence(pages, total_complex(D), "q").ok
 
 
 def test_transpose_is_an_involution():

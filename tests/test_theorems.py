@@ -222,11 +222,6 @@ def test_bar_acyclic(monoid):
     assert any("matrix-exact" in s for s in labels)
 
 
-def test_bar_needs_table():
-    with pytest.raises(ValueError):
-        th.check_bar_acyclic(fx.free_rank_one_presentation(), 4)
-
-
 # -- group completion ----------------------------------------------------------
 
 
@@ -342,8 +337,6 @@ def test_segal_nerve_cyclic_groups(n):
 def test_segal_nerve_rejects_non_groups():
     with pytest.raises(ValueError):
         th.check_segal_nerve(fx.absorbing_pair_monoid(), 5)
-    with pytest.raises(ValueError):
-        th.check_segal_nerve(fx.free_rank_one_presentation(), 5)
 
 
 # -- constant spaces -----------------------------------------------------------
