@@ -364,7 +364,6 @@ class NerveData:
     p-tuples of morphisms lexicographically.
     """
 
-    category: FinNonUnitalCategory
     sset: SemiSimplicialSet
     chains: tuple
     index: tuple
@@ -380,7 +379,7 @@ def nerve(C: FinNonUnitalCategory, N: int) -> NerveData:
         chains.append(tuple(chain + (g,) for chain in chains[-1]
                             for g in by_source[C.tgt[chain[-1]]]))
     sset, index = listed_sset(chains, _nerve_faces(C), N)
-    return NerveData(C, sset, tuple(chains), index)
+    return NerveData(sset, tuple(chains), index)
 
 
 def nerve_map(F: FunctorData, N: int) -> SSetMap:
@@ -398,14 +397,6 @@ def chain_object(C: FinNonUnitalCategory, chain, i: int) -> int:
     if isinstance(chain, int):
         return chain
     return C.src[chain[0]] if i == 0 else C.tgt[chain[i - 1]]
-
-
-def insert_unit_chain(C: FinNonUnitalCategory, chain, i: int) -> tuple[int, ...]:
-    """Insert the unit of the i-th visited object, one level up."""
-    u = C.units[chain_object(C, chain, i)]
-    if isinstance(chain, int):
-        return (u,)
-    return chain[:i] + (u,) + chain[i:]
 
 
 def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:

@@ -88,8 +88,8 @@ def random_semi_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SemiSimplic
     return SemiSimplicialSet(tuple(sizes), tuple(faces), truncated_at=dim)
 
 
-def random_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SimplicialSet:
-    return free_degeneracies(random_semi_simplicial(seed, dim, cap))
+def random_simplicial(seed: int) -> SimplicialSet:
+    return free_degeneracies(random_semi_simplicial(seed))
 
 
 # -- categories ----------------------------------------------------------------

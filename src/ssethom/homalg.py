@@ -118,15 +118,6 @@ class FPAbelianGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.rank:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
     def __str__(self):
         parts = []
         if self.rank == 1:
@@ -375,11 +366,6 @@ class ChainComplex:
         factors = self._factors(k)
         return len(factors) if p is None else sum(1 for d in factors if d % p)
 
-    def euler_characteristic(self) -> int:
-        if not self.complete:
-            raise ValueError("Euler characteristic needs a complete complex")
-        return sum((-1) ** k * n for k, n in enumerate(self.dims))
-
 
 def make_chain_complex(dims, boundaries, complete: bool = False) -> ChainComplex:
     """boundaries[k-1] is d_k for k = 1..top (the degree-0 slot is implied)."""
@@ -539,16 +525,6 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
         raise ValueError("composition endpoints do not match")
     return ChainMap(f.source, g.target,
                     tuple(g.mats[k].mul(f.mats[k]) for k in range(len(f.mats))))
-
-
-def truncate_complex(C: ChainComplex, top: int) -> ChainComplex:
-    """Forget all degrees above ``top`` (padding with zeros if C ends sooner)."""
-    if top < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    dims = tuple(C.dim(k) for k in range(top + 1))
-    boundaries = [C.boundary(k) for k in range(1, top + 1)]
-    complete = C.complete and top >= C.top_degree
-    return make_chain_complex(dims, boundaries, complete)
 
 
 def normalization_projection(enum: Enumeration) -> ChainMap:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,6 @@ def check_sset_map(f: SSetMap) -> ValidationReport:
          f"does not commute with d_{i} at level {p}, simplex {{s}}".format)
         for p in range(1, len(src.sizes)) for i in range(p + 1)), 21)
     return ValidationReport(not problems, tuple(problems))
-
-
-def identity_map(X: SemiSimplicialSet) -> SSetMap:
-    return SSetMap(X, X, tuple(tuple(range(n)) for n in X.sizes))
 
 
 # -- listings ----------------------------------------------------------------
@@ -421,45 +417,6 @@ def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
 # degeneracy words
 
 
-def insert_letter(a: int, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical word for s_a composed in front of s_word.
-
-    Uses s_a s_b = s_{b+1} s_a for a <= b, pushing a inward until it is the
-    largest remaining letter.
-    """
-    if not word or a > word[0]:
-        return (a,) + word
-    return (word[0] + 1,) + insert_letter(a, word[1:])
-
-
-def word_to_surjection(word: tuple[int, ...], deg: int) -> tuple[int, ...]:
-    """Value table of the monotone surjection [deg + len(word)] ->> [deg]."""
-    p = deg + len(word)
-    vals = list(range(p + 1))
-    for letter in word:
-        vals = [v if v <= letter else v - 1 for v in vals]
-    return tuple(vals)
-
-
-def surjection_to_word(vals: Iterable[int]) -> tuple[int, ...]:
-    """Canonical word of a monotone surjection: its flat steps, descending."""
-    vals = tuple(vals)
-    return tuple(j for j in range(len(vals) - 2, -1, -1) if vals[j] == vals[j + 1])
-
-
-def factor_monotone(vals: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a monotone map into (degeneracy word, image vertices).
-
-    vals = inj . surj where inj is the sorted image and surj collapses the
-    flat steps recorded by the word.
-    """
-    vals = tuple(vals)
-    image = sorted(set(vals))
-    rank = {v: k for k, v in enumerate(image)}
-    surj = tuple(rank[v] for v in vals)
-    return surjection_to_word(surj), tuple(image)
-
-
 def is_canonical_word(word: tuple[int, ...], deg: int) -> bool:
     if list(word) != sorted(word, reverse=True):
         return False
@@ -622,19 +579,6 @@ def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
 def standard_simplicial_simplex(n: int) -> SimplicialSet:
     """The simplicial n-simplex: nondegenerate part is the semi-simplicial one."""
     return free_degeneracies(standard_semi_simplex(n))
-
-
-def simplex_ref_to_monotone(n: int, ref: SimplexRef) -> tuple[int, ...]:
-    """Identify simplices of the simplicial n-simplex with monotone maps into [n]."""
-    verts = _vertex_subsets(n, ref.deg)[ref.gen]
-    surj = word_to_surjection(ref.word, ref.deg)
-    return tuple(verts[v] for v in surj)
-
-
-def monotone_to_simplex_ref(n: int, vals: tuple[int, ...]) -> SimplexRef:
-    word, image = factor_monotone(vals)
-    subs = _vertex_subsets(n, len(image) - 1)
-    return SimplexRef(word, len(image) - 1, subs.index(tuple(image)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from ssethom.cat import (
     NatTransData,
     bar_construction,
     bar_extra_degeneracy,
+    chain_object,
     comma_resolution,
     comma_under_object,
     eta_fiber,
     grothendieck_group,
     identity_functor,
-    insert_unit_chain,
     is_commutative_monoid,
     is_group,
     monoid_as_category,
@@ -168,8 +168,9 @@ def test_unit_insertion_gives_degeneracy_identities():
     for p in range(3):
         for s, chain in enumerate(nd.chains[p]):
             for i in range(p + 1):
-                longer = insert_unit_chain(C, chain, i)
-                t = nd.index[p + 1][longer]
+                # the unit of the i-th visited object, spliced in one level up
+                u = C.units[chain_object(C, chain, i)]
+                t = nd.index[p + 1][chain[:i] + (u,) + chain[i:] if p else (u,)]
                 assert nd.sset.face(p + 1, i, t) == s
                 assert nd.sset.face(p + 1, i + 1, t) == s
 

@@ -343,12 +343,6 @@ def test_table_only_commands_refuse_a_presentation(argv, message, capsys, tmp_pa
     assert (code, out, err) == (2, "", f"error: {message.format(**paths)}\n")
 
 
-def test_bar_rejects_presentation(capsys):
-    code, out, err = run(capsys, "bar", fixture("free1.pres.json"),
-                         "--cutoff", "3")
-    assert code == 2
-
-
 def test_resolve(capsys):
     code, doc, err = run_json(capsys, "resolve", fixture("endpoint.fun.json"),
                               "--cutoff", "3")
@@ -413,11 +407,24 @@ def test_group_complete_table_needs_cutoff(capsys):
 
 def test_group_complete_presentation(capsys):
     code, doc, err = run_json(capsys, "group-complete", fixture("free1.pres.json"))
-    assert code == 1
-    assert doc["verdict"] == "untrusted-at-cutoff"
+    assert code == 0
+    assert doc["verdict"] == "pass"
     labels = [h["label"] for h in doc["hypotheses"]]
     assert "Grothendieck group is Z" in labels
     assert "localized degree-0 ring is Z[t,t^-1]" in labels
+
+
+@pytest.mark.parametrize("name", ["free1.pres.json", "glued.pres.json"])
+def test_presentation_verdict_does_not_depend_on_the_cutoff(name, capsys):
+    # a presentation's report holds only degree-0 statements, which no
+    # cutoff bounds
+    path = fixture(name)
+    runs = [run_json(capsys, "group-complete", path)]
+    for cutoff in ("0", "1", "2", "3"):
+        runs.append(run_json(capsys, "group-complete", path, "--cutoff", cutoff))
+        runs.append(run_json(capsys, "check", "group-completion", path, "--cutoff", cutoff))
+    assert [(code, doc["verdict"], doc["trusted_through"]) for code, doc, err in runs] == \
+        [(0, "pass", 0)] * 9
 
 
 @pytest.mark.parametrize("cutoff, verdict, status", [("0", "untrusted-at-cutoff", 1),

@@ -5,8 +5,10 @@ Seeded mutants of every fixture document run in process through
 duplicates or reverses a field or an entry, gives a value (a ``type`` field
 too) the wrong JSON type, or nudges an integer by one or sets it to -1, 0 or
 64; no declared size goes above 64.  Every run must exit 0, 1 or 2, and a
-run that exits 2 must write nothing to stdout.  A per-run wall-clock guard
-turns runaway work into a failure instead of a hang; its exception is not an
+run that exits 2 must write nothing to stdout.  One sha256 per seed over
+every run's exit status and stdout, with the mutant's path masked, pins
+what the command line answers.  A per-run wall-clock guard turns runaway
+work into a failure instead of a hang; its exception is not an
 ``Exception``, so ``cli.main`` cannot turn it into exit 3.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -30,6 +33,11 @@ SEEDS = (1, 2, 3, 4)
 MUTANTS_PER_SEED = 300
 RUN_LIMIT_S = 4.0
 SIZE_CAP = 64
+# sha256 over every run of a seed: its exit status, then its masked stdout
+PINNED = {1: "e6823c8d178f7dcc08ad5fef02e4b4b63a20ccbcc830e67bd6d3376fd757feb8",
+          2: "a0f0709fc32acbdca6b955b3ee1c51aa8ecbfa35aa9f4db5c930c5b7a47a1e21",
+          3: "53f1954bf17c9a6071cdfc70e4f15bf12b22651bfed7092f0eb77a66caa6c8a0",
+          4: "aebefd9e4d6c329dad781e082d11b2632b0e8e81eb0d394882b18ae605fe8679"}
 
 
 def fixture(name):
@@ -213,6 +221,7 @@ def test_malformed_documents_exit_cleanly(seed, tmp_path, guard):
             docs[name] = json.load(fh)
     path = str(tmp_path / "mutant.json")
     bad = []
+    digest = hashlib.sha256()
     for i in range(MUTANTS_PER_SEED):
         name, command = pairs[(i + seed) % len(pairs)]
         mutant = mutate(docs[name], rng)
@@ -225,5 +234,7 @@ def test_malformed_documents_exit_cleanly(seed, tmp_path, guard):
             code, out = "timeout", ""
         if code not in (0, 1, 2) or (code == 2 and out):
             bad.append(f"{name} {' '.join(command)}: exit {code}: {json.dumps(mutant)[:200]}")
+        digest.update(f"{code}\n{out.replace(path, '<mutant>')}\0".encode())
     assert len(pairs) <= MUTANTS_PER_SEED  # every command meets a mutant of each document
     assert bad == []
+    assert digest.hexdigest() == PINNED[seed]

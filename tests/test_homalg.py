@@ -2,7 +2,7 @@ import contextlib
 import glob
 import os
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -57,7 +57,6 @@ from ssethom.homalg import (
     tensor_groups,
     tor_groups,
     total_complex,
-    truncate_complex,
     unnormalized_chains,
 )
 from ssethom.snf import SparseIntMatrix, smith_normal_form
@@ -72,6 +71,7 @@ from ssethom.sset import (
     check_certificate,
     constant_sset,
     enumerate_simplicial,
+    euler_characteristic,
     exterior_product,
     free_degeneracies,
     skeleton_inclusion,
@@ -118,10 +118,7 @@ def test_group_canonicalization_random():
     for _ in range(200):
         orders = [rng.randint(1, 24) for _ in range(rng.randint(0, 5))]
         g = group_from_cyclic_orders(0, orders)
-        total = 1
-        for t in orders:
-            total *= t
-        assert g.order() == total
+        assert g.rank == 0 and prod(g.torsion) == prod(orders)
         for n in range(1, 25):
             assert count_killed_by(g.torsion, n) == count_killed_by(orders, n)
 
@@ -216,9 +213,8 @@ def test_projective_plane_from_face_tables():
 
 def test_euler_characteristic_equals_alternating_ranks():
     for X in (boundary_semi_simplex(3), standard_semi_simplex(3)):
-        C = unnormalized_chains(X)
-        chi = C.euler_characteristic()
-        assert chi == sum((-1) ** k * h.rank for k, h in enumerate(graded_homology(C, ring="Q")))
+        hs = graded_homology(unnormalized_chains(X), ring="Q")
+        assert euler_characteristic(X) == sum((-1) ** k * h.rank for k, h in enumerate(hs))
 
 
 def test_truncated_top_is_untrusted():
@@ -612,7 +608,7 @@ def test_torus_as_tensor_square_of_circle():
     hx = list(graded_homology(A))
     for n in range(3):
         assert kunneth_oracle(hx, hx, n) == hs[n]
-    assert C.euler_characteristic() == 0
+    assert sum((-1) ** k * n for k, n in enumerate(C.dims)) == 0
 
 
 def test_bicomplex_of_exterior_product_matches_tensor():
@@ -711,6 +707,14 @@ def full_tot(X, Y):
     return total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y)))
 
 
+def truncate_complex(C, top):
+    """Forget all degrees above ``top`` (padding with zeros if C ends sooner);
+    built through ``make_chain_complex``, so d o d is checked again."""
+    dims = tuple(C.dim(k) for k in range(top + 1))
+    boundaries = [C.boundary(k) for k in range(1, top + 1)]
+    return make_chain_complex(dims, boundaries, C.complete and top >= C.top_degree)
+
+
 def aw_pairs():
     rp2 = enumerate_simplicial(formats.read_document(os.path.join(FIXTURES, "freerp2.simp.json")),
                                4).sset
@@ -783,7 +787,7 @@ def test_mapping_cone_of_identity_is_acyclic():
     assert cone.complete
     ok, failures = acyclic_through(cone, cone.top_degree)
     assert ok, failures
-    assert cone.euler_characteristic() == 0
+    assert sum((-1) ** k * n for k, n in enumerate(cone.dims)) == 0
 
 
 def test_skeleton_inclusion_iso_range():

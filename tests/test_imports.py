@@ -162,17 +162,6 @@ def test_unreferenced_public_is_caught():
 # The public functions and methods that only tests call, each with the reason
 # the package keeps it.
 TEST_ONLY = {
-    "insert_unit_chain": "builds the unit-inserted nerve chains the face-identity tests read",
-    "identity_map": "the identity map the map-checker and induced-map tests start from",
-    "truncate_complex": "oracle for total complexes built only through a degree",
-    "simplex_ref_to_monotone": "oracle: simplices of the simplicial n-simplex as monotone maps",
-    "monotone_to_simplex_ref": "the inverse of simplex_ref_to_monotone, for the same oracle",
-    "insert_letter": "helper of the degeneracy-word rewrite oracle",
-    "word_to_surjection": "the surjection of a degeneracy word, for simplex_ref_to_monotone",
-    "surjection_to_word": "the inverse of word_to_surjection, for factor_monotone",
-    "factor_monotone": "splits a monotone map into word and image, for monotone_to_simplex_ref",
-    "FPAbelianGroup.order": "counts group elements for the group-order oracles",
-    "ChainComplex.euler_characteristic": "oracle against the Euler characteristic of a space",
     "SparseIntMatrix.from_dense": "builds the dense test matrices the reference SNF reads",
     "SparseIntMatrix.to_dense": "the dense view the reference SNF and echelon oracles read",
 }

@@ -7,6 +7,7 @@ examples.
 
 import json
 
+from oracles import monotone_to_simplex_ref, simplex_ref_to_monotone
 from ssethom.cat import (
     FinMonoid,
     FunctorData,
@@ -58,9 +59,7 @@ from ssethom.sset import (
     exterior_product,
     free_degeneracies,
     iter_simplices,
-    monotone_to_simplex_ref,
     normalize_face,
-    simplex_ref_to_monotone,
     standard_semi_simplex,
     standard_simplicial_simplex,
     unit_map,

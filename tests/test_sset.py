@@ -6,6 +6,14 @@ import dataclasses
 
 import pytest
 
+from oracles import (
+    factor_monotone,
+    insert_letter,
+    monotone_to_simplex_ref,
+    simplex_ref_to_monotone,
+    surjection_to_word,
+    word_to_surjection,
+)
 from ssethom import fixtures as fx
 from ssethom.cat import (
     FinMonoid,
@@ -35,18 +43,13 @@ from ssethom.sset import (
     enumerate_simplicial,
     euler_characteristic,
     exterior_product,
-    factor_monotone,
     free_degeneracies,
-    identity_map,
-    insert_letter,
     is_canonical_word,
     iter_simplices,
     levelwise_product,
-    monotone_to_simplex_ref,
     normalize_face,
     path_space,
     segal_map,
-    simplex_ref_to_monotone,
     skeleton,
     skeleton_inclusion,
     standard_semi_simplex,
@@ -220,7 +223,7 @@ def test_skeleton_and_inclusion():
 
 def test_identity_and_composition():
     s = standard_semi_simplex(2)
-    i = identity_map(s)
+    i = SSetMap(s, s, tuple(tuple(range(n)) for n in s.sizes))
     assert check_sset_map(i).ok
 
 
@@ -390,8 +393,6 @@ def test_insert_letter_stays_canonical():
 
 
 def test_word_surjection_roundtrip():
-    from ssethom.sset import surjection_to_word, word_to_surjection
-
     for p in range(6):
         for q in range(p + 1):
             k = p - q
@@ -408,8 +409,6 @@ def test_factor_monotone():
     assert image == (0, 2, 3)
     assert word == (3, 0)
     # reassemble: image[surj] == vals
-    from ssethom.sset import word_to_surjection
-
     surj = word_to_surjection(word, len(image) - 1)
     assert tuple(image[v] for v in surj) == (0, 0, 2, 3, 3)
 

@@ -6,13 +6,17 @@ import pytest
 
 from ssethom import fixtures as fx
 from ssethom import theorems as th
-from ssethom.cat import (FunctorData, FinMonoid, grothendieck_group, identity_functor,
-                         is_commutative_monoid, monoid_as_category, nerve_map, validate_monoid)
+from ssethom.cat import (FunctorData, FinMonoid, FinNonUnitalCategory, comma_under_object,
+                         grothendieck_group, identity_functor, is_commutative_monoid,
+                         monoid_as_category, nerve, nerve_map, validate_functor, validate_monoid)
 from ssethom.homalg import (
     FPAbelianGroup,
     chain_map_from_sset_map,
+    graded_homology,
     homology_coordinates,
     induced_map_on_homology,
+    mapping_cone,
+    unnormalized_chains,
 )
 from ssethom.sset import (
     boundary_semi_simplex,
@@ -188,6 +192,27 @@ def test_quillen_needs_unital_target():
     F = identity_functor(fx.composable_pair_category())
     with pytest.raises(ValueError):
         th.check_quillen_a(F, 3)
+
+
+def test_quillen_a_without_units_fails_on_a_two_object_target():
+    # the discrete category on three objects into 0 -a-> 1 with an idempotent
+    # e on 1 (a then e = a): both fibers are points, yet BC is three points
+    # and BD is contractible, so Theorem A needs units in the target
+    D = FinNonUnitalCategory(2, (0, 1), (1, 1), {(0, 1): 0, (1, 1): 1})
+    F = FunctorData(fx.discrete_category(3), D, (0, 0, 1), ())
+    assert validate_functor(F).ok
+
+    def homology(C):
+        return graded_homology(unnormalized_chains(nerve(C, 4).sset), through=3)
+
+    point = (FPAbelianGroup(1),) + (FPAbelianGroup(0),) * 3
+    assert [homology(comma_under_object(F, b)) for b in range(2)] == [point, point]
+    assert homology(F.source)[0] == FPAbelianGroup(3)
+    assert homology(D) == point
+    cone = mapping_cone(chain_map_from_sset_map(nerve_map(F, 4)))
+    assert graded_homology(cone, through=3)[1] == FPAbelianGroup(2)
+    with pytest.raises(ValueError, match="this check needs a unital target category"):
+        th.check_quillen_a(F, 4)
 
 
 # -- resolution triangle -------------------------------------------------------
