@@ -128,26 +128,10 @@ def discrete_category(n: int) -> FinNonUnitalCategory:
     return FinNonUnitalCategory(n, (), (), {})
 
 
-def parallel_arrows_category(k: int) -> FinNonUnitalCategory:
-    """Two objects with k parallel arrows between them; nothing composes."""
-    return FinNonUnitalCategory(2, (0,) * k, (1,) * k, {})
-
-
 def grid_poset_category() -> FinNonUnitalCategory:
     """The product order on {0,1} x {0,1} (a commuting square with units)."""
     return _order_category([(0, 0), (0, 1), (1, 0), (1, 1)],
                            lambda a, b: a[0] <= b[0] and a[1] <= b[1], unital=True)
-
-
-def nonunital_category_corpus() -> dict[str, FinNonUnitalCategory]:
-    return {
-        "idempotent": idempotent_category(),
-        "discrete3": discrete_category(3),
-        "pair": composable_pair_category(),
-        "strict1": strict_poset_category(1),
-        "strict3": strict_poset_category(3),
-        "parallel2": parallel_arrows_category(2),
-    }
 
 
 # -- monoids --------------------------------------------------------------------
@@ -166,10 +150,6 @@ def klein_four_monoid() -> FinMonoid:
 def absorbing_pair_monoid() -> FinMonoid:
     """{1, z} with z absorbing (z*z = z)."""
     return FinMonoid(table=((0, 1), (1, 1)), unit=0)
-
-
-def trivial_monoid() -> FinMonoid:
-    return FinMonoid(table=((0,),), unit=0)
 
 
 def free_rank_one_presentation() -> MonoidPresentation:

@@ -12,10 +12,13 @@ its field the same way.
 The invariant factors come from reduce-then-factor.  Once per complex, free
 unit pairs (a generator and a face hit by +-1, one of them with no other live
 incidence) are removed, which splits off ``Z --1--> Z`` summands without any
-arithmetic; then only the residual boundary of the degree asked is put in
-Smith normal form.  Coordinates (``homology_coordinates``) need transforms
-in the original basis, so they factor the unreduced d_k and the relations
-among its cycles: two transform forms per degree.
+arithmetic; then, to factor d_k, the residual boundaries of degrees 1..k
+are put in Smith normal form, each once and each without the previous
+degree's unit-prefix pivot rows (the "compression" of Bauer, Kerber and
+Reininghaus, Clear and Compress, 2014, made exact over Z).  Coordinates
+(``homology_coordinates``) need transforms in the original basis, so they
+factor the unreduced d_k and the relations among its cycles: two transform
+forms per degree.
 """
 
 from __future__ import annotations
@@ -338,21 +341,29 @@ class ChainComplex:
         """Invariant factors of d_k: (1,) per free pair, then the residual's.
 
         Each free pair splits off a ``Z --1--> Z`` summand of the complex, so
-        only the residual d_k on the unpaired generators is factored, and
-        only for the degree asked.
+        only the residual d_k on the unpaired generators is factored.  Degrees
+        go bottom-up, 1..k, each once: the rows of d_k at the unit-prefix
+        pivots of the residual d_{k-1} (``SmithForm.unit_pivots``) are left
+        out, because after those pivots' column steps d_{k-1} d_k = 0 makes
+        them zero and leaves every other row as it was.
         """
         if k not in self._cache:
+            if k > 1:
+                self._factors(k - 1)
             alive, pairs = self._free_pairs
-            rows = {r: i for i, r in enumerate(g for g, a in enumerate(alive[k - 1]) if a)}
-            cols = {c: j for j, c in enumerate(g for g, a in enumerate(alive[k]) if a)}
+            cleared = self._cache[k - 1][1] if k > 1 else ()
+            rows = {r: i for i, r in enumerate(g for g, a in enumerate(alive[k - 1])
+                                               if a and g not in cleared)}
+            gens = [g for g, a in enumerate(alive[k]) if a]
+            cols = {c: j for j, c in enumerate(gens)}
             data = {}
             for r, row in self.diffs[k].data.items():
                 i = rows.get(r)
                 if i is not None:
                     data[i] = {cols[c]: v for c, v in row.items() if c in cols}
             s = smith_normal_form(SparseIntMatrix(len(rows), len(cols), data))
-            self._cache[k] = (1,) * pairs[k] + s.factors
-        return self._cache[k]
+            self._cache[k] = ((1,) * pairs[k] + s.factors, {gens[j] for j in s.unit_pivots})
+        return self._cache[k][0]
 
     def boundary_rank(self, k: int, ring: str = "Z") -> int:
         """Rank of d_k over ``ring``, read off its integer Smith form.

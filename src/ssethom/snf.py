@@ -11,7 +11,9 @@ entry, and with transforms one column of V and one row of V^-1.  Fill still
 grows: on the 1024x4096 top boundary of the B Z/4 nerve at level 6
 (18,511 nonzeros) the working matrix reaches about 50,000 nonzeros and row
 operations dominate the time.  ``homalg`` therefore removes free unit pairs
-from a chain complex before it calls this routine.
+from a chain complex before it calls this routine, and leaves out the rows of
+d_k that the unit pivots of d_{k-1} clear (``SmithForm.unit_pivots``): there
+the top residual shrinks from 243x3459 (3,885 nonzeros) to 183x3459 (2,926).
 
 The Smith normal form is the only rank kernel.  Over Q and F_p the rank of
 an integer matrix is read off its invariant factors: their number over Q, and
@@ -198,11 +200,23 @@ class SmithForm(NamedTuple):
     When transforms were requested, V is unimodular, V_inv is its inverse, and
     column i of A @ V is d_i times a column of some unimodular matrix for
     i < rank and zero from ``rank`` on.
+
+    ``unit_pivots`` are the columns of the pivots taken, in order, before the
+    first pick of an entry other than +-1.  Such a pivot's column steps all
+    start from its own column c, so with W their product, W^-1 differs from
+    the identity only in those rows c, and column c of A W is a lone +-1
+    after the row steps.  So for any B with A B = 0, W^-1 B is B with those
+    rows zeroed: B without them has the same Smith form.  The prefix stops at
+    the first non-unit pick, even if its pivot ends as +-1, and takes no
+    later unit pick: a gcd pivot can move to the column of a remainder,
+    which leaves a column whose row of W^-1 its steps changed without being
+    a final pivot, and a later pivot's steps can add that row to its own.
     """
 
     factors: tuple[int, ...]
     V: SparseIntMatrix | None
     V_inv: SparseIntMatrix | None
+    unit_pivots: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -248,6 +262,7 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
 
     diag: list[int] = []
     pivot_cols: list[int] = []  # in elimination order
+    units = None  # the number of pivots before the first non-unit pick
     heap: list[tuple[int, int, int]] = []
     heap_abs = 0
 
@@ -321,6 +336,8 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         picked = pick_pivot()
         if picked is None:
             break
+        if units is None and abs(rows[picked[0]][picked[1]]) != 1:
+            units = len(diag)
         r, c = clean_pivot(*picked)
 
         if abs(rows[r][c]) != 1:
@@ -354,14 +371,15 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
         if b % a:
             raise AssertionError(f"invariant factor chain violated: {diag}")
 
+    unit_pivots = tuple(pivot_cols[:units])
     if not transforms:
-        return SmithForm(tuple(diag), None, None)
+        return SmithForm(tuple(diag), None, None, unit_pivots)
 
     # Move pivot k to position (k, k): column k of V and row k of V_inv.
     col_perm = pivot_cols + sorted(set(range(A.cols)) - set(pivot_cols))
     Vt = SparseIntMatrix(A.cols, A.cols, {k: V_cols[c] for k, c in enumerate(col_perm)})
     Vinv = SparseIntMatrix(A.cols, A.cols, {k: Vinv_rows[c] for k, c in enumerate(col_perm)})
-    return SmithForm(tuple(diag), Vt.transpose(), Vinv)
+    return SmithForm(tuple(diag), Vt.transpose(), Vinv, unit_pivots)
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], coef: int):

@@ -1,15 +1,24 @@
-"""Independent oracles for degeneracy words, shared by the simplicial-set tests.
+"""Independent oracles and test-only example objects, shared by the tests.
 
 A simplex of the simplicial n-simplex is a monotone map into [n], and a
 canonical degeneracy word is the descending list of a monotone surjection's
 flat steps.  None of this goes through ``normalize_face``, the canonical word
-arithmetic the package uses.
+arithmetic the package uses.  ``reference_snf`` is a dense textbook Smith
+normal form that shares no code with ``ssethom.snf``.  The categories and the
+monoid at the end are examples that only tests build.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from ssethom.cat import FinMonoid, FinNonUnitalCategory
+from ssethom.fixtures import (
+    composable_pair_category,
+    discrete_category,
+    idempotent_category,
+    strict_poset_category,
+)
 from ssethom.sset import SimplexRef
 
 
@@ -64,3 +73,87 @@ def monotone_to_simplex_ref(n: int, vals: tuple[int, ...]) -> SimplexRef:
     word, image = factor_monotone(vals)
     subs = list(itertools.combinations(range(n + 1), len(image)))
     return SimplexRef(word, len(image) - 1, subs.index(tuple(image)))
+
+
+def reference_snf(dense):
+    """Slow textbook Smith normal form on a dense matrix, used as an oracle.
+
+    Works the submatrix at (t, t) with swap / gcd row and column steps until
+    the pivot divides everything, then recurses.  Completely independent of
+    the sparse production code.
+    """
+    mat = [list(row) for row in dense]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    out = []
+    t = 0
+    while t < min(nrows, ncols):
+        # find a nonzero entry of minimal absolute value in the submatrix
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = mat[i][j]
+                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i0, j0 = best
+        mat[t], mat[i0] = mat[i0], mat[t]
+        for row in mat:
+            row[t], row[j0] = row[j0], row[t]
+        p = mat[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            q = mat[i][t] // p
+            if q:
+                for j in range(t, ncols):
+                    mat[i][j] -= q * mat[t][j]
+            if mat[i][t]:
+                dirty = True
+        for j in range(t + 1, ncols):
+            q = mat[t][j] // p
+            if q:
+                for i in range(t, nrows):
+                    mat[i][j] -= q * mat[i][t]
+            if mat[t][j]:
+                dirty = True
+        if dirty:
+            continue
+        off = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if mat[i][j] % p:
+                    off = i
+                    break
+            if off is not None:
+                break
+        if off is not None:
+            for j in range(t, ncols):
+                mat[t][j] += mat[off][j]
+            continue
+        out.append(abs(p))
+        t += 1
+    return tuple(out)
+
+
+# -- test-only examples ----------------------------------------------------------
+
+
+def parallel_arrows_category(k: int) -> FinNonUnitalCategory:
+    """Two objects with k parallel arrows between them; nothing composes."""
+    return FinNonUnitalCategory(2, (0,) * k, (1,) * k, {})
+
+
+def nonunital_category_corpus() -> dict[str, FinNonUnitalCategory]:
+    return {
+        "idempotent": idempotent_category(),
+        "discrete3": discrete_category(3),
+        "pair": composable_pair_category(),
+        "strict1": strict_poset_category(1),
+        "strict3": strict_poset_category(3),
+        "parallel2": parallel_arrows_category(2),
+    }
+
+
+def trivial_monoid() -> FinMonoid:
+    return FinMonoid(table=((0,),), unit=0)

@@ -5,6 +5,7 @@ per item.
 """
 
 import test_properties
+from oracles import nonunital_category_corpus
 from test_specseq import induced_d1
 
 from ssethom import theorems as th
@@ -15,7 +16,6 @@ from ssethom.fixtures import (
     discrete_pair_into_interval,
     free_rank_one_presentation,
     glued_pair_presentation,
-    nonunital_category_corpus,
     quillen_functor_corpus,
     random_semi_simplicial,
     random_simplicial,

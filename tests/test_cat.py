@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from oracles import nonunital_category_corpus, parallel_arrows_category
 from ssethom.cat import (
     FinMonoid,
     FinNonUnitalCategory,
@@ -47,8 +48,6 @@ from ssethom.fixtures import (
     grid_poset_category,
     idempotent_category,
     klein_four_monoid,
-    nonunital_category_corpus,
-    parallel_arrows_category,
     point_into_interval,
     poset_category,
     strict_poset_category,

@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+from oracles import reference_snf
 from ssethom import formats
 from ssethom.cat import (
     FinMonoid,
@@ -481,6 +482,52 @@ def test_bz4_homology_through_degree_six_from_level_seven():
     assert graded_homology(C, through=6) == (Z,) + tuple(Zmod(4) if k % 2 else ZERO for k in range(1, 7))
 
 
+# d_1 has no unit entry, so its first pick is a gcd pivot: -2 at (0, 0) moves
+# to column 1 and ends as -1, after steps that changed row 0 of the column
+# transform.  Its second pivot is a unit pick in column 2 whose step adds that
+# row.  So d_1's unit prefix is empty: leaving out row 2 of d_2 too would read
+# H_1 = Z/3, but the complex is acyclic.
+GCD_THEN_UNIT = make_chain_complex((2, 3, 1), [SparseIntMatrix.from_dense([[-2, 3, 3], [0, 2, 3]]),
+                                               SparseIntMatrix.from_dense([[-3], [-6], [4]])],
+                                   complete=True)
+
+
+def test_factors_match_the_reference_snf_of_the_unreduced_boundary():
+    """Each ``C._factors(k)`` leaves out the rows of d_k at the unit-prefix
+    pivots of d_{k-1}; it must equal the nonzero diagonal of ``reference_snf``
+    of the full d_k, and F2, F3 and Q must follow from Z by universal
+    coefficients.  In some sampled d_{k-1} a gcd pivot comes before the last
+    pivot, so the prefix stops short of the rank."""
+    from ssethom import homalg
+
+    forms = []
+
+    def recording(A):
+        forms.append(smith_normal_form(A))
+        return forms[-1]
+
+    rng = random.Random(2323)
+    sample = [random_cyclic_pieces_complex(rng)[0] for _ in range(150)]
+    sample += [unnormalized_chains(nerve(monoid_as_category(M), 4).sset)
+               for M in (cyclic_group_monoid(4), klein_four_monoid())]
+    stopped = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homalg, "smith_normal_form", recording)
+        for i, C in enumerate(sample + [GCD_THEN_UNIT]):
+            forms.clear()
+            for k in range(1, C.top_degree + 1):
+                assert C._factors(k) == reference_snf(C.boundary(k).to_dense()), (i, k)
+            if any(len(s.unit_pivots) < s.rank - 1 for s in forms[:-1]):
+                stopped.append(i)
+            hz = graded_homology(C)
+            for ring, p in (("Q", None), ("F2", 2), ("F3", 3)):
+                for k in range(C.top_degree + 1):
+                    prev = hz[k - 1] if k else ZERO
+                    assert homology(C, k, ring).rank == uct_dim(hz[k], prev, p), (i, ring, k)
+    assert graded_homology(GCD_THEN_UNIT) == (ZERO, ZERO, ZERO)
+    assert stopped[0] < len(sample)  # not only the complex above
+
+
 def test_residual_smith_forms_are_lazy():
     C = unnormalized_chains(nerve(monoid_as_category(cyclic_group_monoid(4)), 6).sset)
     with recording_smith_forms() as shapes:
@@ -491,6 +538,9 @@ def test_residual_smith_forms_are_lazy():
             graded_homology(C)
     assert len(shapes) == C.top_degree  # each residual d_k once
     assert max(rows for rows, _ in shapes) < C.dims[C.top_degree - 1]
+    # free pairs leave 1, 3, 9, 27, 81, 243, 3459 generators in degrees 0..6;
+    # the rows at d_{k-1}'s unit-prefix pivots leave d_k too, from d_3 on
+    assert shapes == [(1, 3), (3, 9), (7, 27), (21, 81), (61, 243), (183, 3459)]
 
 
 def test_bad_ring_is_rejected_where_it_is_read():

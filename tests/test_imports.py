@@ -217,7 +217,7 @@ def publics_only_tests_call(package: dict[str, str], program: dict[str, str]) ->
 
 
 def test_public_names_only_tests_call_are_named_oracles():
-    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE if p.name != "fixtures.py"}
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     program = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
     assert sorted(publics_only_tests_call(package, program)) == sorted(TEST_ONLY)
 

@@ -7,7 +7,12 @@ examples.
 
 import json
 
-from oracles import monotone_to_simplex_ref, simplex_ref_to_monotone
+from oracles import (
+    monotone_to_simplex_ref,
+    nonunital_category_corpus,
+    simplex_ref_to_monotone,
+    trivial_monoid,
+)
 from ssethom.cat import (
     FinMonoid,
     FunctorData,
@@ -32,7 +37,6 @@ from ssethom.fixtures import (
     cyclic_group_monoid,
     grid_poset_category,
     klein_four_monoid,
-    nonunital_category_corpus,
     parallel_edges,
     poset_category,
     quillen_functor_corpus,
@@ -40,7 +44,6 @@ from ssethom.fixtures import (
     random_simplicial,
     real_projective_plane,
     sset_corpus,
-    trivial_monoid,
 )
 from ssethom.homalg import (
     bicomplex,

@@ -4,69 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_snf
 from ssethom.homalg import make_chain_complex
 from ssethom.snf import SparseIntMatrix, smith_normal_form
-
-
-def reference_snf(dense):
-    """Slow textbook Smith normal form on a dense matrix, used as an oracle.
-
-    Works the submatrix at (t, t) with swap / gcd row and column steps until
-    the pivot divides everything, then recurses.  Completely independent of
-    the sparse production code.
-    """
-    mat = [list(row) for row in dense]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    out = []
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero entry of minimal absolute value in the submatrix
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        mat[t], mat[i0] = mat[i0], mat[t]
-        for row in mat:
-            row[t], row[j0] = row[j0], row[t]
-        p = mat[t][t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            q = mat[i][t] // p
-            if q:
-                for j in range(t, ncols):
-                    mat[i][j] -= q * mat[t][j]
-            if mat[i][t]:
-                dirty = True
-        for j in range(t + 1, ncols):
-            q = mat[t][j] // p
-            if q:
-                for i in range(t, nrows):
-                    mat[i][j] -= q * mat[i][t]
-            if mat[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        off = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if mat[i][j] % p:
-                    off = i
-                    break
-            if off is not None:
-                break
-        if off is not None:
-            for j in range(t, ncols):
-                mat[t][j] += mat[off][j]
-            continue
-        out.append(abs(p))
-        t += 1
-    return tuple(out)
 
 
 def reference_rank(dense, p=None):
@@ -313,10 +253,12 @@ def test_smith_forms_are_pinned(monkeypatch):
     """Pins the exact factors, V and V_inv of a fixed seeded set.
 
     The set: the free-pair residuals of the level-5 nerves of Z/4 and
-    Z/2 x Z/2 (factors only, as ``ChainComplex`` factors them), the transform
-    forms of the level-4 nerve boundaries of Z/3, and 20 seeded random
-    matrices without unit entries, with and without transforms, so that the
-    gcd pivot and the divisibility fold run.  The invariant factors are
+    Z/2 x Z/2 (factors only, as ``ChainComplex`` factors them: bottom-up,
+    each d_k without the rows at d_{k-1}'s unit-prefix pivots, which leaves
+    its factors as they were), the transform forms of the level-4 nerve
+    boundaries of Z/3, and 20 seeded random matrices without unit entries,
+    with and without transforms, so that the gcd pivot and the divisibility
+    fold run.  The invariant factors are
     unique, but V and V_inv are not: they follow the pivot order.  Any change
     of pivot choice, pivot order or column step moves this pin even when
     every factor stays right, so a deliberate change must pass the oracles

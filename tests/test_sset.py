@@ -10,6 +10,7 @@ from oracles import (
     factor_monotone,
     insert_letter,
     monotone_to_simplex_ref,
+    nonunital_category_corpus,
     simplex_ref_to_monotone,
     surjection_to_word,
     word_to_surjection,
@@ -330,7 +331,7 @@ def segal_walk(X, p):
     return out
 
 
-SEGAL_CATEGORIES = {**fx.nonunital_category_corpus(),
+SEGAL_CATEGORIES = {**nonunital_category_corpus(),
                     "C3": monoid_as_category(fx.cyclic_group_monoid(3))}
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import nonunital_category_corpus, trivial_monoid
 from ssethom import fixtures as fx
 from ssethom import theorems as th
 from ssethom.cat import (FunctorData, FinMonoid, FinNonUnitalCategory, comma_under_object,
@@ -131,9 +132,9 @@ def test_products_torus_and_point():
 # -- unitalization -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(fx.nonunital_category_corpus()))
+@pytest.mark.parametrize("name", sorted(nonunital_category_corpus()))
 def test_krannich_on_corpus(name):
-    rep = th.check_krannich(fx.nonunital_category_corpus()[name], 5)
+    rep = th.check_krannich(nonunital_category_corpus()[name], 5)
     assert rep.verdict == "pass"
 
 
@@ -240,7 +241,7 @@ def test_resolution_triangle_discrete_pair_needs_no_hypothesis():
 @pytest.mark.parametrize("monoid", ["cyclic2", "cyclic3", "absorbing", "trivial"])
 def test_bar_acyclic(monoid):
     M = {"cyclic2": fx.cyclic_group_monoid(2), "cyclic3": fx.cyclic_group_monoid(3),
-         "absorbing": fx.absorbing_pair_monoid(), "trivial": fx.trivial_monoid()}[monoid]
+         "absorbing": fx.absorbing_pair_monoid(), "trivial": trivial_monoid()}[monoid]
     rep = th.check_bar_acyclic(M, 6)
     assert rep.verdict == "pass"
     labels = [i.label for i in rep.hypotheses]
@@ -313,7 +314,7 @@ def test_finite_monoids_have_finite_completions():
 def test_abelian_invariants_oracle():
     assert th.abelian_invariants_from_table(fx.cyclic_group_monoid(6)) == (6,)
     assert th.abelian_invariants_from_table(fx.klein_four_monoid()) == (2, 2)
-    assert th.abelian_invariants_from_table(fx.trivial_monoid()) == ()
+    assert th.abelian_invariants_from_table(trivial_monoid()) == ()
     z2z4 = th._cyclic_product_monoid((2, 4))
     assert th.abelian_invariants_from_table(z2z4) == (2, 4)
 

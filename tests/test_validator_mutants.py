@@ -19,6 +19,7 @@ import hashlib
 import json
 import random
 
+from oracles import nonunital_category_corpus, trivial_monoid
 from ssethom import cat
 from ssethom import fixtures as fx
 from ssethom.sset import PrismHomotopy, check_certificate
@@ -66,14 +67,14 @@ def _mutate_map(rng, values, high):
 
 def _monoids():
     return [fx.cyclic_group_monoid(n) for n in range(2, 6)] + [
-        fx.klein_four_monoid(), fx.absorbing_pair_monoid(), fx.trivial_monoid()]
+        fx.klein_four_monoid(), fx.absorbing_pair_monoid(), trivial_monoid()]
 
 
 def _categories():
     out = [fx.poset_category(n) for n in range(4)]
     out += [fx.strict_poset_category(n) for n in range(4)]
     out += [fx.grid_poset_category(), cat.unitalize(fx.strict_poset_category(2))]
-    out += list(fx.nonunital_category_corpus().values())
+    out += list(nonunital_category_corpus().values())
     out += [cat.monoid_as_category(M) for M in _monoids()]
     return out
 
