@@ -24,9 +24,7 @@ from .cat import (
     FinMonoid,
     FinNonUnitalCategory,
     FunctorData,
-    MonoidAction,
     MonoidPresentation,
-    NatTransData,
     bar_construction,
     comma_resolution,
     comma_under_object,
@@ -37,16 +35,9 @@ from .cat import (
     regular_action,
     trivial_action,
     unitalize,
-    validate_action,
-    validate_category,
-    validate_functor,
-    validate_monoid,
-    validate_nat_trans,
-    validate_presentation,
 )
 from .fixtures import random_semi_simplicial, random_simplicial
 from .homalg import bicomplex, homology, parse_ring, total_complex, unnormalized_chains, normalized_chains
-from .snf import SparseIntMatrix
 from .specseq import check_convergence, spectral_sequence
 from .sset import (
     BiSemiSimplicialSet,
@@ -54,9 +45,6 @@ from .sset import (
     SimplicialSet,
     euler_characteristic,
     skeleton,
-    validate_bisset,
-    validate_simplicial,
-    validate_sset,
 )
 
 
@@ -82,44 +70,8 @@ def _ring(coeff: str) -> str:
 # ---------------------------------------------------------------------------
 # loading with validation
 
-def _truncation(X) -> str:
-    return f", truncated at {X.truncated_at}" if X.truncated_at is not None else ""
-
-
-# One row per document class: (class, name, validator or None, description).
-_KINDS = (
-    (SemiSimplicialSet, "semi-simplicial set", validate_sset,
-     lambda X: f"semi-simplicial set with level sizes {tuple(X.sizes)}{_truncation(X)}"),
-    (SimplicialSet, "simplicial set", validate_simplicial,
-     lambda Y: f"simplicial set with generator counts {tuple(Y.gen_sizes)}{_truncation(Y)}"),
-    (BiSemiSimplicialSet, "bi-semi-simplicial set", validate_bisset,
-     lambda B: (f"bi-semi-simplicial set on a {len(B.sizes)}x{len(B.sizes[0])} grid, "
-                f"{sum(map(sum, B.sizes))} simplices")),
-    (FunctorData, "functor", validate_functor,
-     lambda F: (f"functor from {F.source.n_objects} objects / {F.source.n_morphisms} "
-                f"morphisms to {F.target.n_objects} / {F.target.n_morphisms}")),
-    (NatTransData, "natural transformation", validate_nat_trans,
-     lambda eta: f"natural transformation with {len(eta.components)} components"),
-    (FinNonUnitalCategory, "category", validate_category,
-     lambda C: (f"category with {C.n_objects} objects, {C.n_morphisms} morphisms, "
-                + ("unital" if C.units is not None else "no units"))),
-    (FinMonoid, "monoid", validate_monoid, lambda M: f"monoid with {M.size} elements"),
-    (MonoidPresentation, "monoid presentation", validate_presentation,
-     lambda P: (f"commutative monoid presentation on {P.gens} generators, "
-                f"{len(P.relations)} relations")),
-    (MonoidAction, "monoid action", validate_action,
-     lambda A: f"{A.side} action of a {A.monoid.size}-element monoid on {A.size} elements"),
-    (SparseIntMatrix, "matrix", None, lambda A: f"{A.rows}x{A.cols} integer matrix"),
-)
-
-
-def _kind(obj) -> tuple:
-    """The ``_KINDS`` row of a document object."""
-    return next(row for row in _KINDS if isinstance(obj, row[0]))
-
-
 def _describe(obj) -> str:
-    return _kind(obj)[3](obj)
+    return formats.document_type(obj)[6](obj)
 
 
 def _load_schema(path: str):
@@ -134,7 +86,7 @@ def _load_schema(path: str):
 def _load_checked(path: str, want: type | tuple, what: str):
     """Load a document, insist on its kind, and run the owning validator."""
     obj = _load_schema(path)
-    _, name, checker, _ = _kind(obj)
+    _, _, name, _, _, checker, _ = formats.document_type(obj)
     if not isinstance(obj, want):
         raise UsageError(f"{path}: expected {what}, found a {name} document")
     if checker is not None:
@@ -150,14 +102,14 @@ def _load_checked(path: str, want: type | tuple, what: str):
 
 def _cmd_validate(args) -> int:
     obj = _load_schema(args.file)
-    _, _, checker, describe = _kind(obj)
+    tag, _, _, _, _, checker, describe = formats.document_type(obj)
     if checker is None:
         ok, problems = True, []
     else:
         rep = checker(obj)
         ok, problems = rep.ok, list(rep.problems)
     _emit({"command": "validate", "file": args.file,
-           "type": formats.save_document(obj)["type"], "ok": ok, "problems": problems})
+           "type": tag, "ok": ok, "problems": problems})
     _say(f"{describe(obj)}: {'ok' if ok else 'INVALID'}")
     for p in problems:
         _say(f"  {p}")

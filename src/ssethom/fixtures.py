@@ -61,13 +61,14 @@ def sset_corpus() -> dict[str, SemiSimplicialSet]:
     }
 
 
-def random_semi_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SemiSimplicialSet:
-    """A pseudo-random valid semi-simplicial set: each level samples from the
-    face-compatible tuples over the level below."""
+def random_semi_simplicial(seed: int) -> SemiSimplicialSet:
+    """A pseudo-random valid semi-simplicial set through level 3, truncated
+    there: one to five vertices, and at each level above up to five samples
+    of the face-compatible tuples over the level below."""
     rng = random.Random(seed)
-    sizes = [rng.randint(1, cap)]
+    sizes = [rng.randint(1, 5)]
     faces: list[tuple] = [()]
-    for p in range(1, dim + 1):
+    for p in range(1, 4):
         prev = sizes[p - 1]
         cands = []
         for tup in itertools.product(range(prev), repeat=p + 1):
@@ -81,11 +82,11 @@ def random_semi_simplicial(seed: int, dim: int = 3, cap: int = 5) -> SemiSimplic
                     break
             if ok:
                 cands.append(tup)
-        count = rng.randint(0, min(cap, len(cands)))
+        count = rng.randint(0, min(5, len(cands)))
         chosen = rng.sample(cands, count) if count else []
         sizes.append(len(chosen))
         faces.append(tuple(tuple(tup[i] for tup in chosen) for i in range(p + 1)))
-    return SemiSimplicialSet(tuple(sizes), tuple(faces), truncated_at=dim)
+    return SemiSimplicialSet(tuple(sizes), tuple(faces), truncated_at=3)
 
 
 def random_simplicial(seed: int) -> SimplicialSet:

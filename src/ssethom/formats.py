@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 
-from .cat import FinMonoid, FinNonUnitalCategory, FunctorData, MonoidAction, MonoidPresentation, NatTransData
+from .cat import (FinMonoid, FinNonUnitalCategory, FunctorData, MonoidAction, MonoidPresentation,
+                  NatTransData, validate_action, validate_category, validate_functor,
+                  validate_monoid, validate_nat_trans, validate_presentation)
 from .snf import SparseIntMatrix
-from .sset import BiSemiSimplicialSet, SemiSimplicialSet, SimplexRef, SimplicialSet
+from .sset import (BiSemiSimplicialSet, SemiSimplicialSet, SimplexRef, SimplicialSet,
+                   validate_bisset, validate_simplicial, validate_sset)
 
 
 class FormatError(ValueError):
@@ -109,7 +112,7 @@ def _save_sset(X: SemiSimplicialSet) -> dict:
         if p > 0:
             entry["faces"] = [list(tab) for tab in X.faces[p]]
         levels.append(entry)
-    doc: dict = {"type": "sset", "levels": levels}
+    doc: dict = {"levels": levels}
     if X.truncated_at is not None:
         doc["truncated_at"] = X.truncated_at
     return doc
@@ -171,7 +174,7 @@ def _save_simplicial(Y: SimplicialSet) -> dict:
                 [{"word": list(r.word), "deg": r.deg, "idx": r.gen} for r in tab]
                 for tab in Y.gen_faces[q]]
         gens.append(entry)
-    doc: dict = {"type": "simplicial", "generators": gens}
+    doc: dict = {"generators": gens}
     if Y.truncated_at is not None:
         doc["truncated_at"] = Y.truncated_at
     return doc
@@ -241,8 +244,7 @@ def _save_bisset(B: BiSemiSimplicialSet) -> dict:
     def grid(d):
         return [[[list(tab) for tab in cell] for cell in row] for row in d]
 
-    doc: dict = {"type": "bisset", "sizes": [list(r) for r in B.sizes],
-                 "dh": grid(B.dh), "dv": grid(B.dv)}
+    doc: dict = {"sizes": [list(r) for r in B.sizes], "dh": grid(B.dh), "dv": grid(B.dv)}
     if B.trunc_p is not None:
         doc["trunc_p"] = B.trunc_p
     if B.trunc_q is not None:
@@ -282,7 +284,6 @@ def _load_category(data: dict, path: str) -> FinNonUnitalCategory:
 
 def _save_category(C: FinNonUnitalCategory) -> dict:
     return {
-        "type": "category",
         "objects": C.n_objects,
         "morphisms": [{"src": C.src[m], "tgt": C.tgt[m]} for m in range(C.n_morphisms)],
         "compose": [{"f": f, "g": g, "gf": gf}
@@ -308,9 +309,8 @@ def _load_functor(data: dict, path: str) -> FunctorData:
 
 def _save_functor(F: FunctorData) -> dict:
     return {
-        "type": "functor",
-        "source": _save_category(F.source),
-        "target": _save_category(F.target),
+        "source": save_document(F.source),
+        "target": save_document(F.target),
         "obj_map": list(F.obj_map),
         "mor_map": list(F.mor_map),
     }
@@ -332,9 +332,8 @@ def _load_nat_trans(data: dict, path: str) -> NatTransData:
 
 def _save_nat_trans(eta: NatTransData) -> dict:
     return {
-        "type": "nat-trans",
-        "F": _save_functor(eta.F),
-        "G": _save_functor(eta.G),
+        "F": save_document(eta.F),
+        "G": save_document(eta.G),
         "components": list(eta.components),
     }
 
@@ -355,7 +354,7 @@ def _load_monoid(data: dict, path: str) -> FinMonoid:
 
 
 def _save_monoid(M: FinMonoid) -> dict:
-    return {"type": "monoid", "table": [list(r) for r in M.table], "unit": M.unit}
+    return {"table": [list(r) for r in M.table], "unit": M.unit}
 
 
 def _load_presentation(data: dict, path: str) -> MonoidPresentation:
@@ -374,7 +373,6 @@ def _load_presentation(data: dict, path: str) -> MonoidPresentation:
 
 def _save_presentation(P: MonoidPresentation) -> dict:
     return {
-        "type": "monoid-presentation",
         "generators": P.gens,
         "relations": [[list(lhs), list(rhs)] for lhs, rhs in P.relations],
     }
@@ -400,8 +398,7 @@ def _load_action(data: dict, path: str) -> MonoidAction:
 
 def _save_action(A: MonoidAction) -> dict:
     return {
-        "type": "action",
-        "monoid": _save_monoid(A.monoid),
+        "monoid": save_document(A.monoid),
         "size": A.size,
         "side": A.side,
         "table": [list(r) for r in A.table],
@@ -430,57 +427,77 @@ def _load_matrix(data: dict, path: str) -> SparseIntMatrix:
 
 def _save_matrix(A: SparseIntMatrix) -> dict:
     entries = sorted([i, j, v] for i, row in A.data.items() for j, v in row.items())
-    return {"type": "matrix", "rows": A.rows, "cols": A.cols, "entries": entries}
+    return {"rows": A.rows, "cols": A.cols, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the document table
 
 
-_LOADERS = {
-    "sset": _load_sset,
-    "simplicial": _load_simplicial,
-    "bisset": _load_bisset,
-    "category": _load_category,
-    "functor": _load_functor,
-    "nat-trans": _load_nat_trans,
-    "monoid": _load_monoid,
-    "monoid-presentation": _load_presentation,
-    "action": _load_action,
-    "matrix": _load_matrix,
-}
+def _truncation(X) -> str:
+    return f", truncated at {X.truncated_at}" if X.truncated_at is not None else ""
 
-_SAVERS = {
-    SemiSimplicialSet: _save_sset,
-    SimplicialSet: _save_simplicial,
-    BiSemiSimplicialSet: _save_bisset,
-    FinNonUnitalCategory: _save_category,
-    FunctorData: _save_functor,
-    NatTransData: _save_nat_trans,
-    FinMonoid: _save_monoid,
-    MonoidPresentation: _save_presentation,
-    MonoidAction: _save_action,
-    SparseIntMatrix: _save_matrix,
-}
+
+# One row per document type: (tag, class, name, loader, saver, validator or
+# None, description).  A saver writes every field but the tag.  The rows stay
+# plain tuples and are read from this global at call time, so that a tracer
+# that rebinds functions inside module-level tuples reaches the validators.
+_DOCUMENTS = (
+    ("sset", SemiSimplicialSet, "semi-simplicial set", _load_sset, _save_sset, validate_sset,
+     lambda X: f"semi-simplicial set with level sizes {tuple(X.sizes)}{_truncation(X)}"),
+    ("simplicial", SimplicialSet, "simplicial set", _load_simplicial, _save_simplicial,
+     validate_simplicial,
+     lambda Y: f"simplicial set with generator counts {tuple(Y.gen_sizes)}{_truncation(Y)}"),
+    ("bisset", BiSemiSimplicialSet, "bi-semi-simplicial set", _load_bisset, _save_bisset,
+     validate_bisset,
+     lambda B: (f"bi-semi-simplicial set on a {len(B.sizes)}x{len(B.sizes[0])} grid, "
+                f"{sum(map(sum, B.sizes))} simplices")),
+    ("category", FinNonUnitalCategory, "category", _load_category, _save_category,
+     validate_category,
+     lambda C: (f"category with {C.n_objects} objects, {C.n_morphisms} morphisms, "
+                + ("unital" if C.units is not None else "no units"))),
+    ("functor", FunctorData, "functor", _load_functor, _save_functor, validate_functor,
+     lambda F: (f"functor from {F.source.n_objects} objects / {F.source.n_morphisms} "
+                f"morphisms to {F.target.n_objects} / {F.target.n_morphisms}")),
+    ("nat-trans", NatTransData, "natural transformation", _load_nat_trans, _save_nat_trans,
+     validate_nat_trans,
+     lambda eta: f"natural transformation with {len(eta.components)} components"),
+    ("monoid", FinMonoid, "monoid", _load_monoid, _save_monoid, validate_monoid,
+     lambda M: f"monoid with {M.size} elements"),
+    ("monoid-presentation", MonoidPresentation, "monoid presentation", _load_presentation,
+     _save_presentation, validate_presentation,
+     lambda P: (f"commutative monoid presentation on {P.gens} generators, "
+                f"{len(P.relations)} relations")),
+    ("action", MonoidAction, "monoid action", _load_action, _save_action, validate_action,
+     lambda A: f"{A.side} action of a {A.monoid.size}-element monoid on {A.size} elements"),
+    ("matrix", SparseIntMatrix, "matrix", _load_matrix, _save_matrix, None,
+     lambda A: f"{A.rows}x{A.cols} integer matrix"),
+)
+
+
+def document_type(obj) -> tuple:
+    """The ``_DOCUMENTS`` row of an object whose type is the row's class."""
+    for row in _DOCUMENTS:
+        if type(obj) is row[1]:
+            return row
+    raise TypeError(f"no document form for {type(obj).__name__}")
 
 
 def load_document(data, path: str = ""):
     """Parse one tagged document (already JSON-decoded) into its object."""
     data = _obj(data, path)
     tag = _field(data, "type", path)
-    loader = _LOADERS.get(tag) if isinstance(tag, str) else None
-    if loader is None:
-        known = ", ".join(sorted(_LOADERS))
-        raise FormatError(_sub(path, "type"), f"unknown document type {tag!r} (known: {known})")
-    return loader(data, path)
+    for row in _DOCUMENTS:
+        if row[0] == tag:
+            return row[3](data, path)
+    known = ", ".join(sorted(row[0] for row in _DOCUMENTS))
+    raise FormatError(_sub(path, "type"), f"unknown document type {tag!r} (known: {known})")
 
 
 def save_document(obj) -> dict:
     """The inverse of load_document, up to field ordering."""
-    saver = _SAVERS.get(type(obj))
-    if saver is None:
-        raise TypeError(f"no document form for {type(obj).__name__}")
-    return saver(obj)
+    tag, _, _, _, save, _, _ = document_type(obj)
+    return {"type": tag, **save(obj)}
 
 
 def read_document(filename: str):

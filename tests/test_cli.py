@@ -1,6 +1,7 @@
 import glob
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -69,12 +70,23 @@ def test_validate_all_fixtures(path, capsys):
     assert doc["problems"] == []
 
 
+def test_validate_does_not_serialize_its_input(monkeypatch, capsys):
+    """``validate`` reads the tag off the document table, not off a saved copy."""
+    def refuse(obj):
+        raise AssertionError("validate serialized its input")
+
+    monkeypatch.setattr(formats, "save_document", refuse)
+    for path in all_fixture_files():
+        code, _, err = run(capsys, "validate", path)
+        assert code == 0, (path, err)
+
+
 def test_each_document_tag_has_one_class():
-    """One loader per tag, one saver per class and one ``cli._KINDS`` row per
-    saver class; every fixture loads into its tag's class and saves back to
-    its own tag."""
-    assert len(formats._LOADERS) == len(formats._SAVERS) == len(cli._KINDS)
-    assert [row[0] for row in cli._KINDS if row[0] not in formats._SAVERS] == []
+    """``formats._DOCUMENTS`` has one row per tag and one per class, and no
+    saver writes the tag; every fixture loads into its tag's class and saves
+    back to its own tag."""
+    rows = formats._DOCUMENTS
+    assert len({row[0] for row in rows}) == len({row[1] for row in rows}) == len(rows)
     classes = {}
     for path in all_fixture_files():
         with open(path, encoding="utf-8") as fh:
@@ -82,6 +94,7 @@ def test_each_document_tag_has_one_class():
         obj = formats.read_document(path)
         assert classes.setdefault(tag, type(obj)) is type(obj), path
         assert formats.save_document(obj)["type"] == tag, path
+        assert "type" not in formats.document_type(obj)[4](obj), path
     assert len(set(classes.values())) == len(classes)
 
 
@@ -606,6 +619,51 @@ def test_built_space_bytes_are_pinned(argv, digest, capsys, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def check_inputs(row):
+    """(files, seed) inputs for one ``cli._CHECKS`` row: every fixture of its
+    input kind, the first six pairs for two-input checks, and seeds 0-1 for
+    seeded rows."""
+    kinds, seeded = row[1], row[5]
+    docs = [(path, formats.read_document(path)) for path in all_fixture_files()]
+    matches = [[path for path, obj in docs if isinstance(obj, kind)] for kind in kinds]
+    combos = itertools.product(*matches)
+    if len(kinds) > 1:
+        combos = itertools.islice(combos, 6)
+    inputs = [(list(files), None) for files in combos]
+    if seeded is not None:
+        inputs += [([], seed) for seed in (0, 1)]
+    return inputs
+
+
+def test_trusted_degrees_do_not_move_with_the_cutoff():
+    """Truncation honesty: for every check, ``trusted_through`` never falls as
+    the cutoff N grows, and every comparison at a degree <= trusted_through(N)
+    is the same at N + 1."""
+    reports = 0
+    for row in cli._CHECKS:
+        check_id, param = row[0], row[3]
+        degree = 1 if param == "degree" else None
+        size = 3 if param == "size" else None
+        for files, seed in check_inputs(row):
+            reps = {}
+            for n in range(1, 6):
+                try:
+                    reps[n] = cli._run_check(check_id, files, n, seed, degree, size)
+                except cli.UsageError:
+                    continue
+            reports += len(reps)
+            for n, rep in reps.items():
+                nxt = reps.get(n + 1)
+                if nxt is None:
+                    continue
+                where = (check_id, files, seed, n)
+                top = rep.trusted_through
+                assert nxt.trusted_through >= top, where
+                assert ([c.to_dict() for c in rep.comparisons if c.degree <= top]
+                        == [c.to_dict() for c in nxt.comparisons if c.degree <= top]), where
+    assert reports == 299
+
+
 # -- batches -----------------------------------------------------------------
 
 
@@ -1061,3 +1119,26 @@ def test_pool_size_is_bounded():
     assert cli._pool_size(10 ** 9, 3) == min(3, cpus)
     assert cli._pool_size(1, 50) == 1
     assert cli._pool_size(8, 0) == 1
+
+
+# -- tracing -----------------------------------------------------------------
+
+
+def test_tracer_reaches_the_validators_of_the_document_table(capsys):
+    """``perfbench/layertrace.py`` rebinds functions held in module-level
+    tuples; the validators that the CLI reads from ``formats._DOCUMENTS`` must
+    show up as spans."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", os.path.join(FIXTURES, "..", "perfbench", "layertrace.py"))
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["validate", fixture("rp2.ss.json")]) == 0
+        assert cli.main(["check", "fat-thin", fixture("freerp2.simp.json"), "--cutoff", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"sset.validate_sset", "sset.validate_simplicial"} <= names
