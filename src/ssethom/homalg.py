@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .snf import SparseIntMatrix, smith_normal_form
+from .snf import SparseIntMatrix, invariant_factors, smith_normal_form
 from .sset import (
     BiSemiSimplicialSet,
     Enumeration,
@@ -134,45 +134,10 @@ class FPAbelianGroup:
         return {"rank": self.rank, "torsion": list(self.torsion), "pretty": str(self)}
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def group_from_cyclic_orders(rank: int, orders) -> FPAbelianGroup:
-    """Canonicalize a direct sum of cyclic groups into invariant factors.
-
-    Splits every order into prime powers, then rebuilds the divisibility
-    chain by pairing the largest powers of each prime.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
-        if n == 1:
-            continue
-        if n <= 0:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in _prime_factors(n).items():
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for k in range(depth):
-        t = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                t *= p ** exps[k]
-        factors.append(t)
-    factors.reverse()  # ascending divisibility
-    return FPAbelianGroup(rank, tuple(factors))
+    """Canonicalize a direct sum of cyclic groups into invariant factors,
+    by the merge ``snf.invariant_factors``, dropping the trivial ones."""
+    return FPAbelianGroup(rank, tuple(t for t in invariant_factors(orders) if t > 1))
 
 
 def direct_sum_groups(groups) -> FPAbelianGroup:
@@ -592,8 +557,10 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 class HomologyCoordinates:
     """Canonical coordinates on H_k over Z.
 
-    Positions carry the invariant factor orders (0 means a free coordinate);
-    trivial positions (order 1) are dropped.  ``project`` sends any cycle to
+    Position i carries the order of its cyclic summand (0 means a free
+    coordinate); these are Smith pivots in elimination order, so they need
+    not divide one another, and ``group`` holds their invariant factors.
+    Trivial positions (order 1) are dropped.  ``project`` sends any cycle to
     its class in these coordinates, torsion entries reduced mod their order,
     by one product with ``coords``; ``representative`` reads a column of
     ``cycles``, the inverse of ``coords`` on the cycles of degree k.
@@ -626,7 +593,7 @@ def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
     """Coordinates on H_k(C; Z) from two transform Smith forms: ``s`` of d_k
     gives the cycle basis V[:, r:] and coordinates V_inv[r:]; ``t`` factors
     the relations V_inv[r:] d_{k+1} transposed, which in coordinates t.V^T
-    span d_i Z in row i."""
+    span ``t.diagonal[i]`` Z in row i (0 beyond t's rank)."""
     if k == C.top_degree and not C.complete:
         raise ValueError("homology at the top of a truncated complex is not trusted")
     d = C.boundary(k)
@@ -637,10 +604,9 @@ def homology_coordinates(C: ChainComplex, k: int) -> HomologyCoordinates:
     from_cycle = SparseIntMatrix(n, z, {i: {j - r: v for j, v in row.items() if j >= r}
                                         for i, row in s.V.data.items()})
     t = smith_normal_form(to_cycle.mul(C.boundary(k + 1)).transpose(), transforms=True)
-    orders = tuple(t.factors[i] if i < t.rank else 0 for i in range(z))
+    orders = t.diagonal + (0,) * (z - t.rank)
     positions = tuple(i for i in range(z) if orders[i] != 1)
-    group = FPAbelianGroup(sum(1 for i in positions if orders[i] == 0),
-                           tuple(orders[i] for i in positions if orders[i] > 1))
+    group = FPAbelianGroup(z - t.rank, tuple(f for f in t.factors if f > 1))
     return HomologyCoordinates(group, k, d, t.V.transpose().mul(to_cycle),
                                from_cycle.mul(t.V_inv.transpose()), orders, positions)
 

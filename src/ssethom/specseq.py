@@ -173,9 +173,10 @@ def _matrix(cols: list[dict], rows: int, p: int | None) -> tuple:
 class SSPage:
     """One page: dims and bases per spot, differentials keyed by source spot.
 
-    basis[(p,q)] lists class representatives as coordinate vectors in the
-    total complex of the filtered orientation.  diff[(p,q)] is a row-major
-    matrix into the page's (p-r, q+r-1) spot basis.
+    A spot missing from ``dims`` is zero.  basis[(p,q)] lists class
+    representatives as coordinate vectors in the total complex of the
+    filtered orientation.  diff[(p,q)] is a row-major matrix into the page's
+    (p-r, q+r-1) spot basis.
     """
 
     r: int
@@ -183,9 +184,6 @@ class SSPage:
     dims: dict
     basis: dict
     diff: dict
-
-    def dim(self, p: int, q: int) -> int:
-        return self.dims.get((p, q), 0)
 
 
 @dataclass(frozen=True)

@@ -418,7 +418,7 @@ def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
 
 
 def is_canonical_word(word: tuple[int, ...], deg: int) -> bool:
-    if list(word) != sorted(word, reverse=True):
+    if any(a <= b for a, b in zip(word, word[1:])):
         return False
     k = len(word)
     return all(0 <= word[m] <= deg + (k - 1 - m) for m in range(k))

@@ -572,6 +572,8 @@ def check_segal_nerve(M: FinMonoid, N: int) -> CheckReport:
     """
     if not is_group(M):
         raise ValueError("the Segal certificate is only issued for group tables")
+    if N == 0:
+        return _finish("segal-nerve", N, -1, [], [], [])
     C = monoid_as_category(M)
     X = nerve(C, N).sset
     items = []

@@ -5,12 +5,18 @@ canonical degeneracy word is the descending list of a monotone surjection's
 flat steps.  None of this goes through ``normalize_face``, the canonical word
 arithmetic the package uses.  ``reference_snf`` is a dense textbook Smith
 normal form that shares no code with ``ssethom.snf``.  The categories and the
-monoid at the end are examples that only tests build.
+monoid under "test-only examples" are examples that only tests build.  ``time_limit`` is a
+wall-clock guard, so that a test of a super-linear trap fails instead of
+hanging.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
+
+import pytest
 
 from ssethom.cat import FinMonoid, FinNonUnitalCategory
 from ssethom.fixtures import (
@@ -157,3 +163,30 @@ def nonunital_category_corpus() -> dict[str, FinNonUnitalCategory]:
 
 def trivial_monoid() -> FinMonoid:
     return FinMonoid(table=((0,),), unit=0)
+
+
+# -- wall-clock guard --------------------------------------------------------------
+
+
+class RunTooLong(BaseException):
+    """Raised by ``time_limit``.  It is not an ``Exception``, so ``cli.main``
+    cannot turn it into exit 3."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise ``RunTooLong`` in the block once ``seconds`` of wall-clock time
+    have passed (SIGALRM, so main thread only)."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("the wall-clock guard needs signal.setitimer")
+
+    def alarm(signum, frame):
+        raise RunTooLong(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -8,11 +8,12 @@ import re
 
 import pytest
 
+from oracles import time_limit
 from ssethom import cli, formats
 from ssethom.cat import (FinMonoid, FinNonUnitalCategory, FunctorData, NatTransData,
                          validate_category)
 from ssethom.sset import (BiSemiSimplicialSet, SemiSimplicialSet, constant_sset, exterior_product,
-                          validate_bisset, validate_sset)
+                          free_degeneracies, validate_bisset, validate_sset)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -662,6 +663,53 @@ def test_trusted_degrees_do_not_move_with_the_cutoff():
                 assert ([c.to_dict() for c in rep.comparisons if c.degree <= top]
                         == [c.to_dict() for c in nxt.comparisons if c.degree <= top]), where
     assert reports == 299
+
+
+def test_every_check_but_skeletal_shadow_answers_cutoff_zero(capsys):
+    """At cutoff 0 every check reports on the inputs of
+    ``check_inputs``, and refuses one only as it does at cutoff 1.  The
+    exception is skeletal-shadow, whose degree must sit below the cutoff."""
+    reports = 0
+    for row in cli._CHECKS:
+        check_id, param = row[0], row[3]
+        if check_id == "skeletal-shadow":
+            continue
+        degree = 1 if param == "degree" else None
+        size = 3 if param == "size" else None
+        for files, seed in check_inputs(row):
+            try:
+                rep = cli._run_check(check_id, files, 0, seed, degree, size)
+            except cli.UsageError as e:
+                with pytest.raises(cli.UsageError, match=re.escape(str(e))):
+                    cli._run_check(check_id, files, 1, seed, degree, size)
+                continue
+            assert (rep.cutoff, rep.verdict == "untrusted-at-cutoff") == (0, rep.trusted_through < 0)
+            reports += 1
+    assert reports == 55
+    code, report, _ = run_json(capsys, "check", "segal-nerve", fixture("c2.mon.json"),
+                               "--cutoff", "0")
+    assert (code, report["verdict"], report["hypotheses"]) == (1, "untrusted-at-cutoff", [])
+
+
+def test_products_answer_a_torsion_order_with_a_large_prime_factor(capsys, tmp_path):
+    """A Moore space with H_1 = Z/(2^89 - 1): edges a_0..a_89 and c on one
+    vertex, 2-simplices with faces (a_i, a_{i+1}, a_i), which make
+    a_{i+1} = 2 a_i, then (c, c, c), which kills c, and (a_89, a_0, c).
+    Times RP^2 that is Z/(2^90 - 2) in degree 1, an order no trial division
+    factors in time."""
+    k = 89
+    c = k + 1
+    tri = [(i, i + 1, i) for i in range(k)] + [(c, c, c), (k, 0, c)]
+    X = SemiSimplicialSet((1, k + 2, k + 2), ((), ((0,) * (k + 2),) * 2, tuple(zip(*tri))))
+    path = str(tmp_path / "moore.simp.json")
+    formats.write_document(path, free_degeneracies(X))
+    with time_limit(30):
+        code, report, _ = run_json(capsys, "check", "products", path,
+                                   fixture("freerp2.simp.json"), "--cutoff", "4")
+    assert (code, report["verdict"]) == (0, "pass")
+    h1 = report["comparisons"][1]
+    assert h1["degree"] == 1 and h1["left"]["pretty"] == "Z/1237940039285380274899124222"
+    assert h1["left"] == h1["right"]
 
 
 # -- batches -----------------------------------------------------------------

@@ -8,8 +8,8 @@ too) the wrong JSON type, or nudges an integer by one or sets it to -1, 0 or
 run that exits 2 must write nothing to stdout.  One sha256 per seed over
 every run's exit status and stdout, with the mutant's path masked, pins
 what the command line answers.  A per-run wall-clock guard turns runaway
-work into a failure instead of a hang; its exception is not an
-``Exception``, so ``cli.main`` cannot turn it into exit 3.
+work into a failure instead of a hang (``oracles.time_limit``); its
+exception is not an ``Exception``, so ``cli.main`` cannot turn it into exit 3.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import io
 import json
 import os
 import random
-import signal
 import time
 
 import pytest
 
+from oracles import RunTooLong, time_limit
 from ssethom import cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -172,37 +172,16 @@ def mutate(doc, rng: random.Random):
 # -- the runs ----------------------------------------------------------------
 
 
-class RunTooLong(BaseException):
-    """Raised by the wall-clock guard; not an ``Exception``, so ``cli.main``
-    lets it through."""
-
-
-def _alarm(signum, frame):
-    raise RunTooLong
-
-
 def run_guarded(argv: list[str], limit: float = RUN_LIMIT_S) -> tuple[int, str]:
     """``cli.main(argv)`` under the wall-clock guard: (exit status, stdout)."""
     out = io.StringIO()
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+    with time_limit(limit), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
-@pytest.fixture
-def guard():
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("the wall-clock guard needs signal.setitimer")
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    yield
-    signal.signal(signal.SIGALRM, previous)
-
-
-def test_the_guard_stops_a_run_that_does_not_end(guard, monkeypatch):
+def test_the_guard_stops_a_run_that_does_not_end(monkeypatch):
     def endless(args):
         time.sleep(60)
 
@@ -212,7 +191,7 @@ def test_the_guard_stops_a_run_that_does_not_end(guard, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_malformed_documents_exit_cleanly(seed, tmp_path, guard):
+def test_malformed_documents_exit_cleanly(seed, tmp_path):
     rng = random.Random(seed)
     pairs = runs()
     docs = {}

@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from oracles import reference_snf
+from oracles import reference_snf, time_limit
 from ssethom import formats
 from ssethom.cat import (
     FinMonoid,
@@ -115,13 +115,22 @@ def test_group_canonicalization_frozen():
 
 
 def test_group_canonicalization_random():
+    # the Mersenne primes 2^61 - 1 and 2^89 - 1 keep trial division running
+    # for hours; the probes run over every divisor of the orders' exponent
     rng = random.Random(7)
-    for _ in range(200):
-        orders = [rng.randint(1, 24) for _ in range(rng.randint(0, 5))]
-        g = group_from_cyclic_orders(0, orders)
+    m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1
+    cases = [[rng.randint(1, 24) for _ in range(rng.randint(0, 5))] for _ in range(200)]
+    cases += [[rng.choice((1, 2, 3, 4, 6)) * rng.choice((1, m61, m89))
+               for _ in range(rng.randint(0, 5))] for _ in range(50)]
+    cases.append([2] * 10 ** 4 + [3] * 10 ** 4)
+    probes = list(range(1, 25)) + [m * k for m in (m61, m89, m61 * m89) for k in (1, 2, 3, 4, 6, 12)]
+    with time_limit(10):
+        groups = [group_from_cyclic_orders(0, orders) for orders in cases]
+    assert groups[-1].torsion == (6,) * 10 ** 4
+    for orders, g in zip(cases, groups):
         assert g.rank == 0 and prod(g.torsion) == prod(orders)
-        for n in range(1, 25):
-            assert count_killed_by(g.torsion, n) == count_killed_by(orders, n)
+        for n in probes:
+            assert count_killed_by(g.torsion, n) == count_killed_by(orders, n), (orders, n)
 
 
 def test_group_validation():

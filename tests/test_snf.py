@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_snf
+from oracles import reference_snf, time_limit
 from ssethom.homalg import make_chain_complex
-from ssethom.snf import SparseIntMatrix, smith_normal_form
+from ssethom.snf import SparseIntMatrix, invariant_factors, smith_normal_form
 
 
 def reference_rank(dense, p=None):
@@ -137,11 +137,32 @@ def test_oracle_agreement_with_sympy():
         assert smith_normal_form(a).factors == want, (trial, dense)
 
 
+def test_invariant_factors_merge():
+    # one factor per order, 1s kept, least first
+    assert invariant_factors(()) == ()
+    assert invariant_factors((2, 3)) == (1, 6)
+    assert invariant_factors((6, 4, 1)) == (1, 2, 12)
+    assert invariant_factors((4, 2, 8, 3)) == (1, 2, 4, 24)
+    with pytest.raises(ValueError):
+        invariant_factors((2, 0))
+
+
+def test_a_long_diagonal_is_eliminated_in_linear_time():
+    # a pivot checked against every remaining row makes this quadratic
+    n = 4000
+    a = SparseIntMatrix(n, n, {i: {i: 6 if i % 2 else 2} for i in range(n)})
+    with time_limit(2):
+        s = smith_normal_form(a)
+    assert s.factors == (2,) * (n // 2) + (6,) * (n // 2)
+    assert sorted(s.diagonal) == list(s.factors)
+
+
 def test_transforms_diagonalize():
     # V V_inv = I, columns rank: of A V vanish, and column i < rank of A V is
-    # factors[i] times a column of a unimodular matrix: the quotient columns
+    # diagonal[i] times a column of a unimodular matrix: the quotient columns
     # have all-unit invariant factors, so they extend to a basis of Z^rows.
-    # Together that is A = U^-1 D V^-1 for some unimodular U.
+    # Together that is A = U^-1 D V^-1 for some unimodular U, with D the
+    # diagonal, whose invariant factors are the factors.
     rng = random.Random(99)
     for trial in range(120):
         rows = rng.randint(0, 5)
@@ -156,8 +177,8 @@ def test_transforms_diagonalize():
         quotient = []
         for i in range(rows):
             assert all(av[i][j] == 0 for j in range(s.rank, cols)), (trial, dense)
-            assert all(av[i][j] % s.factors[j] == 0 for j in range(s.rank)), (trial, dense)
-            quotient.append([av[i][j] // s.factors[j] for j in range(s.rank)])
+            assert all(av[i][j] % s.diagonal[j] == 0 for j in range(s.rank)), (trial, dense)
+            quotient.append([av[i][j] // s.diagonal[j] for j in range(s.rank)])
         if s.rank:
             assert reference_snf(quotient) == (1,) * s.rank, (trial, dense)
 
@@ -257,12 +278,12 @@ def test_smith_forms_are_pinned(monkeypatch):
     each d_k without the rows at d_{k-1}'s unit-prefix pivots, which leaves
     its factors as they were), the transform forms of the level-4 nerve
     boundaries of Z/3, and 20 seeded random matrices without unit entries,
-    with and without transforms, so that the gcd pivot and the divisibility
-    fold run.  The invariant factors are
-    unique, but V and V_inv are not: they follow the pivot order.  Any change
-    of pivot choice, pivot order or column step moves this pin even when
-    every factor stays right, so a deliberate change must pass the oracles
-    above and take the pin again.
+    with and without transforms, so that gcd pivots run and pivots that do
+    not divide one another reach ``invariant_factors``.  The invariant
+    factors are unique, but V and V_inv are not: they follow the pivot
+    order.  Any change of pivot choice, pivot order or column step moves
+    this pin even when every factor stays right, so a deliberate change must
+    pass the oracles above and take the pin again.
     """
     from ssethom import homalg
     from ssethom.cat import monoid_as_category, nerve
@@ -297,7 +318,7 @@ def test_smith_forms_are_pinned(monkeypatch):
         record(smith_normal_form(a, transforms=True))
     assert len(lines) == 54
     got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert got == "ddddf80223ee0bf67463cd59a4e0d4413921bc7097bc345c083d945308f2fdc1"
+    assert got == "f3de9a7cfafcedc7b4aa7a61b4fb6364382a34a4ef298f8c18a7bca7fdc2dae2"
 
 
 def stores_no_zero(m):

@@ -487,6 +487,18 @@ def test_validate_simplicial_standard():
         assert validate_simplicial(standard_simplicial_simplex(n)).ok
 
 
+def test_validate_simplicial_requires_strictly_decreasing_words():
+    # s_1 s_1 is not canonical (s_1 s_1 = s_2 s_1); the loader refuses such
+    # a word, and so must the in-memory validator, or enumeration fails
+    assert not is_canonical_word((1, 1), 1)
+    Y = standard_simplicial_simplex(4)
+    level = [list(tab) for tab in Y.gen_faces[4]]
+    level[0][0] = SimplexRef((1, 1), 1, 0)
+    faces = Y.gen_faces[:4] + (tuple(map(tuple, level)),)
+    report = validate_simplicial(dataclasses.replace(Y, gen_faces=faces))
+    assert report.problems == ("degree 4 face 0 generator 0: word (1, 1) not canonical",)
+
+
 def test_free_degeneracies_enumeration_sizes():
     X = boundary_semi_simplex(2)
     E = free_degeneracies(X)
