@@ -22,9 +22,8 @@ from .sset import (
     SimplicialSet,
     boundary_semi_simplex,
     constant_sset,
-    diagonal,
-    exterior_product,
     free_degeneracies,
+    levelwise_product,
     standard_semi_simplex,
 )
 
@@ -57,7 +56,7 @@ def sset_corpus() -> dict[str, SemiSimplicialSet]:
         "rp2": real_projective_plane(),
         "parallel3": parallel_edges(3),
         "threepoints": constant_sset(3, 2),
-        "diagsquare": diagonal(exterior_product(circle, circle)),
+        "diagsquare": levelwise_product(circle, circle),
     }
 
 

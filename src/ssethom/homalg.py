@@ -389,14 +389,17 @@ def _table_matrix(rows: int, cols: int, tables, signs=None) -> SparseIntMatrix:
     """Sum over i of signs[i] times the 0/1 matrix sending column s to row
     tables[i][s]; ``signs`` defaults to (-1)^i, the alternating face sum.
 
-    Entries are taken table by table, then column by column, as
-    ``from_entries`` takes them: that fixes the row and column order, which
+    Every table has one entry per column, and a ``None`` entry (a degenerate
+    face, a column outside the block a map reads) adds nothing.  Entries are
+    taken table by table, then column by column, as ``from_entries`` takes
+    them: that fixes the row and column order, which
     ``_free_pair_reduction``'s worklist follows.
     """
     if signs is None:
         signs = [-1 if i % 2 else 1 for i in range(len(tables))]
     return SparseIntMatrix.from_entries(
-        rows, cols, ((tab[s], s, sign) for tab, sign in zip(tables, signs) for s in range(cols)))
+        rows, cols, ((r, s, sign) for tab, sign in zip(tables, signs)
+                     for s, r in zip(range(cols), tab, strict=True) if r is not None))
 
 
 def _sizes_through(sizes: tuple[int, ...], through: int) -> tuple[int, ...]:
@@ -438,18 +441,11 @@ def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComp
     if Y.truncated_at is not None and through > Y.truncated_at:
         raise ValueError("cannot extend past the truncation")
     dims = _sizes_through(Y.gen_sizes, through)
-    boundaries = []
-    for k in range(1, len(dims)):
-        entries = []
-        if k <= listed:
-            for i in range(k + 1):
-                sign = -1 if i % 2 else 1
-                tab = Y.gen_faces[k][i]
-                for g in range(dims[k]):
-                    ref = tab[g]
-                    if not ref.word:
-                        entries.append((ref.gen, g, sign))
-        boundaries.append(SparseIntMatrix.from_entries(dims[k - 1], dims[k], entries))
+    # a degenerate face becomes a None entry, which adds nothing
+    tables = [[[None if ref.word else ref.gen for ref in tab] for tab in level]
+              for level in Y.gen_faces[:len(dims)]]
+    boundaries = [_table_matrix(dims[k - 1], dims[k], tables[k] if k < len(tables) else ())
+                  for k in range(1, len(dims))]
     complete = Y.truncated_at is None and through >= Y.top_generator_degree
     return make_chain_complex(dims, boundaries, complete)
 
@@ -509,11 +505,9 @@ def normalization_projection(enum: Enumeration) -> ChainMap:
     top = len(enum.sset.sizes) - 1
     src = unnormalized_chains(enum.sset)
     tgt = normalized_chains(enum.space, through=top)
-    mats = []
-    for k in range(top + 1):
-        entries = [(ref.gen, s, 1) for s, ref in enumerate(enum.refs[k]) if not ref.word]
-        mats.append(SparseIntMatrix.from_entries(tgt.dims[k], src.dims[k], entries))
-    return ChainMap(src, tgt, tuple(mats))
+    return ChainMap(src, tgt, tuple(_table_matrix(
+        tgt.dims[k], src.dims[k], [[None if ref.word else ref.gen for ref in enum.refs[k]]], [1])
+        for k in range(top + 1)))
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -674,10 +668,9 @@ def chain_homotopy_from_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> Ch
     fmap = chain_map_from_sset_map(cert.f)
     gmap = chain_map_from_sset_map(cert.g)
     src, tgt = fmap.source, fmap.target
-    T = len(cert.tri) - 1
-    P = [_table_matrix(tgt.dims[k + 1], src.dims[k], cert.tri[k]).scale(-1)  # (-1)^{i+1}
-         for k in range(T + 1)]
-    return ChainHomotopy(src, tgt, fmap.mats, gmap.mats, tuple(P), through=T)
+    P = [_table_matrix(tgt.dims[k + 1], src.dims[k], tri, [(-1) ** (i + 1) for i in range(len(tri))])
+         for k, tri in enumerate(cert.tri)]
+    return ChainHomotopy(src, tgt, fmap.mats, gmap.mats, tuple(P), through=len(P) - 1)
 
 
 # -- double complexes -------------------------------------------------------------

@@ -5,11 +5,12 @@ Matrices are stored row-sparse (dict of row -> dict of col -> nonzero value);
 only the constructor drops zero entries and empty rows, from raw sums.
 The Smith normal form routine has one pivot rule: pivots come from a heap of
 the entries of least |value|, least fill score first, built when it runs
-empty.  While that value is 1, a popped entry that stopped being +-1 is
-skipped, so it takes unit pivots while a +-1 entry survives and gcd pivots
-only on the residue.  A gcd-phase pick is taken as it stands: after earlier
-gcd steps it need not be an entry of least |value| any more, which costs
-gcd rounds but not exactness.  Row steps clear the pivot column first; each
+empty; a popped entry whose score has grown past the next one's goes back
+with its fresh score.  While that value is 1, a popped entry that stopped
+being +-1 is skipped, so it takes unit pivots while a +-1 entry survives and
+gcd pivots only on the residue.  A gcd-phase pick is taken as it stands:
+after earlier gcd steps it need not be an entry of least |value| any more,
+which costs gcd rounds but not exactness.  Row steps clear the pivot column first; each
 column step then changes only the pivot row's entry, and with transforms
 one column of V and one row of V^-1.  Fill still
 grows: on the 1024x4096 top boundary of the B Z/4 nerve at level 6

@@ -7,11 +7,12 @@ the nondegenerate simplices are listed, and every simplex is named by a
 canonical pair (degeneracy word, generator).  A degeneracy word is a strictly
 decreasing tuple (j_1 > ... > j_k) standing for s_{j_1} ... s_{j_k}.
 
-Every listed object (a standard simplex, an enumeration, a product, and in
-``cat`` the nerves, bar constructions and comma resolutions) is built by
-``listed_sset`` or ``listed_bisset`` from its levels in order and a face
-function.  Every table's length and range is checked by ``_table_problems``,
-and every table law by comparing two whole tables.  A certificate is an
+Every listed object (a standard simplex, an enumeration, an exterior
+product, and in ``cat`` the nerves, bar constructions and comma resolutions)
+is built by ``listed_sset`` or ``listed_bisset`` from its levels in order and
+a face function; ``levelwise_product`` writes its tables directly.  Every
+table's length and range is checked by ``_table_problems``, and every table
+law by comparing two whole tables.  A certificate is an
 ``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by ``check_certificate``.
 """
 
@@ -341,28 +342,10 @@ def exterior_product(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> BiSemiSimpli
                          X.truncated_at, Y.truncated_at)[0]
 
 
-def diagonal(B: BiSemiSimplicialSet) -> SemiSimplicialSet:
-    """Restrict a bi-semi-simplicial set to its diagonal levels.
-
-    d_i on the diagonal is dh_i followed by dv_i (the order does not matter
-    since the two directions commute).
-    """
-    L = min(B.p_levels, B.q_levels)
-    sizes = tuple(B.size(p, p) for p in range(L))
-    faces = [()]
-    for p in range(1, L):
-        faces.append(tuple(
-            tuple(B.dv[p - 1][p][i][t] for t in B.dh[p][p][i])
-            for i in range(p + 1)))
-    trunc = None
-    if B.trunc_p is not None or B.trunc_q is not None:
-        trunc = L - 1
-    return SemiSimplicialSet(sizes, tuple(faces), truncated_at=trunc)
-
-
 def levelwise_product(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> SemiSimplicialSet:
     """Level p is X_p x Y_p, (x, y) indexed x * |Y_p| + y, d_i(x, y) = (d_i x, d_i y):
-    ``diagonal(exterior_product(X, Y))`` without the off-diagonal levels."""
+    the diagonal levels (p, p) of ``exterior_product(X, Y)``, whose face is
+    dh_i then dv_i, with their face tables written directly."""
     L = min(len(X.sizes), len(Y.sizes))
     faces = ((),) + tuple(
         tuple(tuple(a * Y.sizes[p - 1] + b for a in X.faces[p][i] for b in Y.faces[p][i])
@@ -455,8 +438,10 @@ def normalize_face(Y: SimplicialSet, i: int, ref: SimplexRef) -> SimplexRef:
 
     Pushes the face through the degeneracy word with the mixed identities:
     d_i s_j is s_{j-1} d_i for i < j, the identity for i in {j, j+1}, and
-    s_j d_{i-1} for i > j + 1.  Prepending the adjusted letter keeps the word
-    strictly decreasing, so no renormalization pass is needed.
+    s_j d_{i-1} for i > j + 1.  The adjusted letter a goes into the inner
+    face's word by s_a s_b = s_{b+1} s_a for a <= b: a plain prepend is
+    canonical only when the word starts below a, which fails once a
+    generator's face is degenerate (s_0 s_0 v is canonically s_1 s_0 v).
     """
     word, deg, gen = ref
     if not word:
@@ -469,9 +454,13 @@ def normalize_face(Y: SimplicialSet, i: int, ref: SimplexRef) -> SimplexRef:
         return rest
     if i < j:
         inner = normalize_face(Y, i, rest)
-        return SimplexRef((j - 1,) + inner.word, inner.deg, inner.gen)
-    inner = normalize_face(Y, i - 1, rest)
-    return SimplexRef((j,) + inner.word, inner.deg, inner.gen)
+        j -= 1
+    else:
+        inner = normalize_face(Y, i - 1, rest)
+    w, k = inner.word, 0
+    while k < len(w) and w[k] >= j:
+        k += 1
+    return SimplexRef(tuple(b + 1 for b in w[:k]) + (j,) + w[k:], inner.deg, inner.gen)
 
 
 def validate_simplicial(Y: SimplicialSet) -> ValidationReport:

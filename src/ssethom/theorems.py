@@ -43,6 +43,7 @@ from .cat import (
 from .homalg import (
     ChainMap,
     FPAbelianGroup,
+    _table_matrix,
     acyclic_through,
     alexander_whitney,
     bicomplex,
@@ -347,26 +348,22 @@ def check_quillen_a(F: FunctorData, N: int) -> CheckReport:
 
 def _resolution_models(F: FunctorData, N: int):
     """The two edge projections of the comma resolution as chain maps out of
-    the truncated total complex."""
+    the truncated total complex: eps reads the block (n, 0) of Tot_n and eta
+    the block (0, n), each table padded with None to the whole of Tot_n."""
     res = comma_resolution(F, N)
     tot = total_complex(bicomplex(res.bisset), through=N)
     T = tot.complex
     CC = unnormalized_chains(res.c_nerve.sset)
     CD = unnormalized_chains(nerve(F.target, N).sset)
 
-    eps_mats = []
-    eta_mats = []
-    for n in range(N + 1):
-        off_e, size_e = tot.block_offset(n, n)
-        eps_mats.append(SparseIntMatrix.from_entries(
-            CC.dims[n], T.dims[n],
-            ((res.eps[n][0][e], off_e + e, 1) for e in range(size_e))))
-        off_h, size_h = tot.block_offset(n, 0)
-        eta_mats.append(SparseIntMatrix.from_entries(
-            CD.dims[n], T.dims[n],
-            ((res.eta[0][n][e], off_h + e, 1) for e in range(size_h))))
-    eps_model = ChainMap(T, CC, tuple(eps_mats))
-    eta_model = ChainMap(T, CD, tuple(eta_mats))
+    def on_block(n, p, tab):
+        off, size = tot.block_offset(n, p)
+        return [(None,) * off + tab + (None,) * (T.dims[n] - off - size)]
+
+    eps_model = ChainMap(T, CC, tuple(_table_matrix(
+        CC.dims[n], T.dims[n], on_block(n, n, res.eps[n][0]), [1]) for n in range(N + 1)))
+    eta_model = ChainMap(T, CD, tuple(_table_matrix(
+        CD.dims[n], T.dims[n], on_block(n, 0, res.eta[0][n]), [1]) for n in range(N + 1)))
     return eps_model, eta_model
 
 

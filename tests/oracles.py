@@ -4,10 +4,11 @@ A simplex of the simplicial n-simplex is a monotone map into [n], and a
 canonical degeneracy word is the descending list of a monotone surjection's
 flat steps.  None of this goes through ``normalize_face``, the canonical word
 arithmetic the package uses.  ``reference_snf`` is a dense textbook Smith
-normal form that shares no code with ``ssethom.snf``.  The categories and the
-monoid under "test-only examples" are examples that only tests build.  ``time_limit`` is a
-wall-clock guard, so that a test of a super-linear trap fails instead of
-hanging.
+normal form that shares no code with ``ssethom.snf``.  ``diagonal`` reads
+the diagonal of a bi-semi-simplicial set off its own tables.  The categories
+and the monoid under "test-only examples" are examples that only tests
+build.  ``time_limit`` is a wall-clock guard, so that a test of a
+super-linear trap fails instead of hanging.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ssethom.fixtures import (
     idempotent_category,
     strict_poset_category,
 )
-from ssethom.sset import SimplexRef
+from ssethom.sset import BiSemiSimplicialSet, SemiSimplicialSet, SimplexRef, SimplicialSet
 
 
 def insert_letter(a: int, word: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,6 +143,27 @@ def reference_snf(dense):
     return tuple(out)
 
 
+def diagonal(B: BiSemiSimplicialSet) -> SemiSimplicialSet:
+    """Restrict a bi-semi-simplicial set to its diagonal levels.
+
+    d_i on the diagonal is dh_i followed by dv_i (the order does not matter
+    since the two directions commute).  Read off the exterior product's
+    tables, it is an oracle for ``levelwise_product``, which writes the
+    same tables directly.
+    """
+    L = min(B.p_levels, B.q_levels)
+    sizes = tuple(B.size(p, p) for p in range(L))
+    faces = [()]
+    for p in range(1, L):
+        faces.append(tuple(
+            tuple(B.dv[p - 1][p][i][t] for t in B.dh[p][p][i])
+            for i in range(p + 1)))
+    trunc = None
+    if B.trunc_p is not None or B.trunc_q is not None:
+        trunc = L - 1
+    return SemiSimplicialSet(sizes, tuple(faces), truncated_at=trunc)
+
+
 # -- test-only examples ----------------------------------------------------------
 
 
@@ -163,6 +185,22 @@ def nonunital_category_corpus() -> dict[str, FinNonUnitalCategory]:
 
 def trivial_monoid() -> FinMonoid:
     return FinMonoid(table=((0,),), unit=0)
+
+
+def minimal_rp2() -> SimplicialSet:
+    """One vertex v, one edge e and one 2-cell with faces (e, s_0 v, e).
+
+    Its d_1 is degenerate, so d_2 s_0 of the 2-cell is s_0 s_0 v, whose
+    canonical word is (1, 0): the degenerate-face case of ``normalize_face``.
+    """
+    v, e, s0v = SimplexRef((), 0, 0), SimplexRef((), 1, 0), SimplexRef((0,), 0, 0)
+    return SimplicialSet((1, 1, 1), ((), ((v,), (v,)), ((e,), (s0v,), (e,))))
+
+
+def minimal_s2() -> SimplicialSet:
+    """One vertex v and one 2-cell whose every face is s_0 v."""
+    s0v = SimplexRef((0,), 0, 0)
+    return SimplicialSet((1, 0, 1), ((), ((), ()), ((s0v,), (s0v,), (s0v,))))
 
 
 # -- wall-clock guard --------------------------------------------------------------

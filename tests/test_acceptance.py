@@ -5,7 +5,7 @@ per item.
 """
 
 import test_properties
-from oracles import nonunital_category_corpus
+from oracles import diagonal, nonunital_category_corpus
 from test_specseq import induced_d1
 
 from ssethom import theorems as th
@@ -32,7 +32,6 @@ from ssethom.homalg import (
 from ssethom.specseq import check_convergence, spectral_sequence
 from ssethom.sset import (
     boundary_semi_simplex,
-    diagonal,
     euler_characteristic,
     exterior_product,
     free_degeneracies,

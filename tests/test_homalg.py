@@ -608,6 +608,16 @@ def test_table_matrix_matches_from_entries(name):
             assert _insertion_order(got) == _insertion_order(want)
 
 
+def test_table_matrix_takes_none_entries_but_not_short_or_long_tables():
+    """A None entry adds nothing, but every table has one entry per column,
+    so a table of the wrong length is an error rather than a zero column."""
+    assert _table_matrix(2, 3, [(0, None, 1)], [1]) == SparseIntMatrix.from_entries(
+        2, 3, [(0, 0, 1), (1, 2, 1)])
+    for tab in [(0, 1), (0, 1, 1, 0)]:
+        with pytest.raises(ValueError):
+            _table_matrix(2, 3, [tab])
+
+
 def test_complex_validation():
     bad = SparseIntMatrix.from_dense([[1]])
     with pytest.raises(ValueError, match="boundary squared is nonzero in degree 2"):
@@ -723,6 +733,17 @@ def test_total_complex_checks_the_double_complex_identities(P, Q, dh, dv, broken
     bad[which][pq] = v
     with pytest.raises(ValueError, match="boundary squared is nonzero"):
         total_complex(unit_double(P, Q, bad["dh"], bad["dv"]))
+
+
+def test_a_cut_total_complex_is_not_complete():
+    # the torus bisset is complete in both directions; only the cut hides
+    # degree 2, so only the cut may make Tot incomplete
+    circle = boundary_semi_simplex(2)
+    D = bicomplex(exterior_product(circle, circle))
+    full = total_complex(D).complex
+    assert (full.complete, full.trusted_through) == (True, 2)
+    cut = total_complex(D, through=1).complex
+    assert (cut.complete, cut.trusted_through) == (False, 0)
 
 
 def test_alexander_whitney_interval_square():

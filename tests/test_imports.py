@@ -267,6 +267,21 @@ def test_unchecked_complex_route_has_one_user():
     assert route_users(sources, "_certified") == ["src/ssethom/homalg.py: unnormalized_chains"]
 
 
+def test_index_tables_have_one_matrix_builder():
+    # _table_matrix turns (partial) index tables into matrices; the other
+    # owners sum blocks of built matrices, restriction tables or parsed entries
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert sorted(route_users(sources, "from_entries")) == [
+        "src/ssethom/cat.py: grothendieck_group",
+        "src/ssethom/formats.py: _load_matrix",
+        "src/ssethom/homalg.py: _table_matrix",
+        "src/ssethom/homalg.py: alexander_whitney",
+        "src/ssethom/homalg.py: tensor_double_complex",
+        "src/ssethom/homalg.py: total_complex",
+        "src/ssethom/theorems.py: _induced_is_onto",
+    ]
+
+
 def test_second_route_user_is_caught():
     module = ("class Complex:\n"
               "    @classmethod\n"

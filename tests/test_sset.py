@@ -7,8 +7,11 @@ import dataclasses
 import pytest
 
 from oracles import (
+    diagonal,
     factor_monotone,
     insert_letter,
+    minimal_rp2,
+    minimal_s2,
     monotone_to_simplex_ref,
     nonunital_category_corpus,
     simplex_ref_to_monotone,
@@ -40,7 +43,6 @@ from ssethom.sset import (
     check_certificate,
     check_sset_map,
     constant_sset,
-    diagonal,
     enumerate_simplicial,
     euler_characteristic,
     exterior_product,
@@ -453,18 +455,25 @@ def rewrite_oracle(Y, i, ref):
 
 
 def test_normalize_face_against_rewrite_oracle():
+    # the minimal RP^2 and S^2 have generators with the degenerate face
+    # s_0 v, so a letter meets a word that does not start below it:
+    # d_2 s_0 of their 2-cell is s_0 s_0 v = s_1 s_0 v
     spaces = [
         free_degeneracies(boundary_semi_simplex(2)),
         free_degeneracies(standard_semi_simplex(2)),
         standard_simplicial_simplex(3),
+        minimal_rp2(),
+        minimal_s2(),
     ]
     for Y in spaces:
-        for p in range(1, 5):
+        assert validate_simplicial(Y).ok
+        for p in range(1, 6):
             for ref in iter_simplices(Y, p):
                 for i in range(p + 1):
                     got = normalize_face(Y, i, ref)
                     want = rewrite_oracle(Y, i, ref)
                     assert got == want, (ref, i, got, want)
+                    assert is_canonical_word(got.word, got.deg), (ref, i, got)
 
 
 def test_normalize_face_against_monotone_oracle():

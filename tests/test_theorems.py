@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oracles import nonunital_category_corpus, trivial_monoid
+from oracles import minimal_rp2, minimal_s2, nonunital_category_corpus, trivial_monoid
 from ssethom import fixtures as fx
 from ssethom import theorems as th
 from ssethom.cat import (FunctorData, FinMonoid, FinNonUnitalCategory, comma_under_object,
@@ -17,6 +17,7 @@ from ssethom.homalg import (
     homology_coordinates,
     induced_map_on_homology,
     mapping_cone,
+    normalized_chains,
     unnormalized_chains,
 )
 from ssethom.sset import (
@@ -75,6 +76,21 @@ def test_fat_thin_random_seeds():
     for seed in range(20):
         rep = th.check_fat_thin(fx.random_simplicial(seed), 5)
         assert rep.verdict == "pass", seed
+
+
+@pytest.mark.parametrize("Y,groups,squared", [
+    (minimal_rp2(), ["Z", "Z/2", "0"], ["Z", "Z/2 + Z/2", "Z/2"]),
+    (minimal_s2(), ["Z", "0", "Z"], ["Z", "0", "Z^2"]),
+], ids=["rp2", "s2"])
+def test_checks_pass_on_a_generator_with_a_degenerate_face(Y, groups, squared):
+    # the thin chains drop the degenerate face s_0 v, and the enumerations
+    # behind the three checks meet it again, inside longer words
+    assert [str(h) for h in graded_homology(normalized_chains(Y))] == groups
+    assert th.check_fat_thin(Y, 4).verdict == "pass"
+    rep = th.check_products(Y, Y, 3)
+    assert rep.verdict == "pass"
+    assert cmp_table(rep) == [(k, g, g) for k, g in enumerate(squared)]
+    assert th.check_ez_diagonal(Y, standard_simplicial_simplex(2), 3).verdict == "pass"
 
 
 # -- diagonal vs total complex -----------------------------------------------
