@@ -8,7 +8,6 @@ OUT_DIR defaults to fixtures/.  Output is deterministic, so a clean checkout
 regenerates byte-identical files; tests/test_cli.py checks that.
 """
 
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ssethom import fixtures as fx
 from ssethom.cat import regular_action
-from ssethom.formats import write_document
+from ssethom.formats import dumps_json, write_document
 from ssethom.snf import SparseIntMatrix
 from ssethom.sset import (
     boundary_semi_simplex,
@@ -88,7 +87,7 @@ def main(root: str = FIXTURES) -> None:
         {"check": "constant", "size": 4, "cutoff": 4},
     ]
     with open(os.path.join(root, "checks.batch.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(batch, indent=2, sort_keys=True) + "\n")
+        fh.write(dumps_json(batch))
     print("wrote checks.batch.json")
 
 

@@ -53,7 +53,7 @@ class UsageError(Exception):
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(formats.dumps_json(doc))
 
 
 def _say(line: str = "") -> None:

@@ -34,9 +34,11 @@ def _obj(x, path: str) -> dict:
     return x
 
 
-def _list(x, path: str) -> list:
+def _list(x, path: str, length: int | None = None) -> list:
     if not isinstance(x, list):
         raise FormatError(path, f"expected an array, got {type(x).__name__}")
+    if length is not None and len(x) != length:
+        raise FormatError(path, f"expected {length} entries, got {len(x)}")
     return x
 
 
@@ -60,18 +62,42 @@ def _int(x, path: str, low: int | None = None, high: int | None = None) -> int:
     return x
 
 
+def _count(obj: dict, key: str, path: str) -> int:
+    """A size the document declares: a non-negative integer field."""
+    return _int(_field(obj, key, path), _sub(path, key), low=0)
+
+
+def _level(obj: dict, key: str, path: str) -> int | None:
+    """An optional truncation level; absent or null means untruncated."""
+    return None if obj.get(key) is None else _count(obj, key, path)
+
+
 def _int_list(x, path: str, length: int | None = None,
               low: int | None = None, high: int | None = None) -> tuple:
     """A list of ``_int`` entries.  The whole table is scanned for type and
     by ``min``/``max`` first; only a table that fails the scan is walked
     entry by entry, so that ``_int`` names its first bad entry."""
-    xs = _list(x, path)
-    if length is not None and len(xs) != length:
-        raise FormatError(path, f"expected {length} entries, got {len(xs)}")
+    xs = _list(x, path, length)
     if set(map(type, xs)) <= {int} and (
             not xs or (low is None or low <= min(xs)) and (high is None or max(xs) < high)):
         return tuple(xs)
     return tuple(_int(v, f"{path}[{i}]", low, high) for i, v in enumerate(xs))
+
+
+def _tables(x, path: str, count: int | None = None, length: int | None = None,
+            high: int | None = None) -> tuple:
+    """An array of ``count`` tables of non-negative integers, each read by
+    ``_int_list``."""
+    return tuple(_int_list(tab, f"{path}[{i}]", length, low=0, high=high)
+                 for i, tab in enumerate(_list(x, path, count)))
+
+
+def _nested(data: dict, key: str, path: str, cls: type, message: str):
+    """The document in field ``key``, which must load into a ``cls``."""
+    obj = load_document(_field(data, key, path), _sub(path, key))
+    if not isinstance(obj, cls):
+        raise FormatError(_sub(path, key), message)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +111,16 @@ def _load_sset(data: dict, path: str) -> SemiSimplicialSet:
     for p, entry in enumerate(levels):
         lp = f"{_sub(path, 'levels')}[{p}]"
         entry = _obj(entry, lp)
-        size = _int(_field(entry, "size", lp), _sub(lp, "size"), low=0)
-        sizes.append(size)
+        sizes.append(_count(entry, "size", lp))
         if p == 0:
             if "faces" in entry and _list(entry["faces"], _sub(lp, "faces")):
                 raise FormatError(_sub(lp, "faces"), "level 0 has no faces")
             faces.append(())
             continue
-        tabs = _list(_field(entry, "faces", lp), _sub(lp, "faces"))
-        if len(tabs) != p + 1:
-            raise FormatError(_sub(lp, "faces"),
-                              f"level {p} needs {p + 1} face tables, got {len(tabs)}")
-        faces.append(tuple(
-            _int_list(tab, f"{_sub(lp, 'faces')}[{i}]", length=size, low=0, high=sizes[p - 1])
-            for i, tab in enumerate(tabs)))
-    trunc = data.get("truncated_at")
-    if trunc is not None:
-        trunc = _int(trunc, _sub(path, "truncated_at"), low=0)
-    return SemiSimplicialSet(tuple(sizes), tuple(faces), truncated_at=trunc)
+        faces.append(_tables(_field(entry, "faces", lp), _sub(lp, "faces"), p + 1,
+                             length=sizes[p], high=sizes[p - 1]))
+    return SemiSimplicialSet(tuple(sizes), tuple(faces),
+                             truncated_at=_level(data, "truncated_at", path))
 
 
 def _save_sset(X: SemiSimplicialSet) -> dict:
@@ -139,30 +157,21 @@ def _load_simplicial(data: dict, path: str) -> SimplicialSet:
     sizes: list[int] = []
     for q, entry in enumerate(gens):
         gp = f"{_sub(path, 'generators')}[{q}]"
-        sizes.append(_int(_field(_obj(entry, gp), "size", gp), _sub(gp, "size"), low=0))
+        sizes.append(_count(_obj(entry, gp), "size", gp))
     faces: list[tuple] = []
     for q, entry in enumerate(gens):
         gp = f"{_sub(path, 'generators')}[{q}]"
         if q == 0:
             faces.append(())
             continue
-        tabs = _list(_field(_obj(entry, gp), "faces", gp), _sub(gp, "faces"))
-        if len(tabs) != q + 1:
-            raise FormatError(_sub(gp, "faces"),
-                              f"degree {q} needs {q + 1} face tables, got {len(tabs)}")
-        level = []
-        for i, tab in enumerate(tabs):
-            tp = f"{_sub(gp, 'faces')}[{i}]"
-            tab = _list(tab, tp)
-            if len(tab) != sizes[q]:
-                raise FormatError(tp, f"expected {sizes[q]} entries, got {len(tab)}")
-            level.append(tuple(_load_ref(ref, f"{tp}[{g}]", sizes)
-                               for g, ref in enumerate(tab)))
-        faces.append(tuple(level))
-    trunc = data.get("truncated_at")
-    if trunc is not None:
-        trunc = _int(trunc, _sub(path, "truncated_at"), low=0)
-    return SimplicialSet(tuple(sizes), tuple(faces), truncated_at=trunc)
+        fp = _sub(gp, "faces")
+        tabs = _list(_field(entry, "faces", gp), fp, q + 1)
+        faces.append(tuple(
+            tuple(_load_ref(ref, f"{fp}[{i}][{g}]", sizes)
+                  for g, ref in enumerate(_list(tab, f"{fp}[{i}]", sizes[q])))
+            for i, tab in enumerate(tabs)))
+    return SimplicialSet(tuple(sizes), tuple(faces),
+                         truncated_at=_level(data, "truncated_at", path))
 
 
 def _save_simplicial(Y: SimplicialSet) -> dict:
@@ -185,59 +194,29 @@ def _save_simplicial(Y: SimplicialSet) -> dict:
 
 
 def _load_bisset(data: dict, path: str) -> BiSemiSimplicialSet:
-    rows = _list(_field(data, "sizes", path), _sub(path, "sizes"))
+    sp = _sub(path, "sizes")
+    rows = _list(_field(data, "sizes", path), sp)
     if not rows:
-        raise FormatError(_sub(path, "sizes"), "needs at least one row")
-    sizes = []
-    width = None
-    for p, row in enumerate(rows):
-        rp = f"{_sub(path, 'sizes')}[{p}]"
-        got = _int_list(row, rp, low=0)
-        if width is None:
-            width = len(got)
-            if width == 0:
-                raise FormatError(rp, "rows must be nonempty")
-        elif len(got) != width:
-            raise FormatError(rp, f"expected {width} entries, got {len(got)}")
-        sizes.append(got)
-    P, Q = len(sizes), width
+        raise FormatError(sp, "needs at least one row")
+    if not _list(rows[0], f"{sp}[0]"):
+        raise FormatError(f"{sp}[0]", "rows must be nonempty")
+    sizes = _tables(rows, sp, length=len(rows[0]))
+    P, Q = len(sizes), len(sizes[0])
 
     def tables(key: str, count, prev_size):
-        out = []
-        grid = _list(_field(data, key, path), _sub(path, key))
-        if len(grid) != P:
-            raise FormatError(_sub(path, key), f"expected {P} rows, got {len(grid)}")
-        for p, row in enumerate(grid):
-            rp = f"{_sub(path, key)}[{p}]"
-            row = _list(row, rp)
-            if len(row) != Q:
-                raise FormatError(rp, f"expected {Q} entries, got {len(row)}")
-            level = []
-            for q, cell in enumerate(row):
-                cp = f"{rp}[{q}]"
-                cell = _list(cell, cp)
-                want = count(p, q)
-                if len(cell) != want:
-                    raise FormatError(cp, f"expected {want} face tables, got {len(cell)}")
-                level.append(tuple(
-                    _int_list(tab, f"{cp}[{i}]", length=sizes[p][q],
-                              low=0, high=prev_size(p, q))
-                    for i, tab in enumerate(cell)))
-            out.append(tuple(level))
-        return tuple(out)
+        kp = _sub(path, key)
+        return tuple(
+            tuple(_tables(cell, f"{kp}[{p}][{q}]", count(p, q), length=sizes[p][q],
+                          high=prev_size(p, q))
+                  for q, cell in enumerate(_list(row, f"{kp}[{p}]", Q)))
+            for p, row in enumerate(_list(_field(data, key, path), kp, P)))
 
     dh = tables("dh", lambda p, q: 0 if p == 0 else p + 1,
                 lambda p, q: sizes[p - 1][q] if p > 0 else 1)
     dv = tables("dv", lambda p, q: 0 if q == 0 else q + 1,
                 lambda p, q: sizes[p][q - 1] if q > 0 else 1)
-    trunc_p = data.get("trunc_p")
-    if trunc_p is not None:
-        trunc_p = _int(trunc_p, _sub(path, "trunc_p"), low=0)
-    trunc_q = data.get("trunc_q")
-    if trunc_q is not None:
-        trunc_q = _int(trunc_q, _sub(path, "trunc_q"), low=0)
-    return BiSemiSimplicialSet(tuple(tuple(r) for r in sizes), dh, dv,
-                               trunc_p=trunc_p, trunc_q=trunc_q)
+    return BiSemiSimplicialSet(sizes, dh, dv, trunc_p=_level(data, "trunc_p", path),
+                               trunc_q=_level(data, "trunc_q", path))
 
 
 def _save_bisset(B: BiSemiSimplicialSet) -> dict:
@@ -257,7 +236,7 @@ def _save_bisset(B: BiSemiSimplicialSet) -> dict:
 
 
 def _load_category(data: dict, path: str) -> FinNonUnitalCategory:
-    n_obj = _int(_field(data, "objects", path), _sub(path, "objects"), low=0)
+    n_obj = _count(data, "objects", path)
     mors = _list(_field(data, "morphisms", path), _sub(path, "morphisms"))
     src, tgt = [], []
     for i, m in enumerate(mors):
@@ -293,13 +272,10 @@ def _save_category(C: FinNonUnitalCategory) -> dict:
 
 
 def _load_functor(data: dict, path: str) -> FunctorData:
-    sp, tp = _sub(path, "source"), _sub(path, "target")
-    source = load_document(_obj(_field(data, "source", path), sp), sp)
-    target = load_document(_obj(_field(data, "target", path), tp), tp)
-    if not isinstance(source, FinNonUnitalCategory):
-        raise FormatError(sp, "functor source must be a category document")
-    if not isinstance(target, FinNonUnitalCategory):
-        raise FormatError(tp, "functor target must be a category document")
+    source = _nested(data, "source", path, FinNonUnitalCategory,
+                     "functor source must be a category document")
+    target = _nested(data, "target", path, FinNonUnitalCategory,
+                     "functor target must be a category document")
     obj_map = _int_list(_field(data, "obj_map", path), _sub(path, "obj_map"),
                         length=source.n_objects, low=0, high=target.n_objects)
     mor_map = _int_list(_field(data, "mor_map", path), _sub(path, "mor_map"),
@@ -317,13 +293,8 @@ def _save_functor(F: FunctorData) -> dict:
 
 
 def _load_nat_trans(data: dict, path: str) -> NatTransData:
-    fp, gp = _sub(path, "F"), _sub(path, "G")
-    F = load_document(_obj(_field(data, "F", path), fp), fp)
-    G = load_document(_obj(_field(data, "G", path), gp), gp)
-    if not isinstance(F, FunctorData):
-        raise FormatError(fp, "expected a functor document")
-    if not isinstance(G, FunctorData):
-        raise FormatError(gp, "expected a functor document")
+    F = _nested(data, "F", path, FunctorData, "expected a functor document")
+    G = _nested(data, "G", path, FunctorData, "expected a functor document")
     components = _int_list(_field(data, "components", path), _sub(path, "components"),
                            length=F.source.n_objects, low=0,
                            high=F.target.n_morphisms)
@@ -345,8 +316,7 @@ def _save_nat_trans(eta: NatTransData) -> dict:
 def _load_monoid(data: dict, path: str) -> FinMonoid:
     rows = _list(_field(data, "table", path), _sub(path, "table"))
     n = len(rows)
-    table = tuple(_int_list(row, f"{_sub(path, 'table')}[{i}]", length=n, low=0, high=n)
-                  for i, row in enumerate(rows))
+    table = _tables(rows, _sub(path, "table"), length=n, high=n)
     if n == 0:
         raise FormatError(_sub(path, "table"), "a monoid needs at least the unit")
     unit = _int(_field(data, "unit", path), _sub(path, "unit"), low=0, high=n)
@@ -358,7 +328,7 @@ def _save_monoid(M: FinMonoid) -> dict:
 
 
 def _load_presentation(data: dict, path: str) -> MonoidPresentation:
-    k = _int(_field(data, "generators", path), _sub(path, "generators"), low=0)
+    k = _count(data, "generators", path)
     rels = []
     for i, rel in enumerate(_list(_field(data, "relations", path), _sub(path, "relations"))):
         rp = f"{_sub(path, 'relations')}[{i}]"
@@ -379,20 +349,14 @@ def _save_presentation(P: MonoidPresentation) -> dict:
 
 
 def _load_action(data: dict, path: str) -> MonoidAction:
-    mp = _sub(path, "monoid")
-    M = load_document(_obj(_field(data, "monoid", path), mp), mp)
-    if not isinstance(M, FinMonoid):
-        raise FormatError(mp, "expected a table-form monoid document")
-    size = _int(_field(data, "size", path), _sub(path, "size"), low=0)
+    M = _nested(data, "monoid", path, FinMonoid, "expected a table-form monoid document")
+    size = _count(data, "size", path)
     side = _field(data, "side", path)
     if side not in ("left", "right"):
         raise FormatError(_sub(path, "side"), f"side must be 'left' or 'right', got {side!r}")
     rows, cols = (M.size, size) if side == "left" else (size, M.size)
-    raw = _list(_field(data, "table", path), _sub(path, "table"))
-    if len(raw) != rows:
-        raise FormatError(_sub(path, "table"), f"expected {rows} rows, got {len(raw)}")
-    table = tuple(_int_list(row, f"{_sub(path, 'table')}[{i}]", length=cols, low=0, high=size)
-                  for i, row in enumerate(raw))
+    table = _tables(_field(data, "table", path), _sub(path, "table"), rows,
+                    length=cols, high=size)
     return MonoidAction(M, size, table, side)
 
 
@@ -410,8 +374,8 @@ def _save_action(A: MonoidAction) -> dict:
 
 
 def _load_matrix(data: dict, path: str) -> SparseIntMatrix:
-    rows = _int(_field(data, "rows", path), _sub(path, "rows"), low=0)
-    cols = _int(_field(data, "cols", path), _sub(path, "cols"), low=0)
+    rows = _count(data, "rows", path)
+    cols = _count(data, "cols", path)
     entries = []
     for k, e in enumerate(_list(_field(data, "entries", path), _sub(path, "entries"))):
         ep = f"{_sub(path, 'entries')}[{k}]"
@@ -515,5 +479,11 @@ def write_document(filename: str, obj) -> None:
         fh.write(dumps_document(obj))
 
 
+def dumps_json(doc) -> str:
+    """The one JSON byte format of documents and reports: keys sorted, a
+    two-space indent and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps_document(obj) -> str:
-    return json.dumps(save_document(obj), indent=2, sort_keys=True) + "\n"
+    return dumps_json(save_document(obj))

@@ -70,6 +70,7 @@ def _is_prime(n: int) -> bool:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
+        # b^(2^k d) = -1 mod n makes every prime factor 1 mod 2^(k+1), so k <= s - 1
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:

@@ -742,6 +742,17 @@ def test_batch_failure_exits_one(capsys, tmp_path):
     assert [d["verdict"] for d in reports] == ["fail", "pass"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_names_the_entry_whose_file_cannot_be_read(jobs, capsys, tmp_path):
+    p = tmp_path / "batch.json"
+    (tmp_path / "rp2.ss.json").write_text(json.dumps(_fixture_doc("rp2.ss.json")))
+    p.write_text(json.dumps([{"check": "adj-units", "files": ["rp2.ss.json"], "cutoff": 2},
+                             {"check": "adj-units", "files": ["missing.ss.json"], "cutoff": 2}]))
+    missing = os.path.join(str(tmp_path), "missing.ss.json")
+    assert run(capsys, "check", "--batch", str(p), "--jobs", jobs) == (
+        2, "", f"error: {p}[1]: cannot read {missing}: No such file or directory\n")
+
+
 def test_batch_rejects_malformed_entries(capsys, tmp_path):
     p = tmp_path / "batch.json"
     p.write_text(json.dumps([{"check": "constant", "size": 2, "cutoff": 2,
@@ -944,6 +955,54 @@ def test_bad_table_entries_are_exact(table, kind, capsys, tmp_path):
     field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
     want = field + message.format(high=high, n=n, short=n - 1, long=n + 1)
     assert run(capsys, "validate", f) == (2, "", f"error: {f}: {want}\n")
+
+
+def _fixture_doc(name):
+    with open(fixture(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _broken(name, *path, put=None):
+    """A fixture document with the value at ``path`` replaced by ``put``, or
+    with the last entry of the array at ``path`` dropped."""
+    doc = _fixture_doc(name)
+    at = doc
+    for key in path[:-1]:
+        at = at[key]
+    if put is None:
+        at[path[-1]].pop()
+    else:
+        at[path[-1]] = put
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_broken("torus.bis.json", "sizes", put=[]), "sizes: needs at least one row"),
+    (_broken("torus.bis.json", "sizes", 0, put=[]), "sizes[0]: rows must be nonempty"),
+    (_broken("torus.bis.json", "sizes", 1), "sizes[1]: expected 2 entries, got 1"),
+    (_broken("id1.fun.json", "source", put=_fixture_doc("c2.mon.json")),
+     "source: functor source must be a category document"),
+    (_broken("id1.fun.json", "target", put=_fixture_doc("c2.mon.json")),
+     "target: functor target must be a category document"),
+    ({"type": "nat-trans", "F": _fixture_doc("poset2.cat.json"),
+      "G": _fixture_doc("id1.fun.json"), "components": []}, "F: expected a functor document"),
+    (_broken("rp2.ss.json", "levels", 2, "faces"),
+     "levels[2].faces: expected 3 entries, got 2"),
+    (_broken("delta2.simp.json", "generators", 2, "faces"),
+     "generators[2].faces: expected 3 entries, got 2"),
+    (_broken("torus.bis.json", "dh"), "dh: expected 2 entries, got 1"),
+    (_broken("torus.bis.json", "dh", 1, 0), "dh[1][0]: expected 2 entries, got 1"),
+    (_broken("regc2.act.json", "table"), "table: expected 2 entries, got 1"),
+], ids=["bisset-no-rows", "bisset-empty-row", "bisset-ragged-row", "functor-source",
+        "functor-target", "nat-trans-F", "sset-face-count", "simplicial-face-count",
+        "bisset-dh-rows", "bisset-dh-cell", "action-rows"])
+def test_validate_errors_are_exact(doc, message, capsys, tmp_path):
+    """The exit-2 message of a document whose shape is wrong, one per shape
+    the loader reads: arrays of a set length, nested documents of a class."""
+    f = str(tmp_path / "input.json")
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert run(capsys, "validate", f) == (2, "", f"error: {f}: {message}\n")
 
 
 def test_truncated_simplicial_document(capsys, tmp_path):
