@@ -11,7 +11,6 @@ traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -400,12 +399,11 @@ _BATCH_KEYS = {"check", "files", *_BATCH_PARAMS}
 
 def _check_batch_items(path: str) -> list:
     try:
-        with open(path, encoding="utf-8") as fh:
-            items = json.load(fh)
+        items = formats.read_json(path)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{path} is not valid JSON: {e}") from None
+    except formats.FormatError as e:
+        raise UsageError(f"{path} is {e.message}") from None
     if not isinstance(items, list):
         raise UsageError(f"{path}: a batch file holds an array of check entries")
     for i, item in enumerate(items):

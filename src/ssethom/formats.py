@@ -25,6 +25,7 @@ class FormatError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path or "$"
+        self.message = message
         super().__init__(f"{self.path}: {message}")
 
 
@@ -464,14 +465,24 @@ def save_document(obj) -> dict:
     return {"type": tag, **save(obj)}
 
 
+def read_json(filename: str):
+    """Decode one UTF-8 JSON file.  I/O problems propagate as OSError; any
+    decoding fault (bad bytes, over-long integers, deep nesting) raises FormatError."""
+    try:
+        with open(filename, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as e:
+        raise FormatError("", f"not valid JSON: {e}") from e
+    except RecursionError:
+        raise FormatError("", "nested too deeply") from None
+
+
 def read_document(filename: str):
-    """Load one document from a file; I/O problems propagate as OSError."""
-    with open(filename, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError("", f"not valid JSON: {e}") from e
-    return load_document(data)
+    """``read_json`` and ``load_document``; nesting too deep to load is a FormatError."""
+    try:
+        return load_document(read_json(filename))
+    except RecursionError:
+        raise FormatError("", "nested too deeply") from None
 
 
 def write_document(filename: str, obj) -> None:

@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from .snf import SparseIntMatrix, invariant_factors, smith_normal_form
 from .sset import (
@@ -748,17 +749,13 @@ def tensor_double_complex(A: ChainComplex, Bc: ChainComplex,
 class TotalComplex:
     """Tot_n = direct sum of the antidiagonal, blocks in ascending p.
 
-    layout[n] lists (p, q, offset, size) for the blocks of degree n.
+    starts[n] has one entry per column p of the double complex and a final
+    one: block (p, n - p) of Tot_n is range(starts[n][p], starts[n][p + 1]),
+    empty when it lies outside the grid, and starts[n][-1] is dim Tot_n.
     """
 
     complex: ChainComplex
-    layout: tuple[tuple[tuple[int, int, int, int], ...], ...]
-
-    def block_offset(self, n: int, p: int) -> tuple[int, int]:
-        for (bp, bq, off, size) in self.layout[n]:
-            if bp == p:
-                return off, size
-        return 0, 0
+    starts: tuple[tuple[int, ...], ...]
 
 
 def total_complex(D: DoubleComplex, through: int | None = None) -> TotalComplex:
@@ -768,38 +765,28 @@ def total_complex(D: DoubleComplex, through: int | None = None) -> TotalComplex:
 
     With ``through``, degrees 0..through are listed (no more than D has) and
     only the blocks with p + q <= through are read; the result is complete
-    only when D is and nothing was cut.
+    only when D is and nothing was cut.  The block table ``starts`` holds the
+    prefix sums of D.size(p, n - p) over the columns p.
     """
     P, Q = D.p_levels, D.q_levels
     top = P + Q - 2 if through is None else min(through, P + Q - 2)
-    layout = []
-    dims = []
-    for n in range(top + 1):
-        row = []
-        off = 0
-        for p in range(max(0, n - Q + 1), min(n, P - 1) + 1):
-            q = n - p
-            sz = D.size(p, q)
-            row.append((p, q, off, sz))
-            off += sz
-        layout.append(tuple(row))
-        dims.append(off)
+    starts = tuple(tuple(accumulate((D.size(p, n - p) for p in range(P)), initial=0))
+                   for n in range(top + 1))
     boundaries = []
     for n in range(1, top + 1):
+        row, below = starts[n], starts[n - 1]
         entries = []
-        prev = {p: off for (p, q, off, sz) in layout[n - 1]}
-        for (p, q, off, sz) in layout[n]:
-            if sz == 0:
-                continue
-            if p - 1 in prev:
-                entries.extend((prev[p - 1] + r, off + c, v) for r, c, v in D.dh[p][q].entries())
-            if p in prev:
-                sign = -1 if p % 2 else 1
-                entries.extend((prev[p] + r, off + c, sign * v) for r, c, v in D.dv[p][q].entries())
-        boundaries.append(SparseIntMatrix.from_entries(dims[n - 1], dims[n], entries))
+        for p in range(P):
+            q, off = n - p, row[p]
+            if p and off < row[p + 1]:
+                entries.extend((below[p - 1] + r, off + c, v) for r, c, v in D.dh[p][q].entries())
+            if q and off < row[p + 1]:
+                entries.extend((below[p] + r, off + c, -v if p % 2 else v)
+                               for r, c, v in D.dv[p][q].entries())
+        boundaries.append(SparseIntMatrix.from_entries(below[-1], row[-1], entries))
     complete = D.complete_p and D.complete_q and top == P + Q - 2
-    C = make_chain_complex(dims, boundaries, complete)
-    return TotalComplex(C, tuple(layout))
+    C = make_chain_complex([row[-1] for row in starts], boundaries, complete)
+    return TotalComplex(C, starts)
 
 
 # -- Alexander-Whitney ------------------------------------------------------------
@@ -823,8 +810,9 @@ def alexander_whitney(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> tuple[Chain
     back = _restriction_tables(Y, src.top_degree, lambda n, q: n - q - 1)
     mats = []
     for n in range(len(src.dims)):
-        blocks = [(off, front[n][p], back[n][q], Y.sizes[q])
-                  for (p, q, off, sz) in tot.layout[n] if sz]
+        row = tot.starts[n]
+        blocks = [(off, front[n][p], back[n][n - p], Y.sizes[n - p])
+                  for p, off in enumerate(row[:-1]) if off < row[p + 1]]
         ny = Y.sizes[n]
         entries = [(off + fx[s // ny] * nq + by[s % ny], s, 1)
                    for s in range(src.dims[n]) for off, fx, by, nq in blocks]

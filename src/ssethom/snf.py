@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 
@@ -187,12 +188,8 @@ class SparseIntMatrix:
     def block(blocks: dict[tuple[int, int], "SparseIntMatrix"],
               row_sizes: list[int], col_sizes: list[int]) -> "SparseIntMatrix":
         """Assemble a block matrix; blocks keyed by (block_row, block_col)."""
-        row_off = [0]
-        for s in row_sizes:
-            row_off.append(row_off[-1] + s)
-        col_off = [0]
-        for s in col_sizes:
-            col_off.append(col_off[-1] + s)
+        row_off = list(accumulate(row_sizes, initial=0))
+        col_off = list(accumulate(col_sizes, initial=0))
         data: dict[int, dict[int, int]] = {}
         for (br, bc), m in blocks.items():
             if m.rows != row_sizes[br] or m.cols != col_sizes[bc]:

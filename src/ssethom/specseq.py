@@ -203,17 +203,13 @@ def transpose_double_complex(D: DoubleComplex) -> DoubleComplex:
 
 
 class _Filtration:
-    """Scratch for one orientation: total complex, block offsets, Z^r chains."""
+    """Scratch for one orientation: total complex, boundary images, Z^r chains."""
 
     def __init__(self, D: DoubleComplex, p: int | None):
         self.T = total_complex(D)
         self.p = p
         self.P = D.p_levels
         self.Q = D.q_levels
-        self.offsets = {}
-        for n, blocks in enumerate(self.T.layout):
-            for (bp, bq, off, size) in blocks:
-                self.offsets[(bp, bq)] = (n, off, size)
         self._z_cache: dict = {}
         self._images: dict = {}
 
@@ -221,14 +217,10 @@ class _Filtration:
         return self.T.complex.dim(n)
 
     def filt_end(self, n: int, pmax: int) -> int:
-        """T_n's blocks are laid out by increasing p, so filtration level pmax
-        is the coordinate range(filt_end(n, pmax))."""
-        end = 0
-        if 0 <= n < len(self.T.layout):
-            for (bp, bq, off, size) in self.T.layout[n]:
-                if bp <= pmax:
-                    end = off + size
-        return end
+        """T_n's blocks go by increasing p, so filtration level pmax is the
+        coordinate range(filt_end(n, pmax)), up to where column pmax + 1 starts."""
+        starts = self.T.starts
+        return starts[n][min(max(pmax + 1, 0), self.P)] if 0 <= n < len(starts) else 0
 
     def boundary_images(self, n: int) -> list[dict]:
         """Sparse image of the total boundary on each coordinate of T_n."""
@@ -264,12 +256,11 @@ class _Filtration:
     def vertical_cycles(self, p: int, q: int) -> list[dict]:
         """Vertical cycles of column p as pure block (p,q) vectors; they span
         H_q(column p), and _page drops the boundaries."""
-        n, off, size = self.offsets[(p, q)]
-        lower = self.offsets.get((p, q - 1))
-        lo, hi = (lower[1], lower[1] + lower[2]) if lower is not None else (0, 0)
+        n = p + q
+        off, end = self.T.starts[n][p:p + 2]
+        lo, hi = self.T.starts[n - 1][p:p + 2] if q else (0, 0)
         imgs = self.boundary_images(n)
-        images = [{i: x for i, x in imgs[off + c].items() if lo <= i < hi}
-                  for c in range(size)]
+        images = [{i: x for i, x in imgs[c].items() if lo <= i < hi} for c in range(off, end)]
         return [{off + j: x for j, x in k.items()} for k in _nullspace(images, self.p)]
 
 

@@ -357,8 +357,8 @@ def _resolution_models(F: FunctorData, N: int):
     CD = unnormalized_chains(nerve(F.target, N).sset)
 
     def on_block(n, p, tab):
-        off, size = tot.block_offset(n, p)
-        return [(None,) * off + tab + (None,) * (T.dims[n] - off - size)]
+        off, end = tot.starts[n][p:p + 2]
+        return [(None,) * off + tab + (None,) * (T.dims[n] - end)]
 
     eps_model = ChainMap(T, CC, tuple(_table_matrix(
         CC.dims[n], T.dims[n], on_block(n, n, res.eps[n][0]), [1]) for n in range(N + 1)))

@@ -913,6 +913,52 @@ def test_command_errors_are_exact(content, argv, message, capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: {message.format(f=f)}\n")
 
 
+def _nat_trans_chain(depth: int) -> bytes:
+    """A nat-trans document whose F is a nat-trans document, ``depth`` deep:
+    valid JSON that only the loader's own recursion reads too deeply."""
+    doc = {"type": "nat-trans"}
+    for _ in range(depth):
+        doc = {"type": "nat-trans", "F": doc, "G": {}, "components": []}
+    return json.dumps(doc).encode("utf-8")
+
+
+_DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+_LONG_INT = b"9" * 5000
+
+
+def _int_conversion_error() -> str:
+    try:
+        int(_LONG_INT)
+    except ValueError as e:
+        return str(e)
+    raise AssertionError("the interpreter converts integers of any length")
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    (b"\xff\xfe{}", ("validate", "{f}"),
+     "{f}: $: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (b'{"type": "sset", "levels": ' + _DEEP_ARRAY + b"}", ("validate", "{f}"),
+     "{f}: $: nested too deeply"),
+    (_nat_trans_chain(600), ("validate", "{f}"), "{f}: $: nested too deeply"),
+    (b'{"type": "sset", "levels": [{"size": ' + _LONG_INT + b"}]}", ("validate", "{f}"),
+     "{f}: $: not valid JSON: " + _int_conversion_error()),
+    (b'[{"check": "constant", "size": 2}]\xff', ("check", "--batch", "{f}"),
+     "{f} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 34: "
+     "invalid start byte"),
+    (_DEEP_ARRAY, ("check", "--batch", "{f}"), "{f} is nested too deeply"),
+], ids=["document-not-utf8", "document-deep-array", "document-deep-nat-trans",
+        "document-long-integer", "batch-stray-ff", "batch-deep-array"])
+def test_unreadable_files_are_usage_errors(content, argv, message, capsys, tmp_path):
+    # undecodable bytes, integers past the interpreter's digit limit and
+    # nesting past the recursion limit are the file's fault: exit 2 with one
+    # error line, not an internal error
+    f = tmp_path / "input.json"
+    f.write_bytes(content)
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(f=f)}\n")
+
+
 # (fixture, path to one integer table, the table's exclusive bound): an sset
 # face table, a bisset face table, a category's units and a monoid row
 _TABLES = {

@@ -28,6 +28,7 @@ from ssethom.fixtures import (
     klein_four_monoid,
     quillen_functor_corpus,
     random_simplicial,
+    sset_corpus,
 )
 from ssethom.homalg import (
     _table_matrix,
@@ -707,7 +708,8 @@ def test_total_layout_interval_square():
     A = unnormalized_chains(standard_semi_simplex(1))
     tot = total_complex(tensor_double_complex(A, A))
     assert tot.complex.dims == (4, 4, 1)
-    assert tot.layout[1] == ((0, 1, 0, 2), (1, 0, 2, 2))
+    # Tot_1 is block (0, 1) at 0..2 then block (1, 0) at 2..4
+    assert tot.starts == ((0, 4, 4), (0, 2, 4), (0, 0, 1))
     assert graded_homology(tot.complex) == (Z, ZERO, ZERO)
 
 
@@ -783,6 +785,12 @@ def back_face(X, n, q, s):
     return cur
 
 
+def nonempty_blocks(tot, n):
+    """(p, q, offset) of each nonempty block of Tot_n, read off the block table."""
+    row = tot.starts[n]
+    return [(p, n - p, row[p]) for p in range(len(row) - 1) if row[p + 1] > row[p]]
+
+
 def full_tot(X, Y):
     return total_complex(tensor_double_complex(unnormalized_chains(X), unnormalized_chains(Y)))
 
@@ -818,7 +826,7 @@ def test_alexander_whitney_columns_are_front_tensor_back(name, X, Y):
         ny = Y.sizes[n]
         want = SparseIntMatrix.from_entries(m.rows, m.cols, (
             (off + front_face(X, n, p, s // ny) * Y.sizes[q] + back_face(Y, n, q, s % ny), s, 1)
-            for s in range(m.cols) for (p, q, off, sz) in tot.layout[n] if sz))
+            for s in range(m.cols) for (p, q, off) in nonempty_blocks(tot, n)))
         assert m == want, n
 
 
@@ -829,7 +837,7 @@ def test_alexander_whitney_cuts_tot_above_the_source(name, X, Y):
     full = full_tot(X, Y)
     assert not aw.source.complete and full.complex.top_degree > S + 1
     assert tot.complex == truncate_complex(full.complex, S + 1)
-    assert tot.layout == full.layout[:S + 2]
+    assert tot.starts == full.starts[:S + 2]
     # the cone into the cut Tot is the cone of the same matrices into the full one
     assert mapping_cone(aw) == mapping_cone(ChainMap(aw.source, full.complex, aw.mats))
 
@@ -840,7 +848,7 @@ def test_alexander_whitney_keeps_the_full_tot_of_complete_inputs(name, X, Y):
     full = full_tot(X, Y)
     assert aw.source.complete and tot.complex.complete
     assert tot.complex.top_degree == len(X.sizes) + len(Y.sizes) - 2
-    assert (tot.complex, tot.layout) == (full.complex, full.layout)
+    assert (tot.complex, tot.starts) == (full.complex, full.starts)
 
 
 def _entry_order(C):
@@ -855,7 +863,35 @@ def test_resolution_tot_cut_at_n_is_its_truncation(name):
         cut, full = total_complex(D, through=N), total_complex(D)
         assert cut.complex == truncate_complex(full.complex, N), N
         assert _entry_order(cut.complex) == _entry_order(truncate_complex(full.complex, N)), N
-        assert cut.layout == full.layout[:N + 1], N
+        assert cut.starts == full.starts[:N + 1], N
+
+
+def block_table_cases():
+    corpus = sset_corpus()
+    for a, X in corpus.items():
+        for b, Y in corpus.items():
+            yield f"{a}-{b}", bicomplex(exterior_product(X, Y)), None
+    sphere = unnormalized_chains(boundary_semi_simplex(3))
+    yield "sphere-tensor-cut", tensor_double_complex(sphere, sphere, 2), 2
+    for name, F in sorted(quillen_functor_corpus().items()):
+        D = bicomplex(comma_resolution(F, 3).bisset)
+        yield f"{name}-resolution", D, None
+        yield f"{name}-resolution-cut", D, 3
+
+
+def test_block_table_sizes_are_the_antidiagonal():
+    # starts[n] covers every column p; a block off the grid is empty, so no
+    # row bound is needed to skip it
+    for name, D, through in block_table_cases():
+        tot = total_complex(D, through)
+        assert len(tot.starts) == len(tot.complex.dims), name
+        for n, row in enumerate(tot.starts):
+            assert len(row) == D.p_levels + 1 and row[0] == 0, (name, n)
+            for p in range(D.p_levels):
+                q = n - p
+                want = D.sizes[p][q] if 0 <= q < D.q_levels else 0
+                assert row[p + 1] - row[p] == want, (name, n, p)
+            assert row[-1] == tot.complex.dims[n], (name, n)
 
 
 # -- chain maps, cones, induced maps ----------------------------------------------

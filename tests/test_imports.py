@@ -282,6 +282,31 @@ def test_index_tables_have_one_matrix_builder():
     ]
 
 
+def json_readers(sources: dict[str, str]) -> list[str]:
+    """``path: owner`` for each owner of the ``sources`` that reads
+    ``json.load`` or ``json.loads``."""
+    return sorted(set(route_users(sources, "load") + route_users(sources, "loads")))
+
+
+def test_json_files_have_one_reader():
+    # read_json turns undecodable bytes and too-deep nesting into FormatError;
+    # a second decoder would let them escape as internal errors
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert json_readers(sources) == ["src/ssethom/formats.py: read_json"]
+
+
+def test_second_json_reader_is_caught():
+    module = ("import json\n"
+              "def read_json(name):\n"
+              "    with open(name) as fh:\n"
+              "        return json.load(fh)\n"
+              "def batch(text):\n"
+              "    return json.loads(text)\n")
+    user = "from json import loads\n"
+    assert json_readers({"formats.py": module, "cli.py": user}) == [
+        "cli.py: <module>", "formats.py: batch", "formats.py: read_json"]
+
+
 def test_second_route_user_is_caught():
     module = ("class Complex:\n"
               "    @classmethod\n"

@@ -156,8 +156,8 @@ def test_convergence_names_a_degree_whose_total_disagrees():
 
 
 def block_part(T, n, p, vec):
-    off, size = T.block_offset(n, p)
-    return list(vec[off:off + size])
+    off, end = T.starts[n][p:p + 2]
+    return list(vec[off:end])
 
 
 def solve_dense(columns, b, prime):
@@ -288,18 +288,18 @@ def test_page_one_basis_is_pure_and_vertical():
     T = total_complex(D)
     for (p, q), vecs in pages[1].basis.items():
         n = p + q
-        off, size = T.block_offset(n, p)
+        off, end = T.starts[n][p:p + 2]
         for v in vecs:
-            assert any(v[off:off + size])
-            assert not any(v[:off]) and not any(v[off + size:])
+            assert any(v[off:end])
+            assert not any(v[:off]) and not any(v[end:])
             # vertical part of the total boundary vanishes on the block below
             if q >= 1:
                 img = [0] * T.complex.dim(n - 1)
                 for (r, c, val) in T.complex.boundary(n).entries():
                     if v[c]:
                         img[r] += val * v[c]
-                boff, bsize = T.block_offset(n - 1, p)
-                assert not any(img[boff:boff + bsize])
+                boff, bend = T.starts[n - 1][p:p + 2]
+                assert not any(img[boff:bend])
 
 
 # -- squares, orientations, degenerate shapes ------------------------------------
