@@ -11,9 +11,9 @@ category of a monoid, the unitalization) comes from ``listed_category``,
 which lists its objects and morphisms in order and returns their position
 indexes with it.
 
-Validators check shapes and ranges through ``sset._table_problems`` before
-any law, and a document is valid only when the documents nested in it
-(categories, functors, monoid) are.
+Every validator is ``sset._staged(20)``: the documents nested in it (categories,
+functors, monoid), then shapes and ranges through ``sset._table_problems``,
+then laws; it reports the first stage with problems, at most 20 of them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .sset import (
     ValidationReport,
     _identity_problems,
     _nested_problems,
+    _staged,
     _table_problems,
     listed_bisset,
     listed_sset,
@@ -87,13 +88,14 @@ def _at(labels, template):
     return lambda s, **_: template.format(*labels[s])
 
 
+@_staged(20)
 def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
     """Entry s of the ``comp`` table is the composite of its s-th pair in sorted order."""
     m = C.n_morphisms
     problems = _table_problems("src", C.src, m, C.n_objects) + \
         _table_problems("tgt", C.tgt, m, C.n_objects)
     if len(C.tgt) != m:
-        return ValidationReport(False, tuple(problems))
+        yield problems
     composable = {(f, g) for f in range(m) for g in range(m) if C.tgt[f] == C.src[g]}
     missing, extra = composable - C.comp.keys(), C.comp.keys() - composable
     if missing:
@@ -104,30 +106,26 @@ def validate_category(C: FinNonUnitalCategory) -> ValidationReport:
     problems += [f"composite of ({f},{g}) has wrong endpoints" for (f, g), h in C.comp.items()
                  if (f, g) in composable and 0 <= h < m
                  and (C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g])]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
+    yield problems
     comp = C.comp
     triples = [(f, g, h) for f in range(m) for g in range(m) if C.tgt[f] == C.src[g]
                for h in range(m) if C.tgt[g] == C.src[h]]
-    problems = _identity_problems(((
+    yield _identity_problems(((
         [comp[(comp[(f, g)], h)] for f, g, h in triples],
         [comp[(f, comp[(g, h)])] for f, g, h in triples],
-        _at(triples, "associativity fails on ({},{},{})")),), 20)
-    if problems or C.units is None:
-        return ValidationReport(not problems, tuple(problems))
+        _at(triples, "associativity fails on ({},{},{})")),))
+    if C.units is None:
+        return
     units = C.units
-    problems = _table_problems("units", units, C.n_objects, m) + [
+    yield _table_problems("units", units, C.n_objects, m) + [
         f"unit of object {c} is not an endomorphism of it" for c, u in zip(range(C.n_objects), units)
         if 0 <= u < m and (C.src[u] != c or C.tgt[u] != c)]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
     # only the first failing unit law is named, the left one before the right
-    problems = _identity_problems(((
+    yield itertools.islice(_identity_problems(((
         [(comp[(units[C.src[f]], f)], comp[(f, units[C.tgt[f]])]) for f in range(m)],
         [(f, f) for f in range(m)],
         lambda s, left, right: "unit law fails on the "
-                               f"{'left' if left[0] != s else 'right'} of morphism {s}"),), 1)
-    return ValidationReport(not problems, tuple(problems))
+                               f"{'left' if left[0] != s else 'right'} of morphism {s}"),)), 1)
 
 
 @dataclass(frozen=True)
@@ -138,24 +136,20 @@ class FunctorData:
     mor_map: tuple[int, ...]
 
 
+@_staged(20)
 def validate_functor(F: FunctorData) -> ValidationReport:
     C, D = F.source, F.target
-    problems = _nested_problems(source=validate_category(C), target=validate_category(D))
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
-    problems = _table_problems("obj_map", F.obj_map, C.n_objects, D.n_objects) + \
+    yield _nested_problems(source=validate_category(C), target=validate_category(D))
+    yield _table_problems("obj_map", F.obj_map, C.n_objects, D.n_objects) + \
         _table_problems("mor_map", F.mor_map, C.n_morphisms, D.n_morphisms)
-    if problems:
-        return ValidationReport(False, tuple(problems))
     ob, mor = F.obj_map, F.mor_map
-    problems = _identity_problems((
+    yield _identity_problems((
         ([(D.src[mor[f]], D.tgt[mor[f]]) for f in range(C.n_morphisms)],
          [(ob[C.src[f]], ob[C.tgt[f]]) for f in range(C.n_morphisms)],
          "morphism {s}: endpoints not preserved".format),
         ([mor[h] for h in C.comp.values()],
          [D.comp.get((mor[f], mor[g])) for f, g in C.comp],
-         _at(list(C.comp), "composite of ({},{}) not preserved"))), 20)
-    return ValidationReport(not problems, tuple(problems))
+         _at(list(C.comp), "composite of ({},{}) not preserved"))))
 
 
 def identity_functor(C: FinNonUnitalCategory) -> FunctorData:
@@ -169,24 +163,20 @@ class NatTransData:
     components: tuple[int, ...]
 
 
+@_staged(20)
 def validate_nat_trans(eta: NatTransData) -> ValidationReport:
     F, G = eta.F, eta.G
-    problems = _nested_problems(F=validate_functor(F), G=validate_functor(G))
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
+    yield _nested_problems(F=validate_functor(F), G=validate_functor(G))
     if F.source != G.source or F.target != G.target:
-        return ValidationReport(False, ("the two functors do not share source and target",))
+        yield ["the two functors do not share source and target"]
     C, D, k = F.source, F.target, eta.components
-    problems = _table_problems("components", k, C.n_objects, D.n_morphisms) + [
+    yield _table_problems("components", k, C.n_objects, D.n_morphisms) + [
         f"component at object {c} does not run F(c) -> G(c)" for c, u in zip(range(C.n_objects), k)
         if 0 <= u < D.n_morphisms and (D.src[u] != F.obj_map[c] or D.tgt[u] != G.obj_map[c])]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
-    problems = _identity_problems(((
+    yield _identity_problems(((
         [D.comp[(F.mor_map[f], k[C.tgt[f]])] for f in range(C.n_morphisms)],
         [D.comp[(k[C.src[f]], G.mor_map[f])] for f in range(C.n_morphisms)],
-        "naturality square fails at morphism {s}".format),), 20)
-    return ValidationReport(not problems, tuple(problems))
+        "naturality square fails at morphism {s}".format),))
 
 
 # -- monoids and actions ---------------------------------------------------------
@@ -216,34 +206,32 @@ class MonoidPresentation:
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
+@_staged(20)
 def validate_monoid(M: FinMonoid) -> ValidationReport:
     n = len(M.table)
-    problems = [m for a, row in enumerate(M.table)
-                for m in _table_problems(f"row {a}", row, n, n)]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
+    yield (m for a, row in enumerate(M.table) for m in _table_problems(f"row {a}", row, n, n))
     if not (0 <= M.unit < n):
-        return ValidationReport(False, ("table form needs a unit index",))
+        yield ["table form needs a unit index"]
     e, t = M.unit, M.table
     triples = list(itertools.product(range(n), repeat=3))
-    problems = _identity_problems((
+    yield _identity_problems((
         ([(t[e][a], t[a][e]) for a in range(n)], [(a, a) for a in range(n)],
          "unit law fails at element {s}".format),
         ([t[t[a][b]][c] for a, b, c in triples], [t[a][t[b][c]] for a, b, c in triples],
-         _at(triples, "associativity fails at ({},{},{})"))), 20)
-    return ValidationReport(not problems, tuple(problems))
+         _at(triples, "associativity fails at ({},{},{})"))))
 
 
+@_staged(20)
 def validate_presentation(P: MonoidPresentation) -> ValidationReport:
     if P.gens < 0:
-        return ValidationReport(False, ("presentation form needs a generator count",))
+        yield ["presentation form needs a generator count"]
     problems = []
     for i, (lhs, rhs) in enumerate(P.relations):
         if len(lhs) != P.gens or len(rhs) != P.gens:
             problems.append(f"relation {i} has wrong arity")
         elif any(v < 0 for v in lhs + rhs):
             problems.append(f"relation {i} has a negative exponent")
-    return ValidationReport(not problems, tuple(problems[:20]))
+    yield problems
 
 
 def is_commutative_monoid(M: FinMonoid) -> bool:
@@ -295,33 +283,28 @@ class MonoidAction:
         return self.table[x][m]
 
 
+@_staged(20)
 def validate_action(A: MonoidAction) -> ValidationReport:
     M = A.monoid
     if not isinstance(M, FinMonoid):
-        return ValidationReport(False, ("an action needs a table-form monoid",))
-    problems = _nested_problems(monoid=validate_monoid(M))
-    if problems:
-        return ValidationReport(False, tuple(problems))
+        yield ["an action needs a table-form monoid"]
+    yield _nested_problems(monoid=validate_monoid(M))
     if A.side not in ("left", "right"):
-        return ValidationReport(False, (f"unknown side {A.side!r}",))
+        yield [f"unknown side {A.side!r}"]
     n, k = M.size, A.size
     shape = (n, k) if A.side == "left" else (k, n)
     if len(A.table) != shape[0]:
-        return ValidationReport(False, ("action table has wrong shape",))
-    problems = [m for r, row in enumerate(A.table)
-                for m in _table_problems(f"row {r}", row, shape[1], k)]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
+        yield ["action table has wrong shape"]
+    yield (m for r, row in enumerate(A.table) for m in _table_problems(f"row {r}", row, shape[1], k))
     left = A.side == "left"
     t = A.table if left else tuple(zip(*A.table))  # t[m][x] is m.x or x.m
     triples = list(itertools.product(range(n), range(n), range(k)))
-    problems = _identity_problems((
+    yield _identity_problems((
         ([t[M.unit][x] for x in range(k)], list(range(k)), "unit does not fix element {s}".format),
         ([t[m][t[m2][x]] if left else t[m2][t[m][x]] for m, m2, x in triples],
          [t[M.mult(m, m2)][x] for m, m2, x in triples],
          _at(triples if left else [(x, m, m2) for m, m2, x in triples],
-             "associativity fails at ({},{},{})"))), 20)
-    return ValidationReport(not problems, tuple(problems))
+             "associativity fails at ({},{},{})"))))
 
 
 def trivial_action(M: FinMonoid, side: str) -> MonoidAction:

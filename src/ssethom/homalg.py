@@ -40,6 +40,7 @@ from .sset import (
     SSetMap,
     ValidationReport,
     _restriction_tables,
+    _staged,
     levelwise_product,
     validate_sset,
 )
@@ -633,6 +634,7 @@ class ChainHomotopy:
     through: int
 
 
+@_staged(21)
 def check_chain_homotopy(h: ChainHomotopy) -> ValidationReport:
     problems = []
     src, tgt = h.source, h.target
@@ -645,7 +647,7 @@ def check_chain_homotopy(h: ChainHomotopy) -> ValidationReport:
         rhs = h.maps_to[k].sub(h.maps_from[k])
         if lhs != rhs:
             problems.append(f"dP + Pd != to - from in degree {k}")
-    return ValidationReport(not problems, tuple(problems))
+    yield problems
 
 
 def chain_homotopy_from_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ChainHomotopy:

@@ -14,18 +14,39 @@ a face function; ``levelwise_product`` writes its tables directly.  Every
 table's length and range is checked by ``_table_problems``, and every table
 law by comparing two whole tables.  A certificate is an
 ``ExtraDegeneracy`` or a ``PrismHomotopy``, checked by ``check_certificate``.
+Every validator here and in ``cat``, and ``homalg.check_chain_homotopy``, has
+one policy, ``_staged(limit)``: it yields nested documents, shapes and ranges,
+then laws, and reports the first stage with problems, at most ``limit`` of them:
+20 in ``validate_bisset`` and ``cat``, 21 in the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
 # semi-simplicial sets
+
+
+def _staged(limit: int):
+    """The one validation policy.  The decorated generator yields the
+    problems of each stage in order; the report holds the first stage with
+    problems, cut to ``limit`` entries, and a later stage runs only once
+    every earlier one has passed, so it may assume their shapes."""
+    def decorate(stages):
+        @wraps(stages)
+        def validate(*args, **kwargs) -> ValidationReport:
+            for stage in stages(*args, **kwargs):
+                problems = tuple(itertools.islice(stage, limit))
+                if problems:
+                    return ValidationReport(False, problems)
+            return ValidationReport(True)
+        return validate
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -62,22 +83,20 @@ class SemiSimplicialSet:
         return self.top_dim is not None
 
     @cached_property
+    @_staged(21)
     def _report(self) -> ValidationReport:
         """``validate_sset``'s report, kept on the object: it is frozen and
         its tables are tuples, so the report cannot go stale."""
         L = len(self.sizes)
         if len(self.faces) != L:
-            return ValidationReport(False, (f"faces has {len(self.faces)} levels, sizes has {L}",))
+            yield [f"faces has {len(self.faces)} levels, sizes has {L}"]
         problems = []
         if self.truncated_at is not None and self.truncated_at != L - 1:
             problems.append(f"truncated_at={self.truncated_at} but levels run 0..{L - 1}")
-        problems += _shape_problems(self.sizes, self.faces)
-        if problems:
-            return ValidationReport(False, tuple(problems))
-        problems = _identity_problems(_level_identities(
+        yield problems + _shape_problems(self.sizes, self.faces)
+        yield _identity_problems(_level_identities(
             self.faces, lambda p, i, j: f"face identity fails at level {p}, simplex {{s}}: "
-                                        f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"), 21)
-        return ValidationReport(not problems, tuple(problems))
+                                        f"d_{i} d_{j} = {{left}} but d_{j - 1} d_{i} = {{right}}"))
 
 
 @dataclass(frozen=True)
@@ -134,20 +153,16 @@ def _level_identities(levels, template):
                        template(p, i, j).format)
 
 
-def _identity_problems(identities, limit: int) -> list[str]:
-    """A message per position where the two tables of an identity differ, at
-    most ``limit``; whole tables are compared before any position is walked.
+def _identity_problems(identities):
+    """A message per position where the two tables of an identity differ,
+    made lazily; whole tables are compared before any position is walked.
     ``message(s=, left=, right=)`` names position s: a template's ``format``,
     or a function that looks up the position's label."""
-    problems = []
     for lefts, rights, message in identities:
         if lefts != rights:
             for s, (left, right) in enumerate(zip(lefts, rights)):
                 if left != right:
-                    problems.append(message(s=s, left=left, right=right))
-                    if len(problems) == limit:
-                        return problems
-    return problems
+                    yield message(s=s, left=left, right=right)
 
 
 def _nested_problems(**reports: ValidationReport) -> list[str]:
@@ -164,24 +179,20 @@ class SSetMap:
     tables: tuple[tuple[int, ...], ...]
 
 
+@_staged(21)
 def check_sset_map(f: SSetMap) -> ValidationReport:
     src, tgt = f.source, f.target
-    problems = _nested_problems(source=validate_sset(src), target=validate_sset(tgt))
-    if problems:
-        return ValidationReport(False, tuple(problems[:21]))
+    yield _nested_problems(source=validate_sset(src), target=validate_sset(tgt))
     if len(f.tables) != len(src.sizes):
-        return ValidationReport(False, (f"map covers {len(f.tables)} levels, source has {len(src.sizes)}",))
+        yield [f"map covers {len(f.tables)} levels, source has {len(src.sizes)}"]
     if len(tgt.sizes) < len(src.sizes):
-        return ValidationReport(False, ("target has fewer listed levels than source",))
-    problems = [m for p, tab in enumerate(f.tables)
-                for m in _table_problems(f"level {p}", tab, src.sizes[p], tgt.sizes[p])]
-    if problems:
-        return ValidationReport(False, tuple(problems))
-    problems = _identity_problems((
+        yield ["target has fewer listed levels than source"]
+    yield (m for p, tab in enumerate(f.tables)
+           for m in _table_problems(f"level {p}", tab, src.sizes[p], tgt.sizes[p]))
+    yield _identity_problems((
         ([tgt.faces[p][i][v] for v in f.tables[p]], [f.tables[p - 1][t] for t in src.faces[p][i]],
          f"does not commute with d_{i} at level {p}, simplex {{s}}".format)
-        for p in range(1, len(src.sizes)) for i in range(p + 1)), 21)
-    return ValidationReport(not problems, tuple(problems))
+        for p in range(1, len(src.sizes)) for i in range(p + 1)))
 
 
 # -- listings ----------------------------------------------------------------
@@ -296,19 +307,18 @@ class BiSemiSimplicialSet:
         return len(self.sizes[0]) if self.sizes else 0
 
 
+@_staged(20)
 def validate_bisset(B: BiSemiSimplicialSet) -> ValidationReport:
     P, Q = B.p_levels, B.q_levels
     for p in range(P):
         if len(B.sizes[p]) != Q:
-            return ValidationReport(False, (f"ragged size grid at row {p}",))
+            yield [f"ragged size grid at row {p}"]
     for name, tables in (("dh", B.dh), ("dv", B.dv)):
         if len(tables) != P or any(len(row) != Q for row in tables):
-            return ValidationReport(False, (f"{name} tables do not match the {P}x{Q} size grid",))
-    problems = [f"column {q}: {m}" for q in range(Q) for m in _shape_problems(
-        [row[q] for row in B.sizes], [row[q] for row in B.dh])]
-    problems += [f"row {p}: {m}" for p in range(P) for m in _shape_problems(B.sizes[p], B.dv[p])]
-    if problems:
-        return ValidationReport(False, tuple(problems[:20]))
+            yield [f"{name} tables do not match the {P}x{Q} size grid"]
+    yield [f"column {q}: {m}" for q in range(Q) for m in _shape_problems(
+        [row[q] for row in B.sizes], [row[q] for row in B.dh])] + \
+        [f"row {p}: {m}" for p in range(P) for m in _shape_problems(B.sizes[p], B.dv[p])]
 
     def identities():
         # horizontal identity in each fixed q, vertical in each fixed p
@@ -327,8 +337,7 @@ def validate_bisset(B: BiSemiSimplicialSet) -> ValidationReport:
                                [B.dh[p][q - 1][i][t] for t in B.dv[p][q][j]],
                                f"dh/dv do not commute at ({p},{q}) simplex {{s}}".format)
 
-    problems = _identity_problems(identities(), 20)
-    return ValidationReport(not problems, tuple(problems))
+    yield _identity_problems(identities())
 
 
 def exterior_product(X: SemiSimplicialSet, Y: SemiSimplicialSet) -> BiSemiSimplicialSet:
@@ -463,11 +472,12 @@ def normalize_face(Y: SimplicialSet, i: int, ref: SimplexRef) -> SimplexRef:
     return SimplexRef(tuple(b + 1 for b in w[:k]) + (j,) + w[k:], inner.deg, inner.gen)
 
 
+@_staged(21)
 def validate_simplicial(Y: SimplicialSet) -> ValidationReport:
     problems = []
     L = len(Y.gen_sizes)
     if len(Y.gen_faces) != L:
-        return ValidationReport(False, (f"gen_faces has {len(Y.gen_faces)} levels, gen_sizes has {L}",))
+        yield [f"gen_faces has {len(Y.gen_faces)} levels, gen_sizes has {L}"]
     if Y.truncated_at is not None and Y.truncated_at != L - 1:
         problems.append(f"truncated_at={Y.truncated_at} but generator degrees run 0..{L - 1}")
     for q in range(1, L):
@@ -484,25 +494,18 @@ def validate_simplicial(Y: SimplicialSet) -> ValidationReport:
                     problems.append(f"degree {q} face {i} generator {g}: lands in degree {ref.total}, wanted {q - 1}")
                 elif not is_canonical_word(ref.word, ref.deg):
                     problems.append(f"degree {q} face {i} generator {g}: word {ref.word} not canonical")
-                elif not (0 <= ref.deg < L and 0 <= ref.gen < Y.gen_sizes[ref.deg]):
+                elif not 0 <= ref.gen < Y.gen_sizes[ref.deg]:  # deg is in 0..q-1 here
                     problems.append(f"degree {q} face {i} generator {g}: generator out of range")
-    if problems:
-        return ValidationReport(False, tuple(problems))
+    yield problems
     through = Y.truncated_at if Y.truncated_at is not None else Y.top_generator_degree + 2
     # the face-face identity on every simplex through that level;
     # the mixed and degeneracy-only identities hold by construction of the
     # canonical form, so this is the only content to verify
-    for p in range(2, through + 1):
-        for ref in iter_simplices(Y, p):
-            for j in range(1, p + 1):
-                for i in range(j):
-                    a = normalize_face(Y, i, normalize_face(Y, j, ref))
-                    b = normalize_face(Y, j - 1, normalize_face(Y, i, ref))
-                    if a != b:
-                        problems.append(f"d_{i} d_{j} != d_{j - 1} d_{i} on {ref}")
-                        if len(problems) > 20:
-                            return ValidationReport(False, tuple(problems))
-    return ValidationReport(not problems, tuple(problems))
+    yield (f"d_{i} d_{j} != d_{j - 1} d_{i} on {ref}"
+           for p in range(2, through + 1) for ref in iter_simplices(Y, p)
+           for j in range(1, p + 1) for i in range(j)
+           if normalize_face(Y, i, normalize_face(Y, j, ref))
+           != normalize_face(Y, j - 1, normalize_face(Y, i, ref)))
 
 
 def iter_simplices(Y: SimplicialSet, p: int):
@@ -599,32 +602,27 @@ class PrismHomotopy:
     tri: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+@_staged(21)
 def check_certificate(cert: ExtraDegeneracy | PrismHomotopy) -> ValidationReport:
     """Verify a certificate: the space of an extra degeneracy, then table
     shapes and ranges, then each defining identity on whole tables, naming
     at most 21 failing simplices."""
-    problems = (_extra_degeneracy_problems if isinstance(cert, ExtraDegeneracy)
-                else _prism_problems)(cert)
-    return ValidationReport(not problems, tuple(problems))
+    yield from (_extra_degeneracy_stages if isinstance(cert, ExtraDegeneracy)
+                else _prism_stages)(cert)
 
 
-def _extra_degeneracy_problems(cert: ExtraDegeneracy) -> list[str]:
+def _extra_degeneracy_stages(cert: ExtraDegeneracy):
     X, aug, h0, up = cert.space, cert.aug, cert.h0, cert.up
-    problems = _nested_problems(space=validate_sset(X))
-    if problems:
-        return problems[:21]
+    yield _nested_problems(space=validate_sset(X))
     if len(up) >= len(X.sizes):
-        return ["certificate tables run past the listed levels"]
-    problems = _table_problems("augmentation", aug, X.sizes[0], cert.aug_size)
-    problems += _table_problems("h0", h0, cert.aug_size, X.sizes[0])
-    for p, h in enumerate(up):
-        problems += _table_problems(f"h_{p + 1}", h, X.sizes[p], X.sizes[p + 1])
-    if problems:
-        return problems[:21]
+        yield ["certificate tables run past the listed levels"]
+    yield _table_problems("augmentation", aug, X.sizes[0], cert.aug_size) + \
+        _table_problems("h0", h0, cert.aug_size, X.sizes[0]) + \
+        [m for p, h in enumerate(up) for m in _table_problems(f"h_{p + 1}", h, X.sizes[p], X.sizes[p + 1])]
     # the augmentation is constant on edges; only its first failing edge is named
-    edges = _identity_problems((
+    edges = itertools.islice(_identity_problems((
         ([aug[t] for t in X.faces[1][0]], [aug[t] for t in X.faces[1][1]],
-         "augmentation not constant on edge {s}".format),), 1) if len(X.sizes) > 1 else []
+         "augmentation not constant on edge {s}".format),)), 1) if len(X.sizes) > 1 else ()
 
     def identities():
         yield [aug[v] for v in h0], list(range(cert.aug_size)), "augmentation of h0[{s}] is not {s}".format
@@ -639,22 +637,20 @@ def _extra_degeneracy_problems(cert: ExtraDegeneracy) -> list[str]:
                 yield ([d[i][v] for v in h], [up[p - 1][t] for t in X.faces[p][i]],
                        f"d_{i} h_{p + 1} != h_{p} d_{i} at level {p} simplex {{s}}".format)
 
-    return edges + _identity_problems(identities(), 21 - len(edges))
+    yield itertools.chain(edges, _identity_problems(identities()))
 
 
-def _prism_problems(cert: PrismHomotopy) -> list[str]:
+def _prism_stages(cert: PrismHomotopy):
     f, g, tri = cert.f, cert.g, cert.tri
     X, Y = f.source, f.target
     for name, m in (("f", f), ("g", g)):
-        r = check_sset_map(m)
-        if not r.ok:
-            return [f"{name} is not a map: " + r.first()]
+        yield [f"{name} is not a map: {p}" for p in check_sset_map(m).problems[:1]]
     if g.source != X or g.target != Y:
-        return ["f and g have different endpoints"]
+        yield ["f and g have different endpoints"]
     if len(tri) >= len(Y.sizes):
-        return ["tables run past the listed levels of the target"]
+        yield ["tables run past the listed levels of the target"]
     if len(tri) > len(X.sizes):
-        return ["tables run past the listed levels of the source"]
+        yield ["tables run past the listed levels of the source"]
     problems = []
     for p, level in enumerate(tri):
         if len(level) != p + 1:
@@ -662,8 +658,7 @@ def _prism_problems(cert: PrismHomotopy) -> list[str]:
             continue
         for i, tab in enumerate(level):
             problems += _table_problems(f"H[{p}][{i}]", tab, X.sizes[p], Y.sizes[p + 1])
-    if problems:
-        return problems[:21]
+    yield problems
 
     def identities():
         for p, H in enumerate(tri):
@@ -682,4 +677,4 @@ def _prism_problems(cert: PrismHomotopy) -> list[str]:
                     yield ([d[i][v] for v in H[j]], [tri[p - 1][j][t] for t in X.faces[p][i - 1]],
                            f"d_{i} H[{p}][{j}] != H[{p - 1}][{j}] d_{i - 1} at simplex {{s}}".format)
 
-    return _identity_problems(identities(), 21)
+    yield _identity_problems(identities())

@@ -1051,6 +1051,19 @@ def test_validate_errors_are_exact(doc, message, capsys, tmp_path):
     assert run(capsys, "validate", f) == (2, "", f"error: {f}: {message}\n")
 
 
+def test_validate_caps_the_simplicial_shape_pass(capsys, tmp_path):
+    # the loader does not check the degree a face lands in, so all 30 faces
+    # of the ten degree-2 generators fail the shape pass; 21 are listed
+    ref = {"word": [], "deg": 0, "idx": 0}
+    f = tmp_path / "flat.simp.json"
+    f.write_text(json.dumps({"type": "simplicial", "generators": [
+        {"size": 1}, {"size": 0, "faces": [[], []]}, {"size": 10, "faces": [[ref] * 10] * 3}]}))
+    code, report, err = run_json(capsys, "validate", str(f))
+    assert (code, report["ok"]) == (1, False)
+    assert report["problems"] == [f"degree 2 face {i} generator {g}: lands in degree 0, wanted 1"
+                                  for i in range(3) for g in range(10)][:21]
+
+
 def test_truncated_simplicial_document(capsys, tmp_path):
     f = tmp_path / "trunc.simp.json"
     f.write_text(json.dumps(_delta2(truncated_at=2)))

@@ -321,3 +321,44 @@ def test_second_route_user_is_caught():
     user = "from m import Complex, _certified\nmake = Complex._certified\n"
     assert route_users({"m.py": module, "run.py": user}, "_certified") == [
         "m.py: Complex.copy", "m.py: chains", "run.py: <module>"]
+
+
+def calls(sources: dict[str, str], callee: str) -> list[str]:
+    """``path: owner`` once per call of ``callee`` or ``.callee`` in the
+    ``sources``, the owner named as ``route_users`` names it; a name read
+    that is not a call, such as a return annotation, is not counted."""
+    found = []
+    for path, source in sources.items():
+        for top in ast.parse(source).body:
+            parts = top.body + top.decorator_list + top.bases if isinstance(top, ast.ClassDef) else [top]
+            for part in parts:
+                owner = part.name if isinstance(part, FUNCTIONS) else None
+                if owner and isinstance(top, ast.ClassDef):
+                    owner = f"{top.name}.{owner}"
+                found += [f"{path}: {owner or '<module>'}" for node in ast.walk(part)
+                          if isinstance(node, ast.Call)
+                          and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return found
+
+
+def test_validation_reports_have_one_constructor():
+    # _staged is the one validation policy: a report built anywhere else
+    # would skip its stage order or its cap
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert calls(sources, "ValidationReport") == ["src/ssethom/sset.py: _staged"] * 2
+
+
+def test_second_report_constructor_is_caught():
+    module = ("import sset\n"
+              "from sset import ValidationReport, _staged\n"
+              "def direct(x) -> ValidationReport:\n"
+              "    return ValidationReport(True)\n"
+              "class Doc:\n"
+              "    def report(self) -> ValidationReport:\n"
+              "        return sset.ValidationReport(False, ())\n"
+              "DEFAULT = ValidationReport(True)\n"
+              "@_staged(20)\n"
+              "def staged(x) -> ValidationReport:\n"
+              "    yield []\n")
+    assert calls({"m.py": module}, "ValidationReport") == [
+        "m.py: direct", "m.py: Doc.report", "m.py: <module>"]

@@ -18,6 +18,7 @@ from oracles import (
     surjection_to_word,
     word_to_surjection,
 )
+from ssethom import cat, homalg, sset
 from ssethom import fixtures as fx
 from ssethom.cat import (
     FinMonoid,
@@ -39,6 +40,7 @@ from ssethom.sset import (
     SemiSimplicialSet,
     SimplexRef,
     SSetMap,
+    _staged,
     boundary_semi_simplex,
     check_certificate,
     check_sset_map,
@@ -210,6 +212,17 @@ def test_truncation_flag_must_match_levels():
     assert not validate_sset(X).ok
 
 
+def test_shape_messages_name_the_listed_levels():
+    X = SemiSimplicialSet((1, 1), ((), ((0,), (0,))), truncated_at=3)
+    assert validate_sset(X).problems == ("truncated_at=3 but levels run 0..1",)
+    Y = standard_simplicial_simplex(2)
+    assert validate_simplicial(dataclasses.replace(Y, truncated_at=5)).problems == (
+        "truncated_at=5 but generator degrees run 0..2",)
+    one_face = (Y.gen_faces[0], Y.gen_faces[1][:1], Y.gen_faces[2])
+    assert validate_simplicial(dataclasses.replace(Y, gen_faces=one_face)).problems == (
+        "degree 1: expected 2 face maps",)
+
+
 def test_skeleton_and_inclusion():
     s = standard_semi_simplex(3)
     sk = skeleton(s, 1)
@@ -297,6 +310,12 @@ def test_path_space_shifts():
     p = path_space(s)
     assert validate_sset(p).ok
     assert p.sizes == (3, 1)
+
+
+def test_path_space_of_two_levels_is_one_level():
+    # PX_0 = X_1: the interval's path space is its one edge
+    p = path_space(standard_semi_simplex(1))
+    assert (p.sizes, p.faces, p.truncated_at) == ((1,), ((),), None)
 
 
 def test_path_space_rejects_low_truncation():
@@ -570,6 +589,14 @@ def test_homotopy_certificate_on_interval():
     assert not check_certificate(bad).ok
 
 
+def test_prism_maps_must_share_both_endpoints():
+    # g has f's source but another target; both maps are valid
+    pt, interval, triangle = (standard_semi_simplex(n) for n in range(3))
+    f, g = SSetMap(pt, interval, ((0,),)), SSetMap(pt, triangle, ((0,),))
+    assert check_certificate(PrismHomotopy(f=f, g=g, tri=())).problems == (
+        "f and g have different endpoints",)
+
+
 def test_prism_levels_past_the_source_are_reported_not_read():
     pt, tri = standard_semi_simplex(0), standard_semi_simplex(2)
     f = g = SSetMap(pt, tri, ((0,),))
@@ -669,3 +696,48 @@ def test_one_table_checker_names_the_first_bad_entry(case):
     rep = validate(x)
     assert not rep.ok
     assert rep.problems == problems
+
+
+# -- the one validation policy -------------------------------------------------
+
+
+def test_staged_never_runs_a_stage_after_a_failing_one():
+    @_staged(20)
+    def validate(x):
+        yield []
+        yield [f"{x} is wrong"]
+        raise AssertionError("a stage after a failing stage ran")
+
+    rep = validate("x")
+    assert (rep.ok, rep.problems) == (False, ("x is wrong",))
+
+
+def test_staged_cuts_an_endless_stage_to_its_limit():
+    @_staged(21)
+    def validate():
+        yield (f"problem {s}" for s in itertools.count())
+
+    assert validate().problems == tuple(f"problem {s}" for s in range(21))
+
+
+def test_staged_reports_ok_when_every_stage_passes():
+    @_staged(20)
+    def validate():
+        yield []
+        yield iter(())
+
+    assert validate() == sset.ValidationReport(True, ())
+    assert validate().problems == ()
+
+
+@pytest.mark.parametrize("module, name", [
+    (sset, "check_sset_map"), (sset, "validate_bisset"), (sset, "validate_simplicial"),
+    (sset, "check_certificate"), (cat, "validate_category"), (cat, "validate_functor"),
+    (cat, "validate_nat_trans"), (cat, "validate_monoid"), (cat, "validate_presentation"),
+    (cat, "validate_action"), (homalg, "check_chain_homotopy"),
+])
+def test_staged_validators_keep_their_name_and_module(module, name):
+    # the benchmark's tracer finds the verify spans by name and module
+    validate = getattr(module, name)
+    assert (validate.__name__, validate.__module__) == (name, module.__name__)
+    assert validate.__wrapped__.__name__ == name
