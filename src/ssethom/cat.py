@@ -2,7 +2,10 @@
 
 Nerves, unitalization, over and comma categories (the under category of c is
 the comma category c\\id), the bi-semi-simplicial comma resolution with its
-augmentations, two-sided bar constructions, and Grothendieck groups.
+augmentations, two-sided bar constructions, and Grothendieck groups.  Extra
+degeneracies have one builder per nerve: ``nerve_path_contraction`` for the
+path space of a unital nerve (B(*, M, M) for a monoid M), ``row_contraction``
+for the rows of the dual comma resolution.
 
 Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
@@ -390,8 +393,6 @@ def nerve_path_contraction(C: FinNonUnitalCategory, N: int) -> ExtraDegeneracy:
     """
     if not C.is_unital:
         raise ValueError("path-space contraction needs units")
-    if N < 1:
-        raise ValueError("need at least nerve level 1")
     nd = nerve(C, N)
     px = path_space(nd.sset)
     h0 = tuple(nd.index[1][(C.units[c],)] for c in range(C.n_objects))
@@ -609,16 +610,6 @@ def bar_construction(Y: MonoidAction, M: FinMonoid, X: MonoidAction, N: int) -> 
         return t[:i] + (merge(t[i], t[i + 1]),) + t[i + 2:]
 
     return listed_sset(levels, face, N)[0]
-
-
-def bar_extra_degeneracy(M: FinMonoid, N: int) -> ExtraDegeneracy:
-    """Contraction of B(*, M, M): shift the X slot into the letters and
-    restart at the unit.  Level p indexes (m_1 .. m_p, x) in base |M|, so
-    appending x as a letter is s * |M| + unit."""
-    B = bar_construction(trivial_action(M, "right"), M, regular_action(M, "left"), N)
-    n = M.size
-    up = tuple(tuple(s * n + M.unit for s in range(B.sizes[p])) for p in range(N))
-    return ExtraDegeneracy(B, 1, (0,) * B.sizes[0], (M.unit,), up)
 
 
 # -- Grothendieck groups ---------------------------------------------------------------

@@ -311,7 +311,7 @@ _CHECKS = (
      theorems.group_completion_report, None),
     ("skeletal-shadow", (SemiSimplicialSet,), "a semi-simplicial document", "degree",
      theorems.check_skeletal_shadow, None),
-    ("segal-nerve", (FinMonoid,), "a group multiplication table", None,
+    ("segal-nerve", (FinMonoid,), "a table-form monoid document", None,
      theorems.check_segal_nerve, None),
     ("constant", (), "no file (pass --size instead)", "size",
      theorems.check_constant, None),

@@ -517,18 +517,10 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone_n = src_{n-1} + tgt_n with d(a, b) = (-da, f a + db)."""
     src, tgt = f.source, f.target
     S, T = src.top_degree, tgt.top_degree
-    if src.complete and tgt.complete:
-        top = max(S + 1, T)
-        complete = True
-    elif src.complete:
-        top = T
-        complete = False
-    elif tgt.complete:
-        top = S + 1
-        complete = False
-    else:
-        top = min(S + 1, T)
-        complete = False
+    # cone_n is known where src_{n-1} and tgt_n are: through the least top of
+    # an incomplete side, or through the larger top when both are complete
+    open_tops = [t for t, done in ((S + 1, src.complete), (T, tgt.complete)) if not done]
+    top, complete = (min(open_tops), False) if open_tops else (max(S + 1, T), True)
     dims = tuple(src.dim(n - 1) + tgt.dim(n) for n in range(top + 1))
     boundaries = []
     for n in range(1, top + 1):

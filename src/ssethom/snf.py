@@ -325,8 +325,9 @@ def smith_normal_form(A: SparseIntMatrix, transforms: bool = False) -> SmithForm
                 continue
             if heap_abs == 1 and abs(row[c]) != 1:
                 continue
+            # the popped score was the least, so a fresh one above heap[0] has grown
             fresh = _fill_score(rows, colrows, r, c)
-            if fresh > score and heap and heap[0][0] < fresh:
+            if heap and heap[0][0] < fresh:
                 heapq.heappush(heap, (fresh, r, c))
                 continue
             return r, c

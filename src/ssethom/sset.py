@@ -371,8 +371,6 @@ def path_space(X: SemiSimplicialSet) -> SemiSimplicialSet:
     """Shift down: PX_p = X_{p+1} with faces d_0..d_p (d_{p+1} is dropped)."""
     if len(X.sizes) < 2:
         raise ValueError("path space needs levels through 1")
-    if X.truncated_at is not None and X.truncated_at <= 1:
-        raise ValueError("path space of a complex truncated at <= 1 retains no structure")
     sizes = X.sizes[1:]
     faces = [()]
     for p in range(1, len(sizes)):
@@ -582,8 +580,8 @@ class ExtraDegeneracy:
     """A contraction of ``space``, augmented by ``aug`` onto ``aug_size``
     points with section ``h0``: ``up[p]`` is h_{p+1}, level p to level p+1,
     with d_{p+1} h_{p+1} = id, d_i h_{p+1} = h_p d_i and d_0 h_1 = h_0 aug.
-    The bar, path-space and dual comma-resolution row contractions are of
-    this kind."""
+    The path-space contractions (B(*, M, M) for a monoid) and the dual
+    comma-resolution row contractions are of this kind."""
 
     space: SemiSimplicialSet
     aug_size: int

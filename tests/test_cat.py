@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from oracles import nonunital_category_corpus, parallel_arrows_category
+from oracles import nonunital_category_corpus, parallel_arrows_category, trivial_monoid
 from ssethom.cat import (
     FinMonoid,
     FinNonUnitalCategory,
@@ -11,7 +11,6 @@ from ssethom.cat import (
     MonoidPresentation,
     NatTransData,
     bar_construction,
-    bar_extra_degeneracy,
     chain_object,
     comma_resolution,
     comma_under_object,
@@ -182,6 +181,8 @@ def test_path_space_contraction_of_unital_nerve():
     assert check_chain_homotopy(h).ok
     ok, failures = acyclic_through(h.source, 2)
     assert ok, failures
+    with pytest.raises(ValueError, match=r"^path space needs levels through 1$"):
+        nerve_path_contraction(poset_category(1), 0)
 
 
 def test_path_space_contraction_of_group_nerve():
@@ -350,7 +351,7 @@ def test_certificate_problem_lists_are_exact():
         "d_1 H[2][2] != H[1][1] d_1 at simplex 5",
     )
     # the bar contraction of Z/2 with h_2 sending simplex 2 to 0
-    bar = bar_extra_degeneracy(cyclic_group_monoid(2), 3)
+    bar = nerve_path_contraction(monoid_as_category(cyclic_group_monoid(2)), 4)
     assert check_certificate(dataclasses.replace(bar, up=_edited(bar.up, (1, 2), 0))).problems == (
         "d_2 h_2 != id at level 1 simplex 2",
         "d_1 h_2 != h_1 d_1 at level 1 simplex 2",
@@ -574,10 +575,30 @@ def test_bar_rejects_mismatched_actions():
         bar_construction(trivial_action(M, "left"), M, regular_action(M, "left"), 2)
 
 
+LEFT_ZERO = FinMonoid(table=((0, 1, 2), (1, 1, 1), (2, 2, 2)), unit=0)
+
+
+@pytest.mark.parametrize("M", [cyclic_group_monoid(2), cyclic_group_monoid(3),
+                               klein_four_monoid(), absorbing_pair_monoid(),
+                               trivial_monoid(), LEFT_ZERO],
+                         ids=["Z2", "Z3", "V4", "absorbing", "trivial", "left-zero"])
+def test_monoid_path_contraction_is_the_bar_contraction(M):
+    # B(*, M, M) is the path space of the nerve of M: level p of both lists
+    # (m_1, .., m_p, x) in base |M|, and appending x as a letter restarts at
+    # the unit, so h_{p+1} sends position s to s * |M| + unit
+    for N in range(6):
+        cert = nerve_path_contraction(monoid_as_category(M), N + 1)
+        bar = bar_construction(trivial_action(M, "right"), M, regular_action(M, "left"), N)
+        assert cert.space == bar
+        assert (cert.aug_size, cert.aug, cert.h0) == (1, (0,) * bar.sizes[0], (M.unit,))
+        assert cert.up == tuple(tuple(s * M.size + M.unit for s in range(bar.sizes[p]))
+                                for p in range(N))
+
+
 @pytest.mark.parametrize("M", [cyclic_group_monoid(2), cyclic_group_monoid(3),
                                absorbing_pair_monoid()])
-def test_bar_extra_degeneracy_contracts(M):
-    cert = bar_extra_degeneracy(M, 4)
+def test_bar_path_contraction_contracts(M):
+    cert = nerve_path_contraction(monoid_as_category(M), 5)
     rep = check_certificate(cert)
     assert rep.ok, rep.problems
     h = chain_homotopy_from_certificate(cert)
@@ -587,7 +608,7 @@ def test_bar_extra_degeneracy_contracts(M):
 
 
 HOMOTOPIES = {
-    "bar": lambda: bar_extra_degeneracy(cyclic_group_monoid(2), 3),
+    "bar": lambda: nerve_path_contraction(monoid_as_category(cyclic_group_monoid(2)), 4),
     "prism": lambda: nat_trans_homotopy(NatTransData(
         identity_functor(poset_category(1)),
         FunctorData(poset_category(1), poset_category(1), (1, 1), (2, 2, 2)), (1, 2)), 3),

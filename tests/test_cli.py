@@ -348,7 +348,7 @@ def _action_over_a_presentation(tmp_path):
     (("check", "bar-acyclic", "{p}", "--cutoff", "2"),
      "{p}: expected a table-form monoid document, found a monoid presentation document"),
     (("check", "segal-nerve", "{p}", "--cutoff", "2"),
-     "{p}: expected a group multiplication table, found a monoid presentation document"),
+     "{p}: expected a table-form monoid document, found a monoid presentation document"),
     (("validate", "{a}"), "{a}: monoid: expected a table-form monoid document"),
 ], ids=["nerve", "bar", "bar-acyclic", "segal-nerve", "action"])
 def test_table_only_commands_refuse_a_presentation(argv, message, capsys, tmp_path):
@@ -554,10 +554,19 @@ def test_check_constant_and_skeletal(capsys):
     assert (code, doc["verdict"]) == (0, "pass")
 
 
-def test_check_segal_rejects_non_groups(capsys):
-    code, out, err = run(capsys, "check", "segal-nerve",
-                         fixture("absorbing.mon.json"), "--cutoff", "3")
-    assert code == 2
+# the left-zero monoid {1, a, b}, ab = a and ba = b
+_NON_COMMUTATIVE = {"type": "monoid", "unit": 0, "table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
+
+
+@pytest.mark.parametrize("doc", [None, _NON_COMMUTATIVE], ids=["absorbing", "left-zero"])
+def test_check_segal_passes_on_monoids_that_are_not_groups(doc, capsys, tmp_path):
+    path = tmp_path / "left-zero.mon.json"
+    if doc:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, err = run_json(capsys, "check", "segal-nerve",
+                                 str(path) if doc else fixture("absorbing.mon.json"), "--cutoff", "3")
+    assert (code, report["verdict"]) == (0, "pass")
+    assert [h["ok"] for h in report["hypotheses"]] == [True] * 6
 
 
 def test_check_products_two_files(capsys):
@@ -662,7 +671,7 @@ def test_trusted_degrees_do_not_move_with_the_cutoff():
                 assert nxt.trusted_through >= top, where
                 assert ([c.to_dict() for c in rep.comparisons if c.degree <= top]
                         == [c.to_dict() for c in nxt.comparisons if c.degree <= top]), where
-    assert reports == 299
+    assert reports == 304
 
 
 def test_every_check_but_skeletal_shadow_answers_cutoff_zero(capsys):
@@ -685,7 +694,7 @@ def test_every_check_but_skeletal_shadow_answers_cutoff_zero(capsys):
                 continue
             assert (rep.cutoff, rep.verdict == "untrusted-at-cutoff") == (0, rep.trusted_through < 0)
             reports += 1
-    assert reports == 55
+    assert reports == 56
     code, report, _ = run_json(capsys, "check", "segal-nerve", fixture("c2.mon.json"),
                                "--cutoff", "0")
     assert (code, report["verdict"], report["hypotheses"]) == (1, "untrusted-at-cutoff", [])
@@ -853,7 +862,7 @@ def test_check_request_errors_are_exact(argv, message, capsys):
     ("bar-acyclic", "a table-form monoid document"),
     ("group-completion", "a monoid or monoid-presentation document"),
     ("skeletal-shadow", "a semi-simplicial document"),
-    ("segal-nerve", "a group multiplication table"),
+    ("segal-nerve", "a table-form monoid document"),
     ("constant", "no file (pass --size instead)"),
 ])
 def test_check_file_count_error_is_exact(check_id, what, capsys):
@@ -864,7 +873,6 @@ def test_check_file_count_error_is_exact(check_id, what, capsys):
     assert err == f"error: check {check_id} takes {what}, got 3 file(s)\n"
 
 
-_NON_COMMUTATIVE = {"type": "monoid", "unit": 0, "table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
 _TRUNCATED_POINT = {"type": "sset", "levels": [{"size": 1}], "truncated_at": 0}
 
 

@@ -906,6 +906,28 @@ def test_mapping_cone_of_identity_is_acyclic():
     assert sum((-1) ** k * n for k, n in enumerate(cone.dims)) == 0
 
 
+def _zero_map(S, T, src_complete, tgt_complete):
+    """The zero map between complexes of rank 1 in degrees 0..S and 0..T."""
+    src, tgt = (make_chain_complex((1,) * (top + 1), [SparseIntMatrix.zero(1, 1)] * top, done)
+                for top, done in ((S, src_complete), (T, tgt_complete)))
+    return ChainMap(src, tgt, (SparseIntMatrix.zero(1, 1),) * (S + 1))
+
+
+@pytest.mark.parametrize("S, T, tops", [
+    # both complete, source only, target only, neither
+    (0, 2, (2, 2, 1, 1)),
+    (1, 1, (2, 1, 2, 1)),
+])
+def test_mapping_cone_tops(S, T, tops):
+    # cone_n = src_{n-1} + tgt_n is known where both summands are: up to the
+    # least top of an incomplete side (S + 1 or T), or to the larger top when
+    # both sides are complete, and only then is the cone complete
+    cones = [mapping_cone(_zero_map(S, T, a, b))
+             for a, b in ((True, True), (True, False), (False, True), (False, False))]
+    assert [(c.top_degree, c.complete) for c in cones] == [
+        (top, i == 0) for i, top in enumerate(tops)]
+
+
 def test_skeleton_inclusion_iso_range():
     X = standard_semi_simplex(2)
     f = chain_map_from_sset_map(skeleton_inclusion(X, 1))

@@ -348,6 +348,27 @@ def test_validation_reports_have_one_constructor():
     assert calls(sources, "ValidationReport") == ["src/ssethom/sset.py: _staged"] * 2
 
 
+def test_extra_degeneracies_have_one_builder_per_nerve():
+    # B(*, M, M) is the path space of the nerve of M, so a monoid's bar
+    # contraction is nerve_path_contraction's; a third builder would encode
+    # positions that the nerve or the bar construction already owns
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert sorted(calls(sources, "ExtraDegeneracy")) == [
+        "src/ssethom/cat.py: nerve_path_contraction", "src/ssethom/cat.py: row_contraction"]
+
+
+def test_third_contraction_builder_is_caught():
+    module = ("from sset import ExtraDegeneracy\n"
+              "def nerve_path_contraction(C, N) -> ExtraDegeneracy:\n"
+              "    return ExtraDegeneracy(C, 1, (), (), ())\n"
+              "def row_contraction(res, p):\n"
+              "    return ExtraDegeneracy(res, 1, (), (), ())\n"
+              "def bar_contraction(M, N) -> ExtraDegeneracy:\n"
+              "    return ExtraDegeneracy(M, 1, (0,), (0,), ())\n")
+    assert calls({"cat.py": module}, "ExtraDegeneracy") == [
+        "cat.py: nerve_path_contraction", "cat.py: row_contraction", "cat.py: bar_contraction"]
+
+
 def test_second_report_constructor_is_caught():
     module = ("import sset\n"
               "from sset import ValidationReport, _staged\n"

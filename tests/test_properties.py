@@ -18,7 +18,6 @@ from ssethom.cat import (
     FunctorData,
     NatTransData,
     bar_construction,
-    bar_extra_degeneracy,
     comma_resolution,
     eta_fiber,
     identity_functor,
@@ -152,7 +151,7 @@ def _certificate_zoo():
     for M in (trivial_monoid(), cyclic_group_monoid(2), cyclic_group_monoid(3),
               klein_four_monoid(), absorbing_pair_monoid()):
         certs.append(nerve_path_contraction(monoid_as_category(M), 4))
-        certs.append(bar_extra_degeneracy(M, 4))
+        certs.append(nerve_path_contraction(monoid_as_category(M), 5))
     for F in quillen_functor_corpus().values():
         res = comma_resolution(F, 3, dual=True)
         for p in range(4):

@@ -268,6 +268,10 @@ def test_block_assembly():
     assert m.to_dense() == [[1, 2, 0], [0, 0, 3]]
     t = m.transpose()
     assert t.to_dense() == [[1, 0], [2, 0], [0, 3]]
+    # one wrong side of a block is enough to refuse it
+    for rows, cols in (([1, 1], [3, 1]), ([2, 1], [2, 1])):
+        with pytest.raises(ValueError, match=r"^block shape mismatch$"):
+            SparseIntMatrix.block({(0, 0): f}, rows, cols)
 
 
 def test_smith_forms_are_pinned(monkeypatch):
@@ -387,6 +391,9 @@ def test_constructor_is_the_only_zero_filter():
 
 
 def test_constructor_range_checks_are_pinned():
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match=r"^negative matrix dimensions$"):
+            SparseIntMatrix(rows, cols)
     with pytest.raises(ValueError, match=r"^row index 2 out of range$"):
         SparseIntMatrix(2, 3, {2: {0: 1}})
     with pytest.raises(ValueError, match=r"^row index -1 out of range$"):

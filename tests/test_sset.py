@@ -318,9 +318,12 @@ def test_path_space_of_two_levels_is_one_level():
     assert (p.sizes, p.faces, p.truncated_at) == ((1,), ((),), None)
 
 
-def test_path_space_rejects_low_truncation():
-    with pytest.raises(ValueError):
-        path_space(constant_sset(1, 1))
+def test_path_space_of_a_complex_truncated_at_one_is_its_edges():
+    # P(X truncated at 1) is the level X_1 alone, truncated at 0: the object
+    # B(*, M, M) at cutoff 0 is built this way
+    p = path_space(constant_sset(1, 1))
+    assert (p.sizes, p.faces, p.truncated_at) == ((1,), ((),), 0)
+    assert validate_sset(p).ok
 
 
 def test_segal_on_standard_simplex():

@@ -178,7 +178,8 @@ def _validator_inputs(rng, count):
 
 
 def _corpus_certificates():
-    certs = [cat.bar_extra_degeneracy(M, N) for M in _monoids() for N in (2, 3)]
+    certs = [cat.nerve_path_contraction(cat.monoid_as_category(M), N + 1)
+             for M in _monoids() for N in (2, 3)]
     certs += [cat.nerve_path_contraction(C, N) for C in _categories()
               if C.units is not None and C.n_morphisms <= 9 for N in (2, 3)]
     for F in fx.quillen_functor_corpus().values():
