@@ -11,8 +11,7 @@ Composition is stored diagrammatically: the table maps a composable pair
 (f, g) with tgt(f) = src(g) to the composite "f then g" (written g . f).
 Every category built here (over and comma categories, the one-object
 category of a monoid, the unitalization) comes from ``listed_category``,
-which lists its objects and morphisms in order and returns their position
-indexes with it.
+which lists its objects and morphisms in order.
 
 Every validator is ``sset._staged(20)``: the documents nested in it (categories,
 functors, monoid), then shapes and ranges through ``sset._table_problems``,
@@ -60,11 +59,9 @@ class FinNonUnitalCategory:
         return self.units is not None
 
 
-def listed_category(objects, morphisms, ends, compose, unit=None
-                    ) -> tuple[FinNonUnitalCategory, dict, dict]:
+def listed_category(objects, morphisms, ends, compose, unit=None) -> FinNonUnitalCategory:
     """The category whose objects list ``objects`` and whose morphisms list
-    ``morphisms`` in order, with the category's ``{object: position}`` and
-    ``{morphism: position}`` indexes.
+    ``morphisms`` in order.
 
     ``ends(m)`` is the (source, target) pair of objects of morphism m, and
     ``compose(f, g)`` the morphism "f then g", asked only of the arrows g
@@ -82,8 +79,7 @@ def listed_category(objects, morphisms, ends, compose, unit=None
     comp = {(i, j): mor_index[compose(f, g)]
             for i, f in enumerate(morphisms) for j, g in leaving[tgt[i]]}
     units = None if unit is None else tuple(mor_index[unit(x)] for x in objects)
-    C = FinNonUnitalCategory(len(obj_index), tuple(src), tuple(tgt), comp, units=units)
-    return C, obj_index, mor_index
+    return FinNonUnitalCategory(len(obj_index), tuple(src), tuple(tgt), comp, units=units)
 
 
 def _at(labels, template):
@@ -254,7 +250,7 @@ def monoid_as_category(M: FinMonoid) -> FinNonUnitalCategory:
     """One object; composing f then g multiplies f<dot>g, so nerve chains read
     left to right like bar construction strings."""
     return listed_category((0,), range(M.size), lambda a: (0, 0), M.mult,
-                           lambda x: M.unit)[0]
+                           lambda x: M.unit)
 
 
 def monoid_presentation(M: FinMonoid) -> MonoidPresentation:
@@ -417,7 +413,7 @@ def unitalize(C: FinNonUnitalCategory) -> FinNonUnitalCategory:
     src, tgt = C.src + tuple(objects), C.tgt + tuple(objects)
     return listed_category(objects, range(m + C.n_objects), lambda f: (src[f], tgt[f]),
                            lambda f, g: g if f >= m else f if g >= m else C.comp[(f, g)],
-                           lambda c: m + c)[0]
+                           lambda c: m + c)
 
 
 def over_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
@@ -430,7 +426,7 @@ def over_category(C: FinNonUnitalCategory, c: int) -> FinNonUnitalCategory:
             if C.tgt[h] == C.src[f]]
     unit = None if C.units is None else lambda f: (C.units[C.src[f]], f)
     return listed_category(objects, mors, lambda hf: (C.comp[hf], hf[1]),
-                           lambda hg, hf: (C.comp[(hg[0], hf[0])], hf[1]), unit)[0]
+                           lambda hg, hf: (C.comp[(hg[0], hf[0])], hf[1]), unit)
 
 
 def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
@@ -450,7 +446,7 @@ def comma_under_object(F: FunctorData, d: int) -> FinNonUnitalCategory:
     return listed_category(
         objects, mors,
         lambda hu: ((C.src[hu[0]], hu[1]), (C.tgt[hu[0]], D.comp[(hu[1], F.mor_map[hu[0]])])),
-        lambda hu, hv: (C.comp[(hu[0], hv[0])], hu[1]), unit)[0]
+        lambda hu, hv: (C.comp[(hu[0], hv[0])], hu[1]), unit)
 
 
 # -- the comma resolution -----------------------------------------------------------

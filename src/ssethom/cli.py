@@ -121,13 +121,11 @@ def _cmd_homology(args) -> int:
     ring = _ring(args.coeff)
     req = args.max_degree
     notes = []
-    if isinstance(obj, SemiSimplicialSet):
-        complete = obj.is_complete
-        make = lambda th: unnormalized_chains(obj, through=th)
-    else:
-        complete = obj.truncated_at is None
-        make = lambda th: normalized_chains(obj, through=th)
-    C = make(req + 1) if (req is not None and complete) else make(None)
+    chains = unnormalized_chains if isinstance(obj, SemiSimplicialSet) else normalized_chains
+    complete = obj.top_dim is not None
+    # H_0..H_req read d_1..d_{req+1}; a truncated input lists levels through truncated_at
+    through = None if req is None else req + 1 if complete else min(req + 1, obj.truncated_at)
+    C = chains(obj, through)
     top = C.trusted_through if req is None else min(req, C.trusted_through)
     if req is not None and top < req:
         notes.append(f"degrees above {top} are not determined by the truncated input")

@@ -100,7 +100,7 @@ def _order_category(elements, relation, unital: bool) -> FinNonUnitalCategory:
     lexicographically by element position; (a, b) then (b, c) is (a, c)."""
     mors = [(a, b) for a in elements for b in elements if relation(a, b)]
     return listed_category(elements, mors, lambda m: m, lambda ab, bc: (ab[0], bc[1]),
-                           (lambda e: (e, e)) if unital else None)[0]
+                           (lambda e: (e, e)) if unital else None)
 
 
 def poset_category(n: int) -> FinNonUnitalCategory:

@@ -405,52 +405,40 @@ def _table_matrix(rows: int, cols: int, tables, signs=None) -> SparseIntMatrix:
                      for s, r in zip(range(cols), tab, strict=True) if r is not None))
 
 
-def _sizes_through(sizes: tuple[int, ...], through: int) -> tuple[int, ...]:
-    """The listed sizes through degree ``through``, padded with zeros; at
-    least one degree."""
-    dims = sizes[:through + 1] + (0,) * (through + 1 - len(sizes))
-    return dims or (0,)
-
-
-def _unnormalized_parts(X: SemiSimplicialSet, through: int | None):
-    """(dims, boundaries, complete) of the unnormalized chains of X."""
-    listed = len(X.sizes) - 1
+def _chain_parts(X: SemiSimplicialSet | SimplicialSet, sizes: tuple[int, ...], tables,
+                 through: int | None):
+    """(dims, boundaries, complete) of the chains with ``sizes[k]`` generators
+    in degree k and face tables ``tables[k]``, through degree ``through``
+    (default: the listed levels).  Past the listed levels the degrees are
+    zero when ``X.top_dim`` is known and refused when it is not."""
+    listed, top = len(sizes) - 1, X.top_dim
     if through is None:
         through = listed
-    if through > listed and not X.is_complete:
+    if through > listed and top is None:
         raise ValueError(f"levels above {listed} are unknown (truncated)")
-    dims = _sizes_through(X.sizes, through)
-    boundaries = [_table_matrix(dims[k - 1], dims[k], X.faces[k] if k <= listed else ())
+    dims = sizes[:through + 1] + (0,) * (through + 1 - len(sizes)) or (0,)
+    boundaries = [_table_matrix(dims[k - 1], dims[k], tables[k] if k <= listed else ())
                   for k in range(1, len(dims))]
-    complete = X.is_complete and through >= (X.top_dim if X.top_dim is not None else -1)
-    return dims, boundaries, complete
+    return dims, boundaries, top is not None and through >= top
 
 
 def unnormalized_chains(X: SemiSimplicialSet, through: int | None = None) -> ChainComplex:
-    """One generator per simplex, d = sum of signed faces.  The face
-    identities certify d o d = 0: ``validate_sset(X)`` must pass, or
+    """The fat side: one generator per simplex, d = sum of signed faces.  The
+    face identities certify d o d = 0: ``validate_sset(X)`` must pass, or
     ``ValueError`` names its first problem."""
     rep = validate_sset(X)
     if not rep.ok:
         raise ValueError(rep.first())
-    return ChainComplex._certified(*_unnormalized_parts(X, through))
+    return ChainComplex._certified(*_chain_parts(X, X.sizes, X.faces, through))
 
 
 def normalized_chains(Y: SimplicialSet, through: int | None = None) -> ChainComplex:
-    """One generator per nondegenerate simplex; degenerate faces are dropped."""
-    listed = len(Y.gen_sizes) - 1
-    if through is None:
-        through = listed if Y.truncated_at is None else Y.truncated_at
-    if Y.truncated_at is not None and through > Y.truncated_at:
-        raise ValueError("cannot extend past the truncation")
-    dims = _sizes_through(Y.gen_sizes, through)
-    # a degenerate face becomes a None entry, which adds nothing
+    """The thin side: one generator per nondegenerate simplex.  A degenerate
+    face is a ``None`` entry, which adds nothing; d o d = 0 is checked on the
+    matrices."""
     tables = [[[None if ref.word else ref.gen for ref in tab] for tab in level]
-              for level in Y.gen_faces[:len(dims)]]
-    boundaries = [_table_matrix(dims[k - 1], dims[k], tables[k] if k < len(tables) else ())
-                  for k in range(1, len(dims))]
-    complete = Y.truncated_at is None and through >= Y.top_generator_degree
-    return make_chain_complex(dims, boundaries, complete)
+              for level in Y.gen_faces]
+    return make_chain_complex(*_chain_parts(Y, Y.gen_sizes, tables, through))
 
 
 def augmented_complex(X: SemiSimplicialSet, aug_size: int, aug,
@@ -461,7 +449,7 @@ def augmented_complex(X: SemiSimplicialSet, aug_size: int, aug,
     augmentation table.  X's boundaries are built and checked once, by the
     augmented complex's own d o d check.
     """
-    dims, boundaries, complete = _unnormalized_parts(X, through)
+    dims, boundaries, complete = _chain_parts(X, X.sizes, X.faces, through)
     d1 = _table_matrix(aug_size, dims[0], [aug], [1])
     return make_chain_complex((aug_size, *dims), [d1, *boundaries], complete)
 

@@ -78,10 +78,6 @@ class SemiSimplicialSet:
             return nonempty[-1] if nonempty else -1
         return None
 
-    @property
-    def is_complete(self) -> bool:
-        return self.top_dim is not None
-
     @cached_property
     @_staged(21)
     def _report(self) -> ValidationReport:
@@ -267,13 +263,10 @@ def skeleton_inclusion(X: SemiSimplicialSet, n: int) -> SSetMap:
 def euler_characteristic(X: SemiSimplicialSet | SimplicialSet) -> int:
     """The alternating count of the simplices of a semi-simplicial set, or of
     the generators (the nondegenerate simplices) of a simplicial set."""
-    if isinstance(X, SimplicialSet):
-        sizes = X.gen_sizes
-        top = len(sizes) - 1 if X.truncated_at is None else None
-    else:
-        sizes, top = X.sizes, X.top_dim
+    top = X.top_dim
     if top is None:
         raise ValueError("Euler characteristic of a truncated complex is not determined")
+    sizes = X.gen_sizes if isinstance(X, SimplicialSet) else X.sizes
     return sum((-1) ** p * sizes[p] for p in range(top + 1))
 
 
@@ -428,14 +421,20 @@ class SimplexRef(NamedTuple):
 
 @dataclass(frozen=True)
 class SimplicialSet:
-    """Generator presentation: gen_faces[q][i][g] is d_i of generator g (q >= 1)."""
+    """Generator presentation: gen_faces[q][i][g] is d_i of generator g (q >= 1);
+    ``truncated_at`` reads as for ``SemiSimplicialSet``."""
 
     gen_sizes: tuple[int, ...]
     gen_faces: tuple[tuple[tuple[SimplexRef, ...], ...], ...]
     truncated_at: int | None = None
 
     @property
-    def top_generator_degree(self) -> int:
+    def top_dim(self) -> int | None:
+        """Largest generator degree, -1 without generators, or None when
+        truncated: unlike a listed zero level, a degree without generators
+        still has degenerate simplices, so it ends nothing."""
+        if self.truncated_at is not None:
+            return None
         nonempty = [q for q, s in enumerate(self.gen_sizes) if s]
         return nonempty[-1] if nonempty else -1
 
@@ -495,7 +494,7 @@ def validate_simplicial(Y: SimplicialSet) -> ValidationReport:
                 elif not 0 <= ref.gen < Y.gen_sizes[ref.deg]:  # deg is in 0..q-1 here
                     problems.append(f"degree {q} face {i} generator {g}: generator out of range")
     yield problems
-    through = Y.truncated_at if Y.truncated_at is not None else Y.top_generator_degree + 2
+    through = Y.truncated_at if Y.top_dim is None else Y.top_dim + 2
     # the face-face identity on every simplex through that level;
     # the mixed and degeneracy-only identities hold by construction of the
     # canonical form, so this is the only content to verify

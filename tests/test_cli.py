@@ -12,6 +12,7 @@ from oracles import time_limit
 from ssethom import cli, formats
 from ssethom.cat import (FinMonoid, FinNonUnitalCategory, FunctorData, NatTransData,
                          validate_category)
+from ssethom.fixtures import random_simplicial
 from ssethom.sset import (BiSemiSimplicialSet, SemiSimplicialSet, constant_sset, exterior_product,
                           free_degeneracies, validate_bisset, validate_sset)
 
@@ -61,6 +62,13 @@ def test_fixture_round_trip(path):
     obj = formats.load_document(json.loads(raw))
     assert formats.dumps_document(obj) == raw
     assert formats.load_document(json.loads(formats.dumps_document(obj))) == obj
+
+
+def test_truncated_simplicial_set_round_trip():
+    Y = random_simplicial(5)
+    doc = formats.save_document(Y)
+    assert (doc["type"], doc["truncated_at"]) == ("simplicial", 3)
+    assert formats.load_document(json.loads(formats.dumps_document(Y))) == Y
 
 
 @pytest.mark.parametrize("path", all_fixture_files(), ids=os.path.basename)
@@ -235,6 +243,26 @@ def test_homology_truncated_is_clamped(capsys):
     assert code == 0
     assert [g["degree"] for g in doc["groups"]] == [0, 1]
     assert doc["notes"] != []
+
+
+def test_max_degree_bounds_the_levels_built_from_a_truncated_input(capsys, tmp_path, monkeypatch):
+    # H_0..H_k read d_1..d_{k+1} only, so a truncated input is built through
+    # k + 1, or through its truncation level when that is lower
+    code, out, _ = run(capsys, "nerve", fixture("c3.mon.json"), "--cutoff", "7")
+    nerve = tmp_path / "c3.ss.json"
+    nerve.write_text(out)
+    delta2 = tmp_path / "delta2.simp.json"
+    delta2.write_text(json.dumps(_delta2(truncated_at=2)))
+    built = []
+    for name in ("unnormalized_chains", "normalized_chains"):
+        monkeypatch.setattr(cli, name, lambda X, through=None, build=getattr(cli, name):
+                            built.append(through) or build(X, through))
+    for path, k, through, groups in [(nerve, 1, 2, ["Z", "Z/3"]),
+                                     (nerve, 9, 7, ["Z", "Z/3", "0", "Z/3", "0", "Z/3", "0"]),
+                                     (delta2, 0, 1, ["Z"])]:
+        code, doc, _ = run_json(capsys, "homology", str(path), "--max-degree", str(k))
+        assert (code, doc["complete"], built.pop()) == (0, False, through)
+        assert [g["pretty"] for g in doc["groups"]] == groups
 
 
 def test_homology_pads_past_the_top(capsys):
@@ -552,6 +580,20 @@ def test_check_constant_and_skeletal(capsys):
                               fixture("sphere2.ss.json"),
                               "--degree", "1", "--cutoff", "3")
     assert (code, doc["verdict"]) == (0, "pass")
+
+
+def test_skeletal_shadow_of_an_input_truncated_at_zero_trusts_nothing(capsys, tmp_path):
+    # the skeleton degree clamps below the truncation, to -1: no degree is
+    # compared and the check cannot decide
+    path = tmp_path / "points.ss.json"
+    path.write_text(json.dumps({"type": "sset", "levels": [{"size": 2}], "truncated_at": 0}))
+    code, report, _ = run_json(capsys, "check", "skeletal-shadow", str(path),
+                               "--degree", "0", "--cutoff", "1")
+    assert code == 1
+    assert report == {
+        "check": "skeletal-shadow", "comparisons": [], "cutoff": 1, "hypotheses": [],
+        "notes": ["input truncated at 0; skeleton degree clamped from 0 to -1"],
+        "trusted_through": -1, "verdict": "untrusted-at-cutoff"}
 
 
 # the left-zero monoid {1, a, b}, ab = a and ba = b
@@ -1205,6 +1247,15 @@ def test_negative_levels_rejected_at_parse_time(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be at least 0" in captured.err
+
+
+def test_non_integer_levels_rejected_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nerve", fixture("c2.mon.json"), "--cutoff", "x"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == \
+        "ssethom nerve: error: argument --cutoff: invalid int value: 'x'"
 
 
 def test_nerve_at_cutoff_zero_reads_back(capsys, tmp_path):

@@ -31,8 +31,8 @@ from ssethom.fixtures import (
     sset_corpus,
 )
 from ssethom.homalg import (
+    _chain_parts,
     _table_matrix,
-    _unnormalized_parts,
     ChainMap,
     DoubleComplex,
     FPAbelianGroup,
@@ -236,6 +236,37 @@ def test_truncated_top_is_untrusted():
     assert graded_homology(C, through=2) == (Z, ZERO, ZERO)
     with pytest.raises(ValueError):
         acyclic_through(C, 3)
+
+
+@pytest.mark.parametrize("build", [
+    unnormalized_chains,
+    lambda X, through: augmented_complex(X, 1, (0,), through),
+    lambda X, through: normalized_chains(free_degeneracies(X), through),
+], ids=["unnormalized", "augmented", "normalized"])
+def test_chains_of_a_truncated_space_refuse_unlisted_levels(build):
+    # one truncation rule for the fat and the thin chains: levels above the
+    # listed ones of a truncated space are unknown, not zero
+    X = constant_sset(1, 3)
+    assert build(X, 3).dims[-1] == 1
+    with pytest.raises(ValueError) as refused:
+        build(X, 4)
+    assert str(refused.value) == "levels above 3 are unknown (truncated)"
+
+
+def test_homology_is_read_in_the_listed_degrees_only():
+    C = unnormalized_chains(boundary_semi_simplex(2))
+    for k in (-1, 2):
+        with pytest.raises(ValueError) as refused:
+            homology(C, k)
+        assert str(refused.value) == f"degree {k} outside the listed range"
+
+
+def test_coordinates_refuse_the_top_of_a_truncated_complex():
+    C = unnormalized_chains(constant_sset(1, 3))
+    assert homology_coordinates(C, 2).group == ZERO
+    with pytest.raises(ValueError) as refused:
+        homology_coordinates(C, 3)
+    assert str(refused.value) == "homology at the top of a truncated complex is not trusted"
 
 
 # -- random three-term complexes with known homology ------------------------------
@@ -638,7 +669,7 @@ def test_unnormalized_chains_are_certified_by_the_face_identities():
         unnormalized_chains(X)
     assert str(refused.value) == first
     with pytest.raises(ValueError, match="boundary squared is nonzero in degree 2"):
-        make_chain_complex(*_unnormalized_parts(X, None))
+        make_chain_complex(*_chain_parts(X, X.sizes, X.faces, None))
 
 
 def test_homology_of_a_nerve_document_checks_its_identities_once(monkeypatch, capsys, tmp_path):

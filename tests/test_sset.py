@@ -559,6 +559,34 @@ def test_unit_map_source_is_x_itself():
     assert check_sset_map(u).ok
 
 
+@pytest.mark.parametrize("X, n, message", [
+    (boundary_semi_simplex(2), 0, "enumerate at least through the top listed level of X"),
+    (constant_sset(1, 2), 3, "a truncated X must be enumerated exactly at its truncation level"),
+], ids=["below-the-top", "past-the-truncation"])
+def test_unit_map_refusals_are_exact(X, n, message):
+    with pytest.raises(ValueError) as refused:
+        unit_map(X, n)
+    assert str(refused.value) == message
+
+
+def test_enumeration_stops_at_the_truncation():
+    Y = free_degeneracies(constant_sset(1, 2))
+    assert enumerate_simplicial(Y, 2).sset.truncated_at == 2
+    with pytest.raises(ValueError) as refused:
+        enumerate_simplicial(Y, 3)
+    assert str(refused.value) == "cannot enumerate through 3: presentation truncated at 2"
+
+
+def test_simplicial_top_dim_is_the_top_generator_degree_unless_truncated():
+    assert free_degeneracies(boundary_semi_simplex(2)).top_dim == 1
+    assert free_degeneracies(SemiSimplicialSet((), ())).top_dim == -1
+    # a listed empty level ends a truncated semi-simplicial set, but a degree
+    # without generators still has degenerate simplices and ends nothing
+    point = SemiSimplicialSet((1, 0), ((), ((), ())), truncated_at=1)
+    assert point.top_dim == 0
+    assert free_degeneracies(point).top_dim is None
+
+
 def test_enumeration_order_is_by_degree_then_word():
     Y = standard_simplicial_simplex(1)
     enum = enumerate_simplicial(Y, 2)
