@@ -43,6 +43,7 @@ from .sset import (
     SemiSimplicialSet,
     SimplicialSet,
     euler_characteristic,
+    known_through,
     skeleton,
 )
 
@@ -123,8 +124,8 @@ def _cmd_homology(args) -> int:
     notes = []
     chains = unnormalized_chains if isinstance(obj, SemiSimplicialSet) else normalized_chains
     complete = obj.top_dim is not None
-    # H_0..H_req read d_1..d_{req+1}; a truncated input lists levels through truncated_at
-    through = None if req is None else req + 1 if complete else min(req + 1, obj.truncated_at)
+    # H_0..H_req read d_1..d_{req+1}
+    through = None if req is None else known_through(req + 1, obj)
     C = chains(obj, through)
     top = C.trusted_through if req is None else min(req, C.trusted_through)
     if req is not None and top < req:

@@ -55,7 +55,7 @@ class SemiSimplicialSet:
 
     ``truncated_at = N`` means levels above N were deliberately not computed
     (the object may well have nonempty levels there).  ``truncated_at = None``
-    means the listed levels are all there is.
+    means the listed levels are all there is, and so does a listed empty level.
     """
 
     sizes: tuple[int, ...]
@@ -247,9 +247,15 @@ def constant_sset(size: int, n: int) -> SemiSimplicialSet:
     return listed_sset([range(size)] * (n + 1), lambda p, i, s: s, n if size else None)[0]
 
 
+def known_through(n: int, *spaces) -> int:
+    """The largest level <= n that every space determines: n, lowered to the
+    truncation level of each space whose ``top_dim`` the truncation hides."""
+    return min([n] + [X.truncated_at for X in spaces if X.top_dim is None])
+
+
 def skeleton(X: SemiSimplicialSet, n: int) -> SemiSimplicialSet:
     """Everything of dimension <= n.  Always a complete complex."""
-    if X.truncated_at is not None and n > X.truncated_at:
+    if known_through(n, X) < n:
         raise ValueError(f"cannot take the {n}-skeleton of a complex truncated at {X.truncated_at}")
     m = min(n + 1, len(X.sizes))
     return SemiSimplicialSet(X.sizes[:m], X.faces[:m])
@@ -401,10 +407,9 @@ def segal_map(X: SemiSimplicialSet, p: int) -> list[tuple[int, ...]]:
 
 
 def is_canonical_word(word: tuple[int, ...], deg: int) -> bool:
-    if any(a <= b for a, b in zip(word, word[1:])):
-        return False
-    k = len(word)
-    return all(0 <= word[m] <= deg + (k - 1 - m) for m in range(k))
+    # strictly decreasing, so letter 0 below deg + len(word) puts letter m
+    # at most deg + len(word) - 1 - m, as the canonical form asks
+    return all(a > b for a, b in zip(word, word[1:])) and all(0 <= a < deg + len(word) for a in word)
 
 
 class SimplexRef(NamedTuple):
@@ -422,7 +427,8 @@ class SimplexRef(NamedTuple):
 @dataclass(frozen=True)
 class SimplicialSet:
     """Generator presentation: gen_faces[q][i][g] is d_i of generator g (q >= 1);
-    ``truncated_at`` reads as for ``SemiSimplicialSet``."""
+    ``truncated_at`` reads as for ``SemiSimplicialSet``, but a degree without
+    generators ends nothing (see ``top_dim``)."""
 
     gen_sizes: tuple[int, ...]
     gen_faces: tuple[tuple[tuple[SimplexRef, ...], ...], ...]
@@ -531,7 +537,7 @@ class Enumeration:
 
 
 def enumerate_simplicial(Y: SimplicialSet, n: int) -> Enumeration:
-    if Y.truncated_at is not None and n > Y.truncated_at:
+    if known_through(n, Y) < n:
         raise ValueError(f"cannot enumerate through {n}: presentation truncated at {Y.truncated_at}")
     refs = tuple(tuple(iter_simplices(Y, p)) for p in range(n + 1))
     sset, index = listed_sset(refs, lambda p, i, ref: normalize_face(Y, i, ref), n)
@@ -539,13 +545,14 @@ def enumerate_simplicial(Y: SimplicialSet, n: int) -> Enumeration:
 
 
 def free_degeneracies(X: SemiSimplicialSet) -> SimplicialSet:
-    """Left adjoint to forgetting degeneracies: one generator per simplex of X."""
+    """Left adjoint to forgetting degeneracies: one generator per simplex of X,
+    complete when X is: a listed empty level leaves no generators above it."""
     gen_faces = [()]
     for p in range(1, len(X.sizes)):
         gen_faces.append(tuple(
             tuple(SimplexRef((), p - 1, X.face(p, i, s)) for s in range(X.sizes[p]))
             for i in range(p + 1)))
-    return SimplicialSet(X.sizes, tuple(gen_faces), truncated_at=X.truncated_at)
+    return SimplicialSet(X.sizes, tuple(gen_faces), X.truncated_at if X.top_dim is None else None)
 
 
 def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
@@ -557,8 +564,6 @@ def unit_map(X: SemiSimplicialSet, n: int) -> tuple[SSetMap, Enumeration]:
     """
     if len(X.sizes) - 1 > n:
         raise ValueError("enumerate at least through the top listed level of X")
-    if X.truncated_at is not None and X.truncated_at != n:
-        raise ValueError("a truncated X must be enumerated exactly at its truncation level")
     enum = enumerate_simplicial(free_degeneracies(X), n)
     tables = tuple(tuple(enum.index[p][SimplexRef((), p, s)] for s in range(size))
                    for p, size in enumerate(X.sizes))

@@ -68,6 +68,7 @@ from .sset import (
     check_certificate,
     constant_sset,
     enumerate_simplicial,
+    known_through,
     levelwise_product,
     segal_map,
     skeleton_inclusion,
@@ -185,14 +186,11 @@ def check_adj_units(X: SemiSimplicialSet, N: int) -> CheckReport:
     """The unit X -> E X (freely added degeneracies, then flattened) is a
     homology isomorphism in every trusted degree."""
     notes = []
-    if X.truncated_at is not None:
-        n_eff = X.truncated_at
-        if n_eff < N:
-            notes.append(f"input truncated at {n_eff}; range clamped from cutoff {N}")
-    else:
-        n_eff = max(N, len(X.sizes) - 1)
-        if n_eff > N:
-            notes.append(f"enumerated through {n_eff} to cover all listed levels")
+    n_eff = known_through(max(N, len(X.sizes) - 1), X)
+    if n_eff < N:
+        notes.append(f"input truncated at {n_eff}; range clamped from cutoff {N}")
+    elif n_eff > N and X.top_dim is not None:
+        notes.append(f"enumerated through {n_eff} to cover all listed levels")
     trusted = min(N, n_eff) - 1
     f, _ = unit_map(X, n_eff)
     fc = chain_map_from_sset_map(f)
@@ -207,9 +205,8 @@ def check_fat_thin(Y: SimplicialSet, N: int) -> CheckReport:
     """Unnormalized and normalized chains of a simplicial set agree in every
     trusted degree (the normalization projection has an acyclic cone)."""
     notes = []
-    n_eff = N
-    if Y.truncated_at is not None and Y.truncated_at < N:
-        n_eff = Y.truncated_at
+    n_eff = known_through(N, Y)
+    if n_eff < N:
         notes.append(f"input truncated at {n_eff}; range clamped from cutoff {N}")
     trusted = n_eff - 1
     proj = normalization_projection(enumerate_simplicial(Y, n_eff))
@@ -222,8 +219,7 @@ def check_fat_thin(Y: SimplicialSet, N: int) -> CheckReport:
 
 
 def _clamped_level(N: int, *spaces, notes: list) -> int:
-    truncs = [s.truncated_at for s in spaces if s.truncated_at is not None]
-    n_eff = min([N] + truncs)
+    n_eff = known_through(N, *spaces)
     if n_eff < N:
         notes.append(f"inputs truncated; range clamped from cutoff {N} to {n_eff}")
     return n_eff
@@ -543,17 +539,13 @@ def check_skeletal_shadow(X: SemiSimplicialSet, n: int, N: int) -> CheckReport:
     if n >= N:
         raise ValueError("the skeleton degree must sit below the cutoff")
     notes = []
-    if X.truncated_at is None:
-        n_eff = n
-        fc = chain_map_from_sset_map(skeleton_inclusion(X, n), through=n + 1)
-    else:
-        n_eff = min(n, X.truncated_at - 1)
-        if n_eff < n:
-            notes.append(f"input truncated at {X.truncated_at}; "
-                         f"skeleton degree clamped from {n} to {n_eff}")
-        if n_eff < 0:
-            return _finish("skeletal-shadow", N, -1, [], [], notes)
-        fc = chain_map_from_sset_map(skeleton_inclusion(X, n_eff))
+    n_eff = known_through(n + 1, X) - 1
+    if n_eff < n:
+        notes.append(f"input truncated at {n_eff + 1}; "
+                     f"skeleton degree clamped from {n} to {n_eff}")
+    if n_eff < 0:
+        return _finish("skeletal-shadow", N, -1, [], [], notes)
+    fc = chain_map_from_sset_map(skeleton_inclusion(X, n_eff), through=n_eff + 1)
     items = [_cone_item(f"{n_eff}-skeleton inclusion", fc, n_eff)]
     src_co = homology_coordinates(fc.source, n_eff)
     tgt_co = homology_coordinates(fc.target, n_eff)

@@ -65,7 +65,7 @@ def test_fixture_round_trip(path):
 
 
 def test_truncated_simplicial_set_round_trip():
-    Y = random_simplicial(5)
+    Y = random_simplicial(3)  # generator sizes (2, 4, 4, 4): no empty degree
     doc = formats.save_document(Y)
     assert (doc["type"], doc["truncated_at"]) == ("simplicial", 3)
     assert formats.load_document(json.loads(formats.dumps_document(Y))) == Y
@@ -594,6 +594,39 @@ def test_skeletal_shadow_of_an_input_truncated_at_zero_trusts_nothing(capsys, tm
         "check": "skeletal-shadow", "comparisons": [], "cutoff": 1, "hypotheses": [],
         "notes": ["input truncated at 0; skeleton degree clamped from 0 to -1"],
         "trusted_through": -1, "verdict": "untrusted-at-cutoff"}
+
+
+_ENDED_BY_AN_EMPTY_LEVEL = {"type": "sset", "levels": [{"size": 1}, {"size": 0, "faces": [[], []]}],
+                            "truncated_at": 1}
+
+
+def _passing_report(name, cutoff, trusted, *labels):
+    return {"check": name, "comparisons": [], "cutoff": cutoff, "notes": [],
+            "hypotheses": [{"detail": "", "label": label, "ok": True} for label in labels],
+            "trusted_through": trusted, "verdict": "pass"}
+
+
+def test_a_listed_empty_level_ends_a_truncated_input_for_every_reader(capsys, tmp_path):
+    # the empty level 1 leaves nothing above it, whatever truncated_at says,
+    # so no reader clamps below the degrees it is asked for
+    path = tmp_path / "ended.ss.json"
+    path.write_text(json.dumps(_ENDED_BY_AN_EMPTY_LEVEL))
+    for command, options, want in [
+        (["skeleton"], ["--degree", "2"],
+         {"levels": [{"size": 1}, {"faces": [[], []], "size": 0}], "type": "sset"}),
+        (["check", "skeletal-shadow"], ["--degree", "1", "--cutoff", "3"], _passing_report(
+            "skeletal-shadow", 3, 1, "1-skeleton inclusion (cone acyclic through 1)",
+            "H_1 surjectivity by explicit cokernel")),
+        (["check", "adj-units"], ["--cutoff", "3"], _passing_report(
+            "adj-units", 3, 2, "unit map is a homology isomorphism (cone acyclic through 2)")),
+        (["homology"], ["--max-degree", "3"], {
+            "coeff": "Z", "command": "homology", "complete": True, "file": str(path), "notes": [],
+            "groups": [{"degree": k, "pretty": "Z" if k == 0 else "0", "rank": int(k == 0),
+                        "torsion": []} for k in range(4)]}),
+        (["euler"], [], {"command": "euler", "file": str(path), "value": 1}),
+    ]:
+        code, out, _ = run(capsys, *command, str(path), *options)
+        assert (code, out) == (0, formats.dumps_json(want)), command
 
 
 # the left-zero monoid {1, a, b}, ab = a and ba = b

@@ -33,6 +33,7 @@ from ssethom.fixtures import (
 from ssethom.homalg import (
     _chain_parts,
     _table_matrix,
+    ChainComplex,
     ChainMap,
     DoubleComplex,
     FPAbelianGroup,
@@ -43,6 +44,7 @@ from ssethom.homalg import (
     chain_homotopy_from_certificate,
     chain_map_from_sset_map,
     check_chain_homotopy,
+    compose_chain_maps,
     direct_sum_groups,
     graded_homology,
     group_from_cyclic_orders,
@@ -656,6 +658,33 @@ def test_complex_validation():
         make_chain_complex((1, 1, 1), [bad, bad])  # d*d = 1 != 0
     with pytest.raises(ValueError):
         make_chain_complex((2, 1), [SparseIntMatrix.zero(1, 1)])
+
+
+_POINT = make_chain_complex((1,), [])
+_TWO_POINTS = make_chain_complex((1, 1), [SparseIntMatrix.zero(1, 1)])
+_ONE = SparseIntMatrix.identity(1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainComplex((), ()), "a chain complex needs at least degree 0"),
+    (lambda: ChainComplex((1, 1), (SparseIntMatrix.zero(0, 1),)), "diffs and dims length mismatch"),
+    (lambda: ChainComplex((1,), (SparseIntMatrix.zero(1, 1),)),
+     "diffs[0] must be the empty matrix on degree 0"),
+    (lambda: ChainComplex((1,), (SparseIntMatrix.zero(0, 2),)),
+     "diffs[0] must be the empty matrix on degree 0"),
+    (lambda: ChainMap(_POINT, _POINT, ()), "chain map must cover every source degree"),
+    (lambda: ChainMap(_TWO_POINTS, _POINT, (_ONE, _ONE)), "target has fewer degrees than source"),
+    (lambda: ChainMap(_POINT, _POINT, (SparseIntMatrix.zero(1, 2),)),
+     "degree 0: map shape 1x2 does not fit"),
+    (lambda: compose_chain_maps(ChainMap(_TWO_POINTS, _TWO_POINTS, (_ONE, _ONE)),
+                                ChainMap(_POINT, _POINT, (_ONE,))),
+     "composition endpoints do not match"),
+], ids=["no-degrees", "diffs-short", "diffs0-rows", "diffs0-cols", "map-short", "target-short",
+        "map-shape", "composition"])
+def test_complex_and_map_shape_refusals_are_exact(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_unnormalized_chains_are_certified_by_the_face_identities():

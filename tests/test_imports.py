@@ -282,6 +282,23 @@ def test_index_tables_have_one_matrix_builder():
     ]
 
 
+def test_truncation_levels_are_read_in_sset_only():
+    # sset.known_through decides which levels an input determines; a reader
+    # outside sset that reads truncated_at would restate that rule
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE
+               if p.stem in ("cli", "theorems", "homalg", "cat")}
+    assert route_users(sources, "truncated_at") == []
+
+
+def test_truncation_reader_is_caught():
+    # passing truncated_at to a constructor reads nothing
+    module = ("def clamp(X, N):\n"
+              "    return min(N, X.truncated_at)\n"
+              "def row(B, p, N):\n"
+              "    return SemiSimplicialSet(B.sizes[p], B.dv[p], truncated_at=N)\n")
+    assert route_users({"theorems.py": module}, "truncated_at") == ["theorems.py: clamp"]
+
+
 def json_readers(sources: dict[str, str]) -> list[str]:
     """``path: owner`` for each owner of the ``sources`` that reads
     ``json.load`` or ``json.loads``."""

@@ -39,6 +39,7 @@ from ssethom.sset import (
     PrismHomotopy,
     SemiSimplicialSet,
     SimplexRef,
+    SimplicialSet,
     SSetMap,
     _staged,
     boundary_semi_simplex,
@@ -221,6 +222,18 @@ def test_shape_messages_name_the_listed_levels():
     one_face = (Y.gen_faces[0], Y.gen_faces[1][:1], Y.gen_faces[2])
     assert validate_simplicial(dataclasses.replace(Y, gen_faces=one_face)).problems == (
         "degree 1: expected 2 face maps",)
+    past_the_vertices = ((), ((SimplexRef((), 0, 2),), (SimplexRef((), 0, 0),)))
+    assert validate_simplicial(SimplicialSet((2, 1), past_the_vertices)).problems == (
+        "degree 1 face 0 generator 0: generator out of range",)
+
+
+def test_simplicial_identities_are_checked_through_the_truncation_level():
+    # the one bad simplex is a generator in the top listed degree, 2, so only
+    # the identity pass at level truncated_at = 2 sees it
+    X = SemiSimplicialSet((2, 2, 1), ((), ((0, 1), (1, 0)), ((0,), (1,), (0,))), truncated_at=2)
+    assert validate_simplicial(free_degeneracies(X)).problems == tuple(
+        f"{identity} on SimplexRef(word=(), deg=2, gen=0)"
+        for identity in ("d_0 d_1 != d_0 d_0", "d_0 d_2 != d_1 d_0", "d_1 d_2 != d_1 d_1"))
 
 
 def test_skeleton_and_inclusion():
@@ -367,6 +380,13 @@ def test_segal_map_of_a_nerve_lists_the_arrows_of_each_chain(name):
         assert segal_map(nd.sset, p) == want, p
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_segal_map_refuses_levels_outside_one_to_the_top(p):
+    with pytest.raises(ValueError) as refused:
+        segal_map(standard_semi_simplex(2), p)
+    assert str(refused.value) == "segal map needs 1 <= p <= top listed level"
+
+
 def test_segal_map_of_the_standard_simplex_takes_consecutive_vertices():
     X = standard_semi_simplex(4)
     edges = list(itertools.combinations(range(5), 2))
@@ -398,6 +418,13 @@ def test_segal_map_matches_the_vertex_walk_on_random_tables():
 
 
 # -- degeneracy words --------------------------------------------------------
+
+
+def test_canonical_words_decrease_strictly_within_the_degree():
+    # s_j of a q-simplex needs 0 <= j <= q, and a word applies its last letter first
+    assert is_canonical_word((), 0) and is_canonical_word((2, 1), 1) and is_canonical_word((1, 0), 0)
+    for word, deg in [((1,), 0), ((3, 1), 1), ((1, 1), 2), ((0, 1), 2), ((-1,), 0)]:
+        assert not is_canonical_word(word, deg), (word, deg)
 
 
 def test_insert_letter_examples():
@@ -561,7 +588,8 @@ def test_unit_map_source_is_x_itself():
 
 @pytest.mark.parametrize("X, n, message", [
     (boundary_semi_simplex(2), 0, "enumerate at least through the top listed level of X"),
-    (constant_sset(1, 2), 3, "a truncated X must be enumerated exactly at its truncation level"),
+    # past the truncation the enumeration of the free simplicial set refuses
+    (constant_sset(1, 2), 3, "cannot enumerate through 3: presentation truncated at 2"),
 ], ids=["below-the-top", "past-the-truncation"])
 def test_unit_map_refusals_are_exact(X, n, message):
     with pytest.raises(ValueError) as refused:
@@ -582,9 +610,8 @@ def test_simplicial_top_dim_is_the_top_generator_degree_unless_truncated():
     assert free_degeneracies(SemiSimplicialSet((), ())).top_dim == -1
     # a listed empty level ends a truncated semi-simplicial set, but a degree
     # without generators still has degenerate simplices and ends nothing
-    point = SemiSimplicialSet((1, 0), ((), ((), ())), truncated_at=1)
-    assert point.top_dim == 0
-    assert free_degeneracies(point).top_dim is None
+    assert SemiSimplicialSet((1, 0), ((), ((), ())), truncated_at=1).top_dim == 0
+    assert SimplicialSet((1, 0), ((), ((), ())), truncated_at=1).top_dim is None
 
 
 def test_enumeration_order_is_by_degree_then_word():
@@ -633,6 +660,20 @@ def test_prism_levels_past_the_source_are_reported_not_read():
     f = g = SSetMap(pt, tri, ((0,),))
     cert = PrismHomotopy(f=f, g=g, tri=(((3,),), ((0,), (0,))))
     assert check_certificate(cert).problems == ("tables run past the listed levels of the source",)
+
+
+def test_certificate_shape_messages_are_exact():
+    ends = SSetMap(standard_semi_simplex(0), standard_semi_simplex(1), ((0,),))
+    X2 = constant_sset(2, 2)
+    for cert, problem in [
+        (ExtraDegeneracy(X2, 1, (0, 0), (0,), ((0, 1),) * 3),
+         "certificate tables run past the listed levels"),
+        (ExtraDegeneracy(X2, 1, (0, 0), (0,), ((0,), (0, 1))), "h_1: table length 1 != 2"),
+        (PrismHomotopy(ends, ends, (((0,),), ((0,), (0,)))),
+         "tables run past the listed levels of the target"),
+        (PrismHomotopy(ends, ends, ((),)), "level 0: expected 1 prism tables, got 0"),
+    ]:
+        assert check_certificate(cert).problems == (problem,)
 
 
 def test_certificate_detects_broken_table():

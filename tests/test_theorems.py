@@ -361,6 +361,16 @@ def test_skeletal_shadow_corpus_all_degrees(name):
             assert rep.verdict == "pass", (name, n)
 
 
+def test_skeletal_shadow_builds_the_inclusion_through_one_above_the_degree(monkeypatch):
+    # H_3 of the skeleton and of a truncated nerve read levels through 4 only
+    X = nerve(monoid_as_category(fx.cyclic_group_monoid(4)), 6).sset
+    built = []
+    monkeypatch.setattr(th, "chain_map_from_sset_map", lambda f, through=None,
+                        build=th.chain_map_from_sset_map: built.append(through) or build(f, through))
+    rep = th.check_skeletal_shadow(X, 3, 6)
+    assert (built, rep.verdict, rep.trusted_through) == ([4], "pass", 3)
+
+
 def test_skeletal_shadow_degree_must_be_below_cutoff():
     with pytest.raises(ValueError):
         th.check_skeletal_shadow(standard_semi_simplex(2), 5, 5)
